@@ -170,7 +170,10 @@ def _cmd_unify(args) -> int:
     # Lagrangian equations on the Legendre graph
     el = lag.herglotz_el_equations()
     proj = uni.project_to_lagrangian()
-    consistent = True
+    consistent = len(el) == len(proj)
+    if not consistent:
+        parts.append(f"INCONSISTENT: {len(el)} Euler-Lagrange equations vs "
+                     f"{len(proj)} projected equations")
     for a, b_ in zip(sorted(el, key=lambda e: e.name),
                      sorted(proj, key=lambda e: e.name)):
         verdict = ex.equal(a.residual, b_.residual, seed=args.seed)

@@ -6,6 +6,11 @@ equations are reduced to first order by introducing ``v^A = dy^A/dx^0``;
 spatial derivatives are realized as second-order central differences on a
 periodic grid, and time stepping uses fixed-step classical RK4.
 
+One fused ``lambdify`` of the accelerations and L reads only the argument
+slots it uses, so each right-hand side computes only the stencils it needs;
+RK4 stages reuse two buffers per problem.  Results are bit-identical to the
+earlier per-expression, every-stencil integrator.
+
 Action variables: the balance law constrains only the divergence of the
 ``s^mu`` fields.  We adopt the gauge ``s^1 == 0`` for ``m = 2`` (so the
 balance reads ``ds^0/dx^0 = L``) and integrate ``s^0`` alongside the fields.
@@ -13,7 +18,8 @@ balance reads ``ds^0/dx^0 = L``) and integrate ``s^0`` alongside the fields.
 Monitors:
 
 - ``action_balance``: instantaneous max-norm of the balance residual,
-  evaluated from the same right-hand side the integrator uses.
+  evaluated from the same right-hand side the integrator uses (0 by
+  construction, see ``monitor_action_balance``).
 - ``action_balance_fd``: balance residual with the time derivative replaced
   by a centered finite difference of the stored ``s^0`` history (second-order
   in the step size; useful for convergence studies).
@@ -71,24 +77,34 @@ class EvolutionProblem:
     length: float
     dx: float
     state_names: tuple[str, ...]
-    # evaluators; each takes the stacked argument arrays described below
-    acc_funcs: tuple[Callable, ...]
-    lagrangian_func: Callable
+    # the fields' accelerations then L; the energy density (gauge, parameters applied)
+    exprs: tuple[sp.Expr, ...]
+    energy_expr: sp.Expr
+    # evaluators of ``exprs`` and of the energy density; each reads the
+    # argument slots listed beside it (see ``_slot_values``)
+    rhs_func: Callable
+    rhs_slots: tuple[tuple[str, int], ...]
     energy_func: Callable
+    energy_slots: tuple[tuple[str, int], ...]
     initial: dict[str, sp.Expr]
     parameter_values: dict[str, float]
     cfl: float = 0.5
     monitors: tuple[str, ...] = ("action_balance", "energy")
 
+    x: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    # RK4 work space: the stage right-hand side and the next stage state
+    stages: np.ndarray = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.x = np.arange(self.N) * self.dx
+        self.stages = np.empty((2, self.n_vars, self.N))
+
     @property
     def n_vars(self) -> int:
         return 2 * self.n + 1
 
-    def grid(self) -> np.ndarray:
-        return np.arange(self.N) * self.dx
-
     def initial_state(self) -> "GridState":
-        x1 = self.grid()
+        x1 = self.x
         arrays = []
         for name in self.state_names:
             e = self.initial.get(name, sp.Integer(0))
@@ -132,15 +148,36 @@ class RunReport:
 
 
 def _deriv_central(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2.0 * dx)
+    N = len(u)
+    d = np.empty_like(u)
+    np.subtract(u[2:], u[:-2], out=d[1:-1])
+    d[0] = u[1 % N] - u[-1]
+    d[-1] = u[0] - u[-2 % N]
+    d /= 2.0 * dx
+    return d
 
 
 def _deriv2_central(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=-1) - 2.0 * u + np.roll(u, 1, axis=-1)) / (dx * dx)
+    N = len(u)
+    d = np.empty_like(u)
+    np.multiply(u[1:-1], 2.0, out=d[1:-1])
+    np.subtract(u[2:], d[1:-1], out=d[1:-1])
+    d[1:-1] += u[:-2]
+    d[0] = u[1 % N] - 2.0 * u[0] + u[-1]
+    d[-1] = u[0] - 2.0 * u[-1] + u[-2 % N]
+    d /= dx * dx
+    return d
 
 
 def _deriv_forward(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=-1) - u) / dx
+    d = np.empty_like(u)
+    np.subtract(u[1:], u[:-1], out=d[:-1])
+    d[-1] = u[0] - u[-1]
+    d /= dx
+    return d
+
+
+_STENCILS = {"central": _deriv_central, "central2": _deriv2_central, "forward": _deriv_forward}
 
 
 def compile_problem(eqs: EquationSet, config: SimulateConfig,
@@ -190,108 +227,119 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig,
             f"{[e.name for e in evolution[:n]]} is singular")
     sol = M.LUsolve(b)
 
-    # argument layout for the compiled evaluators
-    x_args = [ex.base(0), ex.base(1)] if m == 2 else [ex.base(0)]
-    y_args = [ex.field(A) for A in range(n)]
-    v_args = [ex.velocity(A, 0) for A in range(n)]
-    s_args = [ex.action(0)]
-    grid_args = []
+    # argument slots of the compiled evaluators: (kind, state row); "row"
+    # reads the state, a stencil kind differentiates the row in x^1
+    slots = {ex.base(0): ("t", 0)}
     if m == 2:
-        grid_args = ([ex.velocity(A, 1) for A in range(n)]
-                     + [ex.second_jet(A, 0, 1) for A in range(n)]
-                     + [ex.second_jet(A, 1, 1) for A in range(n)]
-                     + [ex.action_grad(0, 1)])
-    args = x_args + y_args + v_args + s_args + grid_args
+        slots[ex.base(1)] = ("x", 0)
+    rows = [ex.field(A) for A in range(n)] + [ex.velocity(A, 0) for A in range(n)]
+    slots.update({a: ("row", i) for i, a in enumerate(rows + [ex.action(0)])})
+    if m == 2:
+        for A in range(n):
+            slots[ex.velocity(A, 1)] = ("central", A)
+            slots[ex.second_jet(A, 0, 1)] = ("central", n + A)
+            slots[ex.second_jet(A, 1, 1)] = ("central2", A)
+        slots[ex.action_grad(0, 1)] = ("central", 2 * n)
 
     params = dict(parameter_values or {})
     params.update(config.parameters)
     psubs = {sp.Symbol(k): sp.Float(v) for k, v in params.items()}
 
-    def _compile(e: sp.Expr, what: str) -> Callable:
-        e = sp.expand(sp.sympify(e).xreplace(gauge)).xreplace(psubs)
-        extra = e.free_symbols - set(args)
-        if extra:
-            raise CompileError(
-                f"{what} depends on {sorted(map(str, extra))}; bind these "
-                "parameters (simulate.parameters or --param) before running")
-        return sp.lambdify(args, e, modules="numpy")
+    def _compile(named: list, slot_of: dict) -> tuple:
+        exprs = []
+        for what, e in named:
+            e = sp.expand(sp.sympify(e).xreplace(gauge)).xreplace(psubs)
+            extra = e.free_symbols - set(slot_of)
+            if extra:
+                raise CompileError(
+                    f"{what} depends on {sorted(map(str, extra))}; bind these "
+                    "parameters (simulate.parameters or --param) before running")
+            exprs.append(e)
+        used = [a for a in slot_of if any(a in e.free_symbols for e in exprs)]
+        # no cse: it reassociates products, (c*a)*b -> c*(a*b), changing last bits
+        func = sp.lambdify(used, exprs, modules="numpy")
+        return tuple(exprs), func, tuple(slot_of[a] for a in used)
 
-    acc_funcs = tuple(_compile(sol[A], f"acceleration of field {A}") for A in range(n))
-    lag_func = _compile(L_expr, "the Lagrangian")
-    # mechanical energy density: sum_A v dL/dv - L with action variables at zero
+    exprs, rhs_func, rhs_slots = _compile(
+        [(f"acceleration of field {A}", sol[A]) for A in range(n)]
+        + [("the Lagrangian", L_expr)], slots)
+    # mechanical energy density: sum_A v dL/dv - L with action variables at
+    # zero; its spatial gradients are forward differences
     e_density = sum(ex.velocity(A, 0) * sp.diff(L_expr, ex.velocity(A, 0)) for A in range(n))
     e_density = sp.expand(e_density - L_expr).xreplace(
         {ex.action(mu): sp.Integer(0) for mu in range(m)})
-    energy_func = _compile(e_density, "the energy density")
+    forward = {ex.velocity(A, 1): ("forward", A) for A in range(n)} if m == 2 else {}
+    (energy_expr,), energy_func, energy_slots = _compile(
+        [("the energy density", e_density)], {**slots, **forward})
 
     N = max(1, int(config.N)) if m == 2 else 1
     length = float(config.length) if m == 2 else 1.0
     dx = length / N
-    state_names = tuple(str(s) for s in y_args + v_args + s_args)
+    state_names = tuple(str(a) for a in rows + [ex.action(0)])
     return EvolutionProblem(
-        m=m, n=n, N=N, length=length, dx=dx, state_names=state_names,
-        acc_funcs=acc_funcs, lagrangian_func=lag_func, energy_func=energy_func,
+        m=m, n=n, N=N, length=length, dx=dx, state_names=state_names, exprs=exprs,
+        energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_slots,
+        energy_func=energy_func, energy_slots=energy_slots,
         initial=dict(config.initial), parameter_values=params,
         monitors=tuple(config.monitors))
 
 
-def _eval_args(p: EvolutionProblem, t: float, arrays: np.ndarray) -> list:
-    n, dx = p.n, p.dx
-    y = arrays[:n]
-    v = arrays[n:2 * n]
-    s0 = arrays[2 * n]
-    out: list = [t]
-    if p.m == 2:
-        out.append(p.grid())
-    out.extend(y)
-    out.extend(v)
-    out.append(s0)
-    if p.m == 2:
-        out.extend(_deriv_central(y[A], dx) for A in range(n))      # dy[A,1]
-        out.extend(_deriv_central(v[A], dx) for A in range(n))      # d2y[A,0,1]
-        out.extend(_deriv2_central(y[A], dx) for A in range(n))     # d2y[A,1,1]
-        out.append(_deriv_central(s0, dx))                          # ds[0,1]
-    return out
+def _slot_values(p: EvolutionProblem, slots: Sequence[tuple[str, int]], t: float,
+                 arrays: np.ndarray) -> list:
+    return [t if kind == "t" else p.x if kind == "x" else arrays[row] if kind == "row"
+            else _STENCILS[kind](arrays[row], p.dx) for kind, row in slots]
 
 
-def _rhs(p: EvolutionProblem, t: float, arrays: np.ndarray) -> np.ndarray:
+def _lagrangian(p: EvolutionProblem, st: "GridState") -> np.ndarray:
+    vals = p.rhs_func(*_slot_values(p, p.rhs_slots, st.t, st.arrays))
+    return np.broadcast_to(np.asarray(vals[-1], dtype=float), (p.N,))
+
+
+def _fill_rhs(p: EvolutionProblem, t: float, arrays: np.ndarray, out: np.ndarray) -> None:
     n = p.n
-    vals = _eval_args(p, t, arrays)
-    out = np.empty_like(arrays)
     out[:n] = arrays[n:2 * n]
-    for A in range(n):
-        out[n + A] = np.broadcast_to(np.asarray(p.acc_funcs[A](*vals), dtype=float),
-                                     (p.N,))
-    out[2 * n] = np.broadcast_to(np.asarray(p.lagrangian_func(*vals), dtype=float),
-                                 (p.N,))
-    return out
+    for i, val in enumerate(p.rhs_func(*_slot_values(p, p.rhs_slots, t, arrays))):
+        out[n + i] = val
 
 
 def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
-    """One classical fourth-order Runge--Kutta step."""
+    """One classical fourth-order Runge--Kutta step (reuses ``p.stages``: not re-entrant)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if p.m == 2 and dt > p.cfl * p.dx:
         raise ValueError(f"dt={dt} violates the CFL guard dt <= {p.cfl}*dx = {p.cfl * p.dx}")
-    a = st.arrays
-    k1 = _rhs(p, st.t, a)
-    k2 = _rhs(p, st.t + dt / 2, a + dt / 2 * k1)
-    k3 = _rhs(p, st.t + dt / 2, a + dt / 2 * k2)
-    k4 = _rhs(p, st.t + dt, a + dt * k3)
-    return GridState(st.t + dt, a + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    # stage sums in the textbook order ((k1 + 2 k2) + 2 k3) + k4, built in
+    # a fresh array (the returned state) from the problem's two stage buffers
+    a, h = st.arrays, dt / 2
+    k, ys = p.stages
+    _fill_rhs(p, st.t, a, k)
+    acc = k.copy()
+    np.multiply(k, h, out=ys)
+    ys += a
+    _fill_rhs(p, st.t + h, ys, k)
+    for c in (h, dt):
+        np.multiply(k, 2, out=ys)
+        acc += ys
+        np.multiply(k, c, out=ys)
+        ys += a
+        _fill_rhs(p, st.t + c, ys, k)
+    acc += k
+    acc *= dt / 6
+    acc += a
+    return GridState(st.t + dt, acc)
 
 
 def monitor_action_balance(p: EvolutionProblem, st: GridState) -> float:
     """Instantaneous balance residual max|ds^0/dx^0 + ds^1/dx^1 - L|.
 
-    The time derivative of ``s^0`` is the same right-hand side the integrator
-    advances, and ``s^1 == 0`` in the chosen gauge, so this measures internal
-    consistency of the compiled system.
+    The time derivative of ``s^0`` is the integrator's own right-hand side,
+    which in the gauge ``s^1 == 0`` is L itself, so this value is 0 by
+    construction (NaN where L is not finite).  It measures nothing about the
+    integrator until it is redefined against the time stepping (ROADMAP
+    item 3).
     """
-    vals = _eval_args(p, st.t, st.arrays)
-    sdot = np.broadcast_to(np.asarray(p.lagrangian_func(*vals), dtype=float), (p.N,))
-    lval = np.broadcast_to(np.asarray(p.lagrangian_func(*vals), dtype=float), (p.N,))
-    return float(np.max(np.abs(sdot - lval)))
+    lval = _lagrangian(p, st)
+    return float(np.max(np.abs(lval - lval)))
 
 
 def monitor_energy(p: EvolutionProblem, st: GridState) -> float:
@@ -301,16 +349,10 @@ def monitor_energy(p: EvolutionProblem, st: GridState) -> float:
     free wave this is exactly the invariant of the central-stencil
     semidiscretization; for ``m = 1`` it is the pointwise energy.
     """
-    n, dx = p.n, p.dx
-    vals = _eval_args(p, st.t, st.arrays)
+    vals = _slot_values(p, p.energy_slots, st.t, st.arrays)
+    dens = np.broadcast_to(np.asarray(p.energy_func(*vals)[0], dtype=float), (p.N,))
     if p.m == 2:
-        # replace the centered dy[A,1] slots with forward differences
-        base = 1 + 1 + 2 * n + 1
-        for A in range(n):
-            vals[base + A] = _deriv_forward(st.arrays[A], dx)
-    dens = np.broadcast_to(np.asarray(p.energy_func(*vals), dtype=float), (p.N,))
-    if p.m == 2:
-        return float(np.sum(dens) * dx)
+        return float(np.sum(dens) * p.dx)
     return float(dens[0])
 
 
@@ -344,10 +386,8 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1,
                 raise ValueError(f"unknown monitor {name!r}")
 
     def record_fd(state: GridState):
-        vals = _eval_args(p, state.t, state.arrays)
         s_hist.append(state.arrays[2 * p.n].copy())
-        l_hist.append(np.broadcast_to(
-            np.asarray(p.lagrangian_func(*vals), dtype=float), (p.N,)).copy())
+        l_hist.append(_lagrangian(p, state).copy())
 
     sample(st)
     if want_fd:

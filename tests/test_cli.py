@@ -5,6 +5,7 @@ import pytest
 from mcfield import expr as ex
 from mcfield.cli import main
 from mcfield.lagrangian import EquationSet
+from mcfield.unified import UnifiedSystem
 
 from conftest import model_path
 
@@ -59,6 +60,19 @@ class TestUnify:
     def test_cyclic_model_exits_three(self, capsys):
         assert run_cli("unify", model_path("singular_cyclic")) == 3
         assert "EMPTY-INTERSECTION" in capsys.readouterr().out
+
+    def test_missing_projected_equation_exits_two(self, capsys, monkeypatch):
+        project = UnifiedSystem.project_to_lagrangian
+
+        def drop_last(self):
+            # drop the equation that sorts last, so the pairs left still agree
+            eqs = project(self)
+            eqs.equations.remove(max(eqs.equations, key=lambda e: e.name))
+            return eqs
+
+        monkeypatch.setattr(UnifiedSystem, "project_to_lagrangian", drop_last)
+        assert run_cli("unify", model_path("damped_oscillator")) == 2
+        assert "INCONSISTENT: 2 Euler-Lagrange equations vs 1 projected" in capsys.readouterr().out
 
 
 class TestSimulate:

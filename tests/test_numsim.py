@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from mcfield import expr as ex
 from mcfield import numsim
 from mcfield.chart import ModelSpec
 from mcfield.lagrangian import LagrangianSystem
-from mcfield.modelfile import SimulateConfig
+from mcfield.modelfile import SimulateConfig, load_model
+
+from conftest import model_path
 
 
 def _problem(L, m=1, n=1, params=(), config=None, values=None):
@@ -46,11 +49,19 @@ class TestCompile:
             _problem(L, m=3)
 
     def test_coupled_hessian_solve(self):
-        # coupled two-field model: accelerations from a non-diagonal Hessian
+        # coupled two-field model: accelerations from a non-diagonal Hessian,
+        # M a = dL/dy with M = [[1, 1/2], [1/2, 1]] and dL/dy = (-y1, -y0)
         L = (ex.velocity(0, 0) ** 2 / 2 + ex.velocity(0, 0) * ex.velocity(1, 0) / 2
              + ex.velocity(1, 0) ** 2 / 2 - ex.field(0) * ex.field(1))
         p = _problem(L, n=2)
-        assert len(p.acc_funcs) == 2
+        y0, y1, v0, v1, s0 = np.random.default_rng(7).normal(size=(5, 1))
+        rhs = np.empty((5, 1))
+        numsim._fill_rhs(p, 0.0, np.stack([y0, y1, v0, v1, s0]), rhs)
+        acc = np.linalg.solve([[1.0, 0.5], [0.5, 1.0]], [-y1[0], -y0[0]])
+        assert np.allclose(rhs[2:4, 0], acc, rtol=1e-13, atol=0)
+        assert np.array_equal(rhs[:2], np.stack([v0, v1]))
+        lag = v0 ** 2 / 2 + v0 * v1 / 2 + v1 ** 2 / 2 - y0 * y1
+        assert np.allclose(rhs[4], lag, rtol=1e-13, atol=0)
 
 
 class TestStepLevel:
@@ -116,6 +127,15 @@ class TestStencils:
         d2 = numsim._deriv2_central(u, dx)
         assert np.max(np.abs(d2 + k * k * u)) < 5e-3
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 64])
+    def test_slice_stencils_equal_periodic_roll(self, N):
+        # the periodic wrap at both ends, bit for bit, down to one point
+        u, dx = np.random.default_rng(N).normal(size=N), 0.3
+        up, um = np.roll(u, -1), np.roll(u, 1)
+        assert np.array_equal(numsim._deriv_central(u, dx), (up - um) / (2.0 * dx))
+        assert np.array_equal(numsim._deriv2_central(u, dx), (up - 2.0 * u + um) / (dx * dx))
+        assert np.array_equal(numsim._deriv_forward(u, dx), (up - u) / dx)
+
 
 class TestRun:
     def test_report_time_stamps_monotone(self):
@@ -146,3 +166,106 @@ class TestRun:
         assert lines[0].startswith("t,")
         assert "y0@0" in lines[0]
         assert len(lines) == len(rep.times) + 1
+
+
+def _reference_run(p, dt, steps, cadence):
+    """The integrator as it was before the fused evaluator: one callable per
+    expression over every argument slot, every stencil by ``np.roll``.
+    Returns the sampled states and the three monitor series."""
+    n, dx = p.n, p.dx
+
+    def d1(u):
+        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+
+    args = [ex.base(0)] + [ex.base(1)] * (p.m == 2) + [
+        ex.field(A) for A in range(n)] + [ex.velocity(A, 0) for A in range(n)] + [ex.action(0)]
+    if p.m == 2:
+        args += ([ex.velocity(A, 1) for A in range(n)] + [ex.second_jet(A, 0, 1) for A in range(n)]
+                 + [ex.second_jet(A, 1, 1) for A in range(n)] + [ex.action_grad(0, 1)])
+    funcs = [sp.lambdify(args, e, modules="numpy") for e in p.exprs + (p.energy_expr,)]
+
+    def f(i, t, a, forward=False):
+        vals = [t] + [np.arange(p.N) * dx] * (p.m == 2) + list(a)
+        if p.m == 2:
+            vals += [(np.roll(a[A], -1) - a[A]) / dx if forward else d1(a[A]) for A in range(n)]
+            vals += [d1(a[n + A]) for A in range(n)] + [
+                (np.roll(a[A], -1) - 2.0 * a[A] + np.roll(a[A], 1)) / (dx * dx)
+                for A in range(n)] + [d1(a[2 * n])]
+        return np.broadcast_to(np.asarray(funcs[i](*vals), dtype=float), (p.N,))
+
+    def rhs(t, a):
+        return np.concatenate([a[n:2 * n], [f(i, t, a) for i in range(n + 1)]])
+
+    t, a = 0.0, p.initial_state().arrays
+    states, bal, energy, s_hist, l_hist = [], [], [], [], []
+    for k in range(steps + 1):
+        if k:
+            k1 = rhs(t, a)
+            k2 = rhs(t + dt / 2, a + dt / 2 * k1)
+            k3 = rhs(t + dt / 2, a + dt / 2 * k2)
+            k4 = rhs(t + dt, a + dt * k3)
+            t, a = t + dt, a + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        lval = f(n, t, a)
+        s_hist.append(a[2 * n].copy())
+        l_hist.append(lval.copy())
+        if k % cadence == 0 or k == steps:
+            states.append(a)
+            bal.append(float(np.max(np.abs(lval - lval))))
+            dens = f(n + 1, t, a, forward=True)
+            energy.append(float(np.sum(dens) * dx) if p.m == 2 else float(dens[0]))
+    S, Lv = np.stack(s_hist), np.stack(l_hist)
+    fd = np.max(np.abs((S[2:] - S[:-2]) / (2.0 * dt) - Lv[1:-1]), axis=1)
+    return states, {"action_balance": bal, "energy": energy, "action_balance_fd": fd}
+
+
+def _every_slot_problem():
+    # m = 2 model whose accelerations read t, x, and every stencil slot:
+    # dy[0,1], d2y[0,0,1], d2y[0,1,1] and ds[0,1]
+    v, ux, s0 = ex.velocity(0, 0), ex.velocity(0, 1), ex.action(0)
+    L = (v ** 2 / 2 - ux ** 2 / 2 + v * ux / 4 - s0 / 10 + ux * s0 / 20
+         + sp.sin(ex.base(1)) * ex.field(0) / 10 + ex.base(0) * ex.field(0) / 100)
+    cfg = SimulateConfig(N=64, length=2 * math.pi,
+                         initial={"y0": sp.sin(ex.base(1)), "dy0_0": sp.cos(2 * ex.base(1))})
+    return _problem(L, m=2, config=cfg), 2 * math.pi / 64 / 4
+
+
+def _bundled_problem(name, N=None, parameters=None):
+    spec, cfg = load_model(model_path(name))
+    cfg = dataclasses.replace(cfg, N=N or cfg.N, parameters=parameters or cfg.parameters)
+    eqs = LagrangianSystem(spec).herglotz_el_equations()
+    p = numsim.compile_problem(eqs, cfg, cfg.parameters)
+    return p, (cfg.length / p.N / 4 if p.m == 2 else 1e-3)
+
+
+class TestBitIdentity:
+    """The fused, stencil-pruned evaluator and the buffered RK4 reproduce the
+    earlier integrator bit for bit: states and every monitor."""
+
+    @pytest.mark.parametrize("case", ["damped_wave", "damped_oscillator",
+                                      "coupled_two_field", "every_slot"])
+    def test_states_and_monitors_match_reference(self, case):
+        if case == "every_slot":
+            p, dt = _every_slot_problem()
+            assert {kind for kind, _ in p.rhs_slots} == {"t", "x", "row", "central", "central2"}
+            assert len(p.rhs_slots) == len(set(p.rhs_slots)) == 9
+        else:
+            p, dt = _bundled_problem(case, N=64 if case == "damped_wave" else None,
+                                     parameters={"gamma": 0.3} if case == "coupled_two_field"
+                                     else None)
+        p.monitors = ("action_balance", "energy", "action_balance_fd")
+        steps, cadence = 60, 3
+        states, series = _reference_run(p, dt, steps, cadence)
+        rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence, keep_states=True)
+        assert len(rep.states) == len(states) == steps // cadence + 1
+        for got, want in zip(rep.states, states):
+            assert np.array_equal(got.arrays, want)
+        for name, want in series.items():
+            assert np.array_equal(rep.series[name], np.asarray(want)), name
+
+    def test_step_returns_fresh_array(self):
+        p, dt = _bundled_problem("damped_wave", N=16)
+        st0 = p.initial_state()
+        st1 = numsim.step_rk4(p, st0, dt)
+        st2 = numsim.step_rk4(p, st1, dt)
+        assert not np.shares_memory(st1.arrays, st2.arrays)
+        assert not any(np.shares_memory(st.arrays, p.stages) for st in (st0, st1, st2))
