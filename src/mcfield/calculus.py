@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import sympy as sp
@@ -28,7 +28,7 @@ from .chart import Chart
 
 __all__ = ["Form", "VectorField", "MultiVector", "d", "wedge", "contract",
            "pullback", "volume_form", "coframe_volume_contraction",
-           "StructureReport", "structure_diagnostics"]
+           "canonical_form", "StructureReport", "structure_diagnostics"]
 
 _RANK_TOL = 1e-9
 
@@ -266,6 +266,28 @@ def coframe_volume_contraction(chart: Chart, mu: int) -> Form:
     return _contract_vector(VectorField.basis(chart, ex.base(mu)), volume_form(chart))
 
 
+def canonical_form(chart: Chart, momenta: Sequence[sp.Expr],
+                   volume_coeff: sp.Expr) -> Form:
+    """Theta = -p^mu_A dy^A ^ d^{m-1}x_mu + volume_coeff d^m x
+    + ds^mu ^ d^{m-1}x_mu.
+
+    ``momenta`` lists p^mu_A in the (A-major, mu-minor) order: the Legendre
+    images dL/dy^A_mu on the velocity side, the momentum coordinates on the
+    momentum and unified sides.
+    """
+    out = Form(chart, chart.m)
+    for A in range(chart.n):
+        dyA = Form(chart, 1, {(chart.index(ex.field(A)),): sp.Integer(1)})
+        for mu in range(chart.m):
+            out = out + (-momenta[A * chart.m + mu]) * wedge(
+                dyA, coframe_volume_contraction(chart, mu))
+    out = out + volume_coeff * volume_form(chart)
+    for mu in range(chart.m):
+        dsmu = Form(chart, 1, {(chart.index(ex.action(mu)),): sp.Integer(1)})
+        out = out + wedge(dsmu, coframe_volume_contraction(chart, mu))
+    return out.simplify()
+
+
 # ---------------------------------------------------------------------------
 # numeric structure diagnostics
 
@@ -289,7 +311,6 @@ class StructureReport:
     is_premulticontact: bool
     is_multicontact: bool
     is_special: bool
-    is_variational: bool
     samples: int
     probabilistic: bool = True
     notes: list[str] = dc_field(default_factory=list)
@@ -311,39 +332,36 @@ class StructureReport:
 
 
 class _ContractionOp:
-    """The linear map v -> i(v)form, precompiled for numeric evaluation.
+    """The linear map v -> i(v)form, assembled from numeric coefficients.
 
-    Rows are indexed by the monomials of the image; entries are lambdified
-    over the chart coordinates so repeated evaluation at sample points is
-    cheap.
+    ``keys`` are the form's monomials, in the order of the coefficient vector
+    later passed to :meth:`at`.  Rows are indexed by the monomials of the
+    image; column j holds i(d/dz^j)form.
     """
 
-    def __init__(self, form: Form, chart: Chart, args: list[sp.Symbol],
+    def __init__(self, keys: Sequence[tuple[int, ...]], chart: Chart,
                  skip_basal: bool = False):
-        self.chart = chart
         rows: dict[tuple[int, ...], int] = {}
-        entries: list[tuple[int, int, sp.Expr]] = []
+        self._entries: list[tuple[int, int, int, float]] = []  # row, col, key, sign
         base_positions = set(range(chart.m))
         for j in range(chart.dim):
-            img = _contract_vector(VectorField.basis(chart, chart.coords[j]), form)
-            for idx, coeff in img.terms.items():
-                if skip_basal and set(idx) <= base_positions:
+            for k, idx in enumerate(keys):
+                if j not in idx:
                     continue
-                if idx not in rows:
-                    rows[idx] = len(rows)
-                entries.append((rows[idx], j, coeff))
+                t = idx.index(j)
+                rest = idx[:t] + idx[t + 1:]
+                if skip_basal and set(rest) <= base_positions:
+                    continue
+                if rest not in rows:
+                    rows[rest] = len(rows)
+                self._entries.append((rows[rest], j, k, (-1.0) ** t))
         self.row_index = rows
         self.shape = (max(len(rows), 1), chart.dim)
-        self._locs = [(r, c) for r, c, _ in entries]
-        exprs = [e for _, _, e in entries]
-        self._fn = sp.lambdify(args, exprs, modules="math") if exprs else None
 
-    def at(self, values: list[float]) -> np.ndarray:
+    def at(self, coeffs: Sequence[float]) -> np.ndarray:
         M = np.zeros(self.shape)
-        if self._fn is not None:
-            vals = self._fn(*values)
-            for (r, c), v in zip(self._locs, vals):
-                M[r, c] += v
+        for r, c, k, sign in self._entries:
+            M[r, c] += sign * coeffs[k]
         return M
 
 
@@ -381,25 +399,16 @@ def _span_rank(vectors: np.ndarray) -> int:
     return int(np.sum(s > _RANK_TOL * max(1.0, s[0])))
 
 
-def _numeric_contract(terms: dict[tuple[int, ...], float],
-                      vec: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Contract a numeric coefficient dict by a numeric vector."""
-    out: dict[tuple[int, ...], float] = {}
-    for idx, coeff in terms.items():
-        for t, pos in enumerate(idx):
-            comp = vec[pos]
-            if comp == 0.0:
-                continue
-            rest = idx[:t] + idx[t + 1:]
-            out[rest] = out.get(rest, 0.0) + (-1) ** t * comp * coeff
-    return out
-
-
 def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
                           seed: int = 42,
                           point_map: Optional[Mapping[sp.Symbol, sp.Expr]] = None
                           ) -> StructureReport:
     """Classify (theta, omega=d^m x) numerically at random sample points.
+
+    The coefficients of theta and d(theta) are compiled once, into one
+    callable; the contraction matrices of theta, d(theta) and the Reeb
+    condition are assembled from its values at each point, and omega's
+    (constant) kernel needs no compilation.
 
     ``point_map`` optionally constrains the sample points to a submanifold:
     it sends chart coordinates to expressions in the remaining coordinates
@@ -419,16 +428,17 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     params -= set(chart.coords)
     args = list(chart.coords) + sorted(params, key=lambda s: s.name)
 
-    op_omega = _ContractionOp(volume_form(chart), chart, args)
-    op_theta = _ContractionOp(theta, chart, args)
-    op_dtheta = _ContractionOp(dtheta, chart, args)
+    theta_keys = list(theta.terms)
+    dtheta_keys = list(dtheta.terms)
+    coeffs = list(theta.terms.values()) + list(dtheta.terms.values())
+    coeff_fn = sp.lambdify(args, coeffs, modules="math") if coeffs else None
+    op_theta = _ContractionOp(theta_keys, chart)
+    op_dtheta = _ContractionOp(dtheta_keys, chart)
     # Reeb condition: R in ker(omega) with i(R)dtheta annihilating ker(omega).
     # A form annihilates ker(omega) iff all its monomials are purely basal, so
     # only the non-basal rows of the dtheta contraction constrain R.
-    op_reeb = _ContractionOp(dtheta, chart, args, skip_basal=True)
-    theta_keys = list(theta.terms)
-    theta_fn = (sp.lambdify(args, [theta.terms[k] for k in theta_keys],
-                            modules="math") if theta_keys else None)
+    op_reeb = _ContractionOp(dtheta_keys, chart, skip_basal=True)
+    ker_omega = _nullspace(_ContractionOp([tuple(range(m))], chart).at([1.0]))
 
     rng = random.Random(seed)
     results = []
@@ -438,19 +448,20 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
             for c, img in point_map.items():
                 point[c] = sp.sympify(img).xreplace(point)
         values = [float(point[c]) for c in args]
+        vals = coeff_fn(*values) if coeff_fn is not None else []
+        theta_vals, dtheta_vals = vals[:len(theta_keys)], vals[len(theta_keys):]
 
-        ker_omega = _nullspace(op_omega.at(values))
-        ker_theta = _nullspace(op_theta.at(values))
-        ker_dtheta = _nullspace(op_dtheta.at(values))
+        ker_theta = _nullspace(op_theta.at(theta_vals))
+        ker_dtheta = _nullspace(op_dtheta.at(dtheta_vals))
         core = _intersect(ker_omega, ker_theta, ker_dtheta)
         premult = _intersect(ker_theta, ker_dtheta)
 
-        reeb_in = _nullspace(op_reeb.at(values) @ ker_omega)
+        reeb_in = _nullspace(op_reeb.at(dtheta_vals) @ ker_omega)
         reeb = ker_omega @ reeb_in if reeb_in.size else ker_omega[:, :0]
 
         # condition (4): { i(R)Theta } exhausts the semibasic (m-1)-forms
         # annihilating ker(omega), i.e. span{ d^{m-1}x_mu }.
-        Mth = op_theta.at(values)
+        Mth = op_theta.at(theta_vals)
         images = Mth @ reeb if reeb.shape[1] else np.zeros((Mth.shape[0], 0))
         semibasic_keys = [tuple(k for k in range(m) if k != mu) for mu in range(m)]
         sb_rows = [op_theta.row_index.get(key) for key in semibasic_keys]
@@ -462,32 +473,11 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
                              for r in sb_rows])
         span_ok = semibasic_ok and _span_rank(sb_block) == m
 
-        # variational condition: i(X)i(Y)Theta = 0 for X, Y in ker(omega)
-        variational = True
-        if theta_fn is not None and theta.degree >= 2:
-            theta_vals = dict(zip(theta_keys, theta_fn(*values)))
-            for acol in range(ker_omega.shape[1]):
-                ia = _numeric_contract(theta_vals, ker_omega[:, acol])
-                row_idx: dict[tuple[int, ...], int] = {}
-                entries: list[tuple[tuple[int, ...], int, float]] = []
-                for idx, coeff in ia.items():
-                    for t, pos in enumerate(idx):
-                        rest = idx[:t] + idx[t + 1:]
-                        if rest not in row_idx:
-                            row_idx[rest] = len(row_idx)
-                        entries.append((rest, pos, (-1) ** t * coeff))
-                Mia = np.zeros((max(len(row_idx), 1), dim))
-                for rest, pos, v in entries:
-                    Mia[row_idx[rest], pos] += v
-                if np.max(np.abs(Mia @ ker_omega), initial=0.0) > 1e-8:
-                    variational = False
-                    break
-
         results.append(dict(
             ker_omega=ker_omega.shape[1], ker_theta=ker_theta.shape[1],
             ker_dtheta=ker_dtheta.shape[1], core=core.shape[1],
             premult=premult.shape[1], reeb=reeb.shape[1],
-            span_ok=span_ok, variational=variational))
+            span_ok=span_ok))
 
     notes = []
     first = results[0]
@@ -514,7 +504,6 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
         is_premulticontact=is_premulticontact,
         is_multicontact=is_multicontact,
         is_special=special,
-        is_variational=r["variational"],
         samples=samples,
         notes=notes,
     )

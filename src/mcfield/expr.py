@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 __all__ = [
     "Role",
@@ -63,6 +64,9 @@ __all__ = [
     "EqualityResult",
     "equal",
     "random_rational_point",
+    "exact_rank",
+    "exact_nullspace",
+    "exact_pinv",
 ]
 
 _FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "log": sp.log, "sqrt": sp.sqrt}
@@ -631,3 +635,51 @@ def equal(a: sp.Expr, b: sp.Expr, samples: int = 20, seed: int = 42,
     if worst < tol:
         return EqualityResult(Verdict.NUMERICALLY_EQUAL, residual=worst)
     return EqualityResult(Verdict.NOT_EQUAL, residual=worst, witness=witness)
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra over the fraction field of the entries
+
+
+def _over_field(M: sp.Matrix) -> DomainMatrix:
+    return DomainMatrix.from_Matrix(M).to_field()
+
+
+def exact_rank(M: sp.Matrix) -> int:
+    """Rank over the fraction field of the entries (parameters are generic)."""
+    return _over_field(M).rank()
+
+
+def exact_nullspace(M: sp.Matrix) -> list[sp.Matrix]:
+    """Kernel basis in sympy's ``Matrix.nullspace`` convention.
+
+    One column vector per free column of the reduced row echelon form: 1 in
+    that column, minus the RREF column in the pivot slots, 0 elsewhere.
+    """
+    R, pivots = _over_field(M).rref()
+    R = R.to_Matrix()
+    basis = []
+    for free in (j for j in range(M.cols) if j not in pivots):
+        v = sp.zeros(M.cols, 1)
+        v[free] = 1
+        for row, col in enumerate(pivots):
+            v[col] = -R[row, free]
+        basis.append(v)
+    return basis
+
+
+def exact_pinv(M: sp.Matrix) -> sp.Matrix:
+    """Moore-Penrose pseudo-inverse of a matrix with real entries.
+
+    Through the rank decomposition M = B C (B the pivot columns of M, C the
+    nonzero RREF rows): M^+ = C^T (C C^T)^-1 (B^T B)^-1 B^T.  Parameters are
+    taken real, so no conjugates appear.
+    """
+    dM = _over_field(M)
+    R, pivots = dM.rref()
+    if not pivots:
+        return sp.zeros(M.cols, M.rows)
+    B = dM.extract(range(M.rows), pivots)
+    C = R.extract(range(len(pivots)), range(M.cols))
+    Bt, Ct = B.transpose(), C.transpose()
+    return (Ct * (C * Ct).inv() * (Bt * B).inv() * Bt).to_Matrix()

@@ -16,43 +16,17 @@ x^nu-gradient of p^mu_A, ds[nu,mu] for the x^mu-gradient of s^nu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import sympy as sp
 
 from . import expr as ex
-from .calculus import Form, coframe_volume_contraction, volume_form, wedge
-from .chart import Chart, ChartKind, build_chart
-from .lagrangian import (Equation, EquationRole, EquationSet, LagrangianSystem,
-                         Regularity)
+from .calculus import Form, canonical_form
+from .chart import ChartKind, build_chart
+from .lagrangian import Equation, EquationRole, EquationSet, LagrangianSystem
 
-__all__ = ["LegendreMap", "VelocityElimination", "eliminate_velocities",
-           "HamiltonianSystem"]
-
-
-@dataclass
-class LegendreMap:
-    """Fiber assignments of the Legendre map over (x, y, s)."""
-
-    momenta: dict[sp.Symbol, sp.Expr]          # p[A,mu] -> dL/ddy[A,mu]
-    extended: Optional[sp.Expr] = None         # pext -> L - dy.dL/ddy
-
-    def substitution(self) -> dict[sp.Symbol, sp.Expr]:
-        subs = dict(self.momenta)
-        if self.extended is not None:
-            subs[ex.extended_momentum()] = self.extended
-        return subs
-
-
-def legendre_map(lag: LagrangianSystem, extended: bool = False) -> LegendreMap:
-    momenta = {ex.momentum(A, mu): lag.momentum_assignment(A, mu)
-               for A in range(lag.n) for mu in range(lag.m)}
-    pext = None
-    if extended:
-        pext = sp.expand(lag.L - sum(ex.velocity(A, mu) * lag.momentum_assignment(A, mu)
-                                     for A in range(lag.n) for mu in range(lag.m)))
-    return LegendreMap(momenta, pext)
+__all__ = ["VelocityElimination", "eliminate_velocities", "HamiltonianSystem"]
 
 
 @dataclass
@@ -73,10 +47,12 @@ class VelocityElimination:
 def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
     """Invert the fiber Legendre map for velocity-quadratic Lagrangians.
 
-    The assignments are affine in the velocities, p = W v + c.  We return
-    the minimum-norm solution v = W^+ (p - c) (computed by projecting any
-    particular solution off the kernel of W), and the linear conditions
-    (I - W W^+) (p - c) = 0 that characterize the image.
+    The assignments are affine in the velocities, p = W v + c, with W the
+    Hessian of the derivative table.  All linear algebra is exact over the
+    fraction field of the parameters (``expr.exact_*``).  We return the
+    minimum-norm solution v = W^+ (p - c), with W^+ from a rank
+    decomposition, and the linear conditions k^T (p - c) = 0, k in the
+    kernel of W^T, that characterize the image.
     """
     vel = [ex.velocity(A, mu) for A in range(lag.n) for mu in range(lag.m)]
     pairs = [(A, mu) for A in range(lag.n) for mu in range(lag.m)]
@@ -91,15 +67,15 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
                    for i, (A, mu) in enumerate(pairs)])
     rhs = sp.Matrix([ex.momentum(A, mu) for A, mu in pairs]) - c
 
-    if W.rank() == len(vel):
+    if ex.exact_rank(W) == len(vel):
         sol = W.LUsolve(rhs)
         rep = {vel[i]: sp.cancel(sol[i]) for i in range(len(vel))}
         return VelocityElimination(rep, [], True)
 
-    v_min = (W.pinv() * rhs).applyfunc(sp.cancel)
+    v_min = (ex.exact_pinv(W) * rhs).applyfunc(sp.cancel)
     rep = {vel[i]: v_min[i] for i in range(len(vel))}
     constraints = []
-    for kvec in W.T.nullspace():
+    for kvec in ex.exact_nullspace(W.T):
         resid = sp.expand(sp.cancel((kvec.T * rhs)[0, 0]))
         if resid != 0:
             constraints.append(resid)
@@ -140,18 +116,7 @@ class HamiltonianSystem:
     # forms --------------------------------------------------------------
     def theta(self) -> Form:
         """Theta_H = -p^mu_A dy^A ^ d^{m-1}x_mu + H d^m x + ds^mu ^ d^{m-1}x_mu."""
-        chart = self.chart
-        out = Form(chart, chart.m)
-        for A in range(self.n):
-            dyA = Form(chart, 1, {(chart.index(ex.field(A)),): sp.Integer(1)})
-            for mu in range(self.m):
-                out = out + (-ex.momentum(A, mu)) * wedge(
-                    dyA, coframe_volume_contraction(chart, mu))
-        out = out + self.H * volume_form(chart)
-        for mu in range(self.m):
-            dsmu = Form(chart, 1, {(chart.index(ex.action(mu)),): sp.Integer(1)})
-            out = out + wedge(dsmu, coframe_volume_contraction(chart, mu))
-        return out.simplify()
+        return canonical_form(self.chart, self.chart.momenta, self.H)
 
     def sigma(self) -> Form:
         """Dissipation 1-form sigma_H = (dH/ds^mu) dx^mu."""
@@ -162,10 +127,6 @@ class HamiltonianSystem:
             if coeff != 0:
                 terms[(chart.index(ex.base(mu)),)] = coeff
         return Form(chart, 1, terms)
-
-    def dbar(self, form: Form) -> Form:
-        from .calculus import d as ext_d
-        return (ext_d(form) + wedge(self.sigma(), form)).simplify()
 
     # field equations ------------------------------------------------------
     def hhdw_equations(self) -> EquationSet:

@@ -17,14 +17,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
 
 from . import expr as ex
-from .calculus import Form, VectorField, coframe_volume_contraction, volume_form, wedge
-from .chart import Chart, ChartKind, ModelSpec, build_chart, validate_model
+from .calculus import Form, VectorField, canonical_form
+from .chart import ChartKind, ModelSpec, build_chart, validate_model
 
 __all__ = ["EquationRole", "Equation", "EquationSet", "total_derivative",
            "Regularity", "RegularityReport", "LagrangianSystem"]
@@ -166,29 +166,47 @@ class LagrangianSystem:
         self.chart = build_chart(ChartKind.P, spec.m, spec.n)
         self._vel_order = [(A, mu) for A in range(self.n) for mu in range(self.m)]
 
-    # basic derived objects ---------------------------------------------------
+    # the derivative table -----------------------------------------------------
+    @cached_property
+    def momenta(self) -> list[sp.Expr]:
+        """dL/dy^A_mu for every velocity, in the (A-major, mu-minor) order."""
+        return [sp.diff(self.L, ex.velocity(A, mu)) for A, mu in self._vel_order]
+
+    @cached_property
+    def momentum_jet(self) -> list[dict[sp.Symbol, sp.Expr]]:
+        """The nonzero first partials of each momentum in the P-chart
+        coordinates, in the order of :attr:`momenta`."""
+        jet = []
+        for p in self.momenta:
+            row = {}
+            free = p.free_symbols
+            for z in self.chart.coords:
+                dz = sp.diff(p, z) if z in free else 0
+                if dz != 0:
+                    row[z] = dz
+            jet.append(row)
+        return jet
+
     def momentum_assignment(self, A: int, mu: int) -> sp.Expr:
         """dL/dy^A_mu, the Legendre image of p^mu_A."""
-        return sp.diff(self.L, ex.velocity(A, mu))
+        return self.momenta[A * self.m + mu]
 
     @property
     def energy(self) -> sp.Expr:
         """Lagrangian energy E_L = y^A_mu dL/dy^A_mu - L."""
         E = -self.L
-        for A, mu in self._vel_order:
-            E += ex.velocity(A, mu) * self.momentum_assignment(A, mu)
+        for (A, mu), p in zip(self._vel_order, self.momenta):
+            E += ex.velocity(A, mu) * p
         return E
 
     def hessian(self) -> sp.Matrix:
         """d^2 L / dy^A_mu dy^B_nu in the (A-major, mu-minor) velocity order."""
-        size = len(self._vel_order)
+        vel = [ex.velocity(A, mu) for A, mu in self._vel_order]
+        size = len(vel)
         H = sp.zeros(size, size)
-        for i, (A, mu) in enumerate(self._vel_order):
-            for j, (B, nu) in enumerate(self._vel_order):
-                if j < i:
-                    H[i, j] = H[j, i]
-                else:
-                    H[i, j] = sp.diff(self.L, ex.velocity(A, mu), ex.velocity(B, nu))
+        for i, row in enumerate(self.momentum_jet):
+            for j in range(i, size):
+                H[i, j] = H[j, i] = row.get(vel[j], sp.Integer(0))
         return H
 
     def regularity(self, samples: int = 6, seed: int = 42) -> RegularityReport:
@@ -202,7 +220,7 @@ class LagrangianSystem:
         constant = not (hess_syms & coords)
         notes: list[str] = []
         if constant:
-            rank = H.rank()
+            rank = ex.exact_rank(H)
             probabilistic = False
         else:
             rng = random.Random(seed)
@@ -226,17 +244,7 @@ class LagrangianSystem:
     # forms -------------------------------------------------------------------
     def theta(self) -> Form:
         """The Lagrangian m-form Theta_L on the velocity--action bundle."""
-        chart = self.chart
-        out = Form(chart, chart.m)
-        for A, mu in self._vel_order:
-            dyA = Form(chart, 1, {(chart.index(ex.field(A)),): sp.Integer(1)})
-            out = out + (-self.momentum_assignment(A, mu)) * wedge(
-                dyA, coframe_volume_contraction(chart, mu))
-        out = out + self.energy * volume_form(chart)
-        for mu in range(self.m):
-            dsmu = Form(chart, 1, {(chart.index(ex.action(mu)),): sp.Integer(1)})
-            out = out + wedge(dsmu, coframe_volume_contraction(chart, mu))
-        return out.simplify()
+        return canonical_form(self.chart, self.momenta, self.energy)
 
     def sigma(self) -> Form:
         """Dissipation 1-form sigma_L = -(dL/ds^mu) dx^mu."""
@@ -247,11 +255,6 @@ class LagrangianSystem:
             if c != 0:
                 terms[(chart.index(ex.base(mu)),)] = c
         return Form(chart, 1, terms)
-
-    def dbar(self, form: Form) -> Form:
-        """sigma-twisted differential: dbar beta = d beta + sigma ^ beta."""
-        from .calculus import d as ext_d
-        return (ext_d(form) + wedge(self.sigma(), form)).simplify()
 
     def reeb_fields(self) -> list[VectorField]:
         """The local Reeb basis (R_L)_mu, regular Lagrangians only."""
@@ -265,8 +268,8 @@ class LagrangianSystem:
             comps = {chart.index(ex.action(mu)): sp.Integer(1)}
             for j, (A, nu) in enumerate(self._vel_order):
                 coeff = sp.Integer(0)
-                for i, (B, gamma) in enumerate(self._vel_order):
-                    mixed = sp.diff(self.L, ex.action(mu), ex.velocity(B, gamma))
+                for i, row in enumerate(self.momentum_jet):
+                    mixed = row.get(ex.action(mu), 0)
                     if mixed != 0:
                         coeff -= W[i, j] * mixed
                 coeff = sp.cancel(coeff)

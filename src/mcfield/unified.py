@@ -29,17 +29,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
+from sympy.solvers.solveset import NonlinearError
 
 from . import expr as ex
-from .calculus import Form, coframe_volume_contraction, volume_form, wedge
-from .chart import Chart, ChartKind, build_chart
+from .calculus import Form, canonical_form
+from .chart import ChartKind, build_chart
 from .hamiltonian import HamiltonianSystem
-from .lagrangian import (Equation, EquationRole, EquationSet, LagrangianSystem,
-                         total_derivative)
+from .lagrangian import Equation, EquationRole, EquationSet, LagrangianSystem
 
 __all__ = ["coefficient_symbol", "CoefficientSystem", "LadderStatus",
            "ConstraintLadder", "UnifiedSystem"]
@@ -107,26 +107,14 @@ class UnifiedSystem:
                          + sum(ex.velocity(A, mu) * ex.momentum(A, mu)
                                for A, mu in self._pairs) - self.L)
 
-    def _theta_on(self, chart: Chart, volume_coeff: sp.Expr) -> Form:
-        out = Form(chart, chart.m)
-        for A in range(self.n):
-            dyA = Form(chart, 1, {(chart.index(ex.field(A)),): sp.Integer(1)})
-            for mu in range(self.m):
-                out = out + (-ex.momentum(A, mu)) * wedge(
-                    dyA, coframe_volume_contraction(chart, mu))
-        out = out + volume_coeff * volume_form(chart)
-        for mu in range(self.m):
-            dsmu = Form(chart, 1, {(chart.index(ex.action(mu)),): sp.Integer(1)})
-            out = out + wedge(dsmu, coframe_volume_contraction(chart, mu))
-        return out.simplify()
-
     def theta_w(self) -> Form:
-        return self._theta_on(self.chart_w, -ex.extended_momentum())
+        return canonical_form(self.chart_w, self.chart_w.momenta,
+                              -ex.extended_momentum())
 
     def theta_w0(self) -> Form:
         hw = sp.expand(self.L - sum(ex.velocity(A, mu) * ex.momentum(A, mu)
                                     for A, mu in self._pairs))
-        return self._theta_on(self.chart_w0, -hw)
+        return canonical_form(self.chart_w0, self.chart_w0.momenta, -hw)
 
     def sigma_w1(self) -> Form:
         """Dissipation 1-form induced on the Legendre graph:
@@ -141,14 +129,22 @@ class UnifiedSystem:
 
     def legendre_graph(self) -> dict[sp.Symbol, sp.Expr]:
         """Substitution realizing W1 (the graph of the Legendre map) in W0."""
-        return {ex.momentum(A, mu): self.lag.momentum_assignment(A, mu)
-                for A, mu in self._pairs}
+        return {ex.momentum(A, mu): p for (A, mu), p in zip(self._pairs, self.lag.momenta)}
 
     # --------------------------------------------------------- field equations
     def primary_constraints(self) -> list[sp.Expr]:
         """xi^mu_A = dL/dy^A_mu - p^mu_A."""
-        return [sp.expand(self.lag.momentum_assignment(A, mu) - ex.momentum(A, mu))
-                for A, mu in self._pairs]
+        return [sp.expand(p - ex.momentum(A, mu))
+                for (A, mu), p in zip(self._pairs, self.lag.momenta)]
+
+    @cached_property
+    def _momentum_sources(self) -> list[sp.Expr]:
+        """Right-hand sides of the momentum trace equations:
+        dL/dy^A + (dL/ds^mu) p^mu_A, one per field."""
+        return [sp.diff(self.L, ex.field(A)) + sum(
+                    sp.diff(self.L, ex.action(mu)) * ex.momentum(A, mu)
+                    for mu in range(self.m))
+                for A in range(self.n)]
 
     def sr_field_equations(self) -> CoefficientSystem:
         """Coordinate equations for the unified multivector field."""
@@ -159,10 +155,8 @@ class UnifiedSystem:
                 ex.velocity(A, mu), EquationRole.SEMI_HOLONOMY))
         for A in range(self.n):
             lhs = sum(coefficient_symbol("Xp", A, mu, mu) for mu in range(self.m))
-            rhs = sp.diff(self.L, ex.field(A)) + sum(
-                sp.diff(self.L, ex.action(mu)) * ex.momentum(A, mu)
-                for mu in range(self.m))
-            eqs.equations.append(Equation(f"momentum[{A}]", lhs, sp.expand(rhs),
+            eqs.equations.append(Equation(f"momentum[{A}]", lhs,
+                                          sp.expand(self._momentum_sources[A]),
                                           EquationRole.EVOLUTION))
         xi = self.primary_constraints()
         for (A, mu), c in zip(self._pairs, xi):
@@ -181,26 +175,31 @@ class UnifiedSystem:
         Xp[B,nu,mu] = d2L/dx^mu ddy[B,nu] + d2L/dy^A ddy[B,nu] y^A_mu
                       + d2L/ddy[A,lam] ddy[B,nu] Xv[A,mu,lam]
                       + d2L/ds^lam ddy[B,nu] Xs[lam,mu] .
+
+        The second derivatives are read from the Lagrangian's momentum jet.
+        The solution is built once per system and shared by the field
+        equations, the ladder and the Lagrangian projection; callers must
+        not mutate it.
         """
+        return self._tangency
+
+    @cached_property
+    def _tangency(self) -> dict[sp.Symbol, sp.Expr]:
         sol: dict[sp.Symbol, sp.Expr] = {}
-        for B in range(self.n):
-            for nu in range(self.m):
-                pB = self.lag.momentum_assignment(B, nu)
-                for mu in range(self.m):
-                    val = sp.diff(pB, ex.base(mu))
-                    for A in range(self.n):
-                        dyA = sp.diff(pB, ex.field(A))
-                        if dyA != 0:
-                            val += dyA * ex.velocity(A, mu)
-                        for lam in range(self.m):
-                            h = sp.diff(pB, ex.velocity(A, lam))
-                            if h != 0:
-                                val += h * coefficient_symbol("Xv", A, mu, lam)
+        for (B, nu), jet in zip(self._pairs, self.lag.momentum_jet):
+            for mu in range(self.m):
+                val = jet.get(ex.base(mu), sp.Integer(0))
+                for A in range(self.n):
+                    if ex.field(A) in jet:
+                        val += jet[ex.field(A)] * ex.velocity(A, mu)
                     for lam in range(self.m):
-                        dsl = sp.diff(pB, ex.action(lam))
-                        if dsl != 0:
-                            val += dsl * coefficient_symbol("Xs", lam, mu)
-                    sol[coefficient_symbol("Xp", B, nu, mu)] = sp.expand(val)
+                        if ex.velocity(A, lam) in jet:
+                            val += (jet[ex.velocity(A, lam)]
+                                    * coefficient_symbol("Xv", A, mu, lam))
+                for lam in range(self.m):
+                    if ex.action(lam) in jet:
+                        val += jet[ex.action(lam)] * coefficient_symbol("Xs", lam, mu)
+                sol[coefficient_symbol("Xp", B, nu, mu)] = sp.expand(val)
         return sol
 
     # --------------------------------------------------------------- ladder
@@ -211,10 +210,10 @@ class UnifiedSystem:
               for lam in range(self.m) for mu in range(self.m)]
         return u
 
-    def _directional_derivative(self, phi: sp.Expr, mu: int,
-                                xp_sol: dict[sp.Symbol, sp.Expr]) -> sp.Expr:
+    def _directional_derivative(self, phi: sp.Expr, mu: int) -> sp.Expr:
         """Derivative of a W0 function along the factor X_mu, with the
         momentum slots already tangency-solved."""
+        xp_sol = self.tangency_solution()
         out = sp.diff(phi, ex.base(mu))
         for A in range(self.n):
             dphi = sp.diff(phi, ex.field(A))
@@ -234,20 +233,25 @@ class UnifiedSystem:
                 out += coefficient_symbol("Xs", nu, mu) * dsv
         return sp.expand(out)
 
-    def _compatibility_rows(self, xp_sol) -> list[tuple[sp.Expr, str]]:
-        """The momentum-trace equations with Xp substituted, as
-        (expression == 0) rows linear in the unknowns."""
-        rows = []
-        for A in range(self.n):
-            expr = sum(xp_sol[coefficient_symbol("Xp", A, mu, mu)]
-                       for mu in range(self.m))
-            expr -= sp.diff(self.L, ex.field(A))
-            expr -= sum(sp.diff(self.L, ex.action(mu)) * ex.momentum(A, mu)
-                        for mu in range(self.m))
-            rows.append((sp.expand(expr), f"momentum[{A}]"))
-        rows.append((sp.expand(sum(coefficient_symbol("Xs", mu, mu)
-                                   for mu in range(self.m)) - self.L), "action"))
+    def _compatibility_rows(self) -> list[sp.Expr]:
+        """The momentum-trace equations with Xp substituted, and the action
+        trace, as (expression == 0) rows linear in the unknowns."""
+        xp_sol = self.tangency_solution()
+        rows = [sp.expand(sum(xp_sol[coefficient_symbol("Xp", A, mu, mu)]
+                              for mu in range(self.m)) - self._momentum_sources[A])
+                for A in range(self.n)]
+        rows.append(sp.expand(sum(coefficient_symbol("Xs", mu, mu)
+                                  for mu in range(self.m)) - self.L))
         return rows
+
+    def _jacobian_row(self, phi: sp.Expr, graph: dict) -> tuple[set, list[sp.Expr]]:
+        """The W0 gradient of a constraint restricted to the Legendre graph,
+        with the free symbols of the unrestricted gradient."""
+        present = phi.free_symbols
+        grad = [sp.diff(phi, z) if z in present else sp.S.Zero
+                for z in self.chart_w0.coords]
+        free = set().union(*(g.free_symbols for g in grad))
+        return free, [g.xreplace(graph) for g in grad]
 
     def constraint_algorithm(self, max_generations: int = 10, seed: int = 42,
                              samples: int = 5) -> ConstraintLadder:
@@ -259,54 +263,49 @@ class UnifiedSystem:
         inhomogeneity to produce candidate constraints, and keeps the
         functionally novel ones (numeric Jacobian rank test on the Legendre
         graph).  Candidates free of all coordinates signal an empty
-        constraint submanifold.
+        constraint submanifold.  Each constraint's tangency rows and
+        Jacobian row are built once per run.
         """
         unknowns = self._unknowns()
-        xp_sol = self.tangency_solution()
         graph = self.legendre_graph()
+        coords = set(self.chart_w0.coords)
         notes: list[str] = []
         generations: list[list[sp.Expr]] = [self.primary_constraints()]
-        later: list[sp.Expr] = []   # constraints of generation >= 1
+        jacobian = [self._jacobian_row(c, graph) for c in generations[0]]
+        rows = self._compatibility_rows()
 
         for _ in range(max_generations):
-            rows = self._compatibility_rows(xp_sol)
-            for gi, phi in enumerate(later):
-                for mu in range(self.m):
-                    rows.append((self._directional_derivative(phi, mu, xp_sol),
-                                 f"tangency[{gi},{mu}]"))
-            # split each row into  A u = b  (linear in the unknowns)
-            Arows, bvals = [], []
-            for expr, _name in rows:
-                coeffs = [sp.expand(sp.diff(expr, u)) for u in unknowns]
-                rest = sp.expand(expr - sum(c * u for c, u in zip(coeffs, unknowns)))
-                if rest.free_symbols & set(unknowns):
-                    raise ex.ExprError("field equations are not linear in the "
-                                       "multivector coefficients")
-                Arows.append(coeffs)
-                bvals.append(-rest)   # A u = b with b = -constant part
-            A = sp.Matrix(Arows)
-            b = sp.Matrix(bvals)
+            try:
+                A, b = sp.linear_eq_to_matrix(rows, unknowns)   # A u = b
+            except NonlinearError:
+                raise ex.ExprError("field equations are not linear in the "
+                                   "multivector coefficients") from None
             # restrict the coefficient matrix to the constraint submanifold
             A_on = A.xreplace(graph).applyfunc(sp.cancel)
-            left_kernel = (A_on.T).nullspace()
+            left_kernel = ex.exact_nullspace(A_on.T)
             self._check_kernel_dim(A_on, len(left_kernel), seed, notes)
 
             new_gen: list[sp.Expr] = []
+            new_rows = []
             for kvec in left_kernel:
                 cand = sp.expand(sp.cancel((kvec.T * b)[0, 0]))
-                if cand == 0 or ex.normalize(cand).numerator == 0:
+                if cand == 0:
                     continue
-                if not (cand.free_symbols & set(self.chart_w0.coords)):
+                if not (cand.free_symbols & coords):
                     generations.append([cand])
                     notes.append(f"candidate {cand} has no coordinate dependence")
                     return ConstraintLadder(generations, LadderStatus.EMPTY_INTERSECTION,
                                             notes)
-                if self._is_novel(cand, generations, graph, seed, samples):
+                row = self._jacobian_row(cand, graph)
+                if self._is_novel(cand, row, jacobian, graph, seed, samples):
                     new_gen.append(cand)
+                    new_rows.append(row)
             if not new_gen:
                 return ConstraintLadder(generations, LadderStatus.STABILIZED, notes)
             generations.append(new_gen)
-            later.extend(new_gen)
+            jacobian.extend(new_rows)
+            rows.extend(self._directional_derivative(phi, mu)
+                        for phi in new_gen for mu in range(self.m))
         return ConstraintLadder(generations, LadderStatus.MAX_GENERATIONS, notes)
 
     def _check_kernel_dim(self, A_on: sp.Matrix, symbolic_dim: int, seed: int,
@@ -328,32 +327,27 @@ class UnifiedSystem:
             notes.append(f"left-kernel dimension sampled as {dims}, symbolic "
                          f"computation gave {symbolic_dim}")
 
-    def _is_novel(self, cand: sp.Expr, generations: list[list[sp.Expr]],
-                  graph: dict, seed: int, samples: int) -> bool:
+    def _is_novel(self, cand: sp.Expr, row: tuple[set, list[sp.Expr]],
+                  jacobian: list[tuple[set, list[sp.Expr]]], graph: dict,
+                  seed: int, samples: int) -> bool:
         """Does the candidate raise the Jacobian rank of the constraint set
-        at sample points of the Legendre graph?"""
-        old = [c for gen in generations for c in gen]
-        coords = list(self.chart_w0.coords)
-        jac_old = sp.Matrix([[sp.diff(c, z) for z in coords] for c in old])
-        jac_new = sp.Matrix([[sp.diff(cand, z) for z in coords]])
-        jac_all = jac_old.col_join(jac_new)
-        syms = sorted(set().union(*(m.free_symbols for m in (jac_old, jac_all)),
-                                  sp.sympify(cand).free_symbols,
+        at sample points of the Legendre graph?  One compiled matrix: the
+        constraint set's Jacobian rows with the candidate's row stacked
+        last."""
+        syms = sorted(set().union(*(free for free, _ in jacobian), row[0],
+                                  cand.free_symbols,
                                   *(sp.sympify(v).free_symbols for v in graph.values())),
                       key=lambda s: s.name)
         syms = [s for s in syms if s not in graph]
-        fn_old = sp.lambdify(syms, jac_old.xreplace(graph), modules="numpy")
-        fn_all = sp.lambdify(syms, jac_all.xreplace(graph), modules="numpy")
+        fn = sp.lambdify(syms, sp.Matrix([r for _, r in jacobian] + [row[1]]),
+                         modules="numpy")
         rng = random.Random(seed)
         increases = 0
         for _ in range(samples):
             pt = ex.random_rational_point(syms, rng)
-            vals = [float(pt[s]) for s in syms]
-            Mo = np.array(fn_old(*vals), dtype=float)
-            Ma = np.array(fn_all(*vals), dtype=float)
-            ro = np.linalg.matrix_rank(Mo, tol=1e-9)
-            ra = np.linalg.matrix_rank(Ma, tol=1e-9)
-            if ra > ro:
+            M = np.array(fn(*[float(pt[s]) for s in syms]), dtype=float)
+            if (np.linalg.matrix_rank(M, tol=1e-9)
+                    > np.linalg.matrix_rank(M[:-1], tol=1e-9)):
                 increases += 1
         return increases == samples
 
@@ -381,10 +375,7 @@ class UnifiedSystem:
             lhs = sum(xp_sol[coefficient_symbol("Xp", A, mu, mu)]
                       for mu in range(self.m))
             lhs = sp.expand(sp.sympify(lhs).xreplace(jet_subs))
-            rhs = sp.diff(self.L, ex.field(A)) + sum(
-                sp.diff(self.L, ex.action(mu)) * ex.momentum(A, mu)
-                for mu in range(self.m))
-            rhs = sp.expand(sp.sympify(rhs).xreplace(graph))
+            rhs = sp.expand(self._momentum_sources[A].xreplace(graph))
             eqs.equations.append(Equation(f"el[{A}]", lhs, rhs,
                                           EquationRole.EVOLUTION))
         eqs.equations.append(Equation(

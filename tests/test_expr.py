@@ -134,3 +134,59 @@ class TestCalculusHelpers:
     def test_substitute(self):
         e = ex.substitute(ex.momentum(0, 0) ** 2, {ex.momentum(0, 0): ex.velocity(0, 0)})
         assert e == ex.velocity(0, 0) ** 2
+
+
+_PARAM = sp.Symbol("a", real=True)   # real, so Matrix.pinv has no conjugates
+
+
+def _integer_matrices(rows=st.integers(1, 4), cols=st.integers(1, 4)):
+    return st.tuples(rows, cols).flatmap(lambda rc: st.lists(
+        st.integers(-3, 3), min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]).map(
+            lambda xs: sp.Matrix(rc[0], rc[1], xs)))
+
+
+def _parametric_matrices():
+    """Entries p + q a: one-parameter matrices over ZZ(a)."""
+    return st.tuples(_integer_matrices(st.integers(1, 3), st.integers(1, 3)),
+                     st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda t: t[0] + _PARAM * (t[1] * sp.ones(*t[0].shape)
+                                   + t[2] * sp.eye(*t[0].shape)))
+
+
+_EDGE_CASES = [sp.zeros(3, 2), sp.eye(3), sp.Matrix([[1, -2, 3]]),
+               sp.Matrix([[_PARAM], [0], [2]]), sp.Matrix([[_PARAM, 1], [_PARAM, 1]]),
+               sp.Matrix([[1, _PARAM], [_PARAM, 1]])]
+
+
+def _same(a: sp.Matrix, b: sp.Matrix) -> bool:
+    return a.shape == b.shape and (a - b).applyfunc(sp.cancel).is_zero_matrix
+
+
+def _agrees_with_sympy(M: sp.Matrix) -> None:
+    assert ex.exact_rank(M) == M.rank()
+    ours, ref = ex.exact_nullspace(M), M.nullspace()
+    assert len(ours) == len(ref)
+    assert all(_same(u, v) for u, v in zip(ours, ref))
+    assert _same(ex.exact_pinv(M), M.pinv())
+
+
+class TestExactLinearAlgebra:
+    @pytest.mark.parametrize("M", _EDGE_CASES, ids=lambda M: "x".join(map(str, M.shape)))
+    def test_edge_cases(self, M):
+        _agrees_with_sympy(M)
+
+    @given(_integer_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_matrices(self, M):
+        _agrees_with_sympy(M)
+
+    @given(_parametric_matrices())
+    @settings(max_examples=15, deadline=None)
+    def test_one_parameter_matrices(self, M):
+        _agrees_with_sympy(M)
+
+    def test_pinv_defining_identities(self):
+        M = sp.Matrix([[_PARAM, 1, 0], [2 * _PARAM, 2, 0]])
+        P = ex.exact_pinv(M)
+        assert _same(M * P * M, M) and _same(P * M * P, P)
+        assert _same((M * P).T, M * P) and _same((P * M).T, P * M)

@@ -3,10 +3,10 @@ import sympy as sp
 
 from mcfield import expr as ex
 from mcfield.chart import ModelSpec
-from mcfield.hamiltonian import (HamiltonianSystem, eliminate_velocities,
-                                 legendre_map)
+from mcfield.hamiltonian import HamiltonianSystem, eliminate_velocities
 from mcfield.lagrangian import (EquationRole, LagrangianSystem,
                                 total_derivative)
+from mcfield.unified import UnifiedSystem
 
 
 def _system(L, m=1, n=1, params=()):
@@ -16,16 +16,15 @@ def _system(L, m=1, n=1, params=()):
 
 class TestLegendreMap:
     def test_oscillator(self, oscillator):
-        fl = legendre_map(oscillator)
-        assert fl.momenta[ex.momentum(0, 0)] == ex.velocity(0, 0)
+        assert oscillator.momentum_assignment(0, 0) == ex.velocity(0, 0)
+        graph = UnifiedSystem(oscillator).legendre_graph()
+        assert graph == {ex.momentum(0, 0): ex.velocity(0, 0)}
 
     def test_extended_adds_pext(self, oscillator):
-        fl = legendre_map(oscillator, extended=True)
-        assert fl.extended is not None
-        # extended component is L - dy * dL/ddy = -E_L
-        assert sp.expand(fl.extended - (oscillator.L
-                                        - ex.velocity(0, 0)
-                                        * oscillator.momentum_assignment(0, 0))) == 0
+        # the extended momentum's image is L - dy * dL/ddy = -E_L
+        assert sp.expand(-oscillator.energy
+                         - (oscillator.L - ex.velocity(0, 0)
+                            * oscillator.momentum_assignment(0, 0))) == 0
 
 
 class TestVelocityElimination:

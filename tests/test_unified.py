@@ -123,3 +123,44 @@ class TestProjections:
         direct = HamiltonianSystem.from_legendre(oscillator)
         projected = osc_unified.project_to_hamiltonian()
         assert sp.expand(direct.H - projected.H) == 0
+
+
+class TestDerivationCore:
+    def test_tangency_solution_matches_direct_derivatives(self, models):
+        # reference: the chain rule along X_mu applied to dL/ddy[B,nu] with sp.diff
+        for name in ("coupled_two_field", "velocity_action_cross", "damped_wave"):
+            spec, _ = models[name]
+            lag = LagrangianSystem(spec)
+            uni = UnifiedSystem(lag)
+            sol = uni.tangency_solution()
+            for B in range(lag.n):
+                for nu in range(lag.m):
+                    pB = sp.diff(lag.L, ex.velocity(B, nu))
+                    for mu in range(lag.m):
+                        ref = sp.diff(pB, ex.base(mu)) + sum(
+                            sp.diff(pB, ex.field(A)) * ex.velocity(A, mu)
+                            + sum(sp.diff(pB, ex.velocity(A, lam))
+                                  * coefficient_symbol("Xv", A, mu, lam)
+                                  for lam in range(lag.m))
+                            for A in range(lag.n)) + sum(
+                            sp.diff(pB, ex.action(lam)) * coefficient_symbol("Xs", lam, mu)
+                            for lam in range(lag.m))
+                        assert sp.expand(sol[coefficient_symbol("Xp", B, nu, mu)]
+                                         - ref) == 0
+
+    def test_tangency_solution_is_built_once(self, osc_unified):
+        first = osc_unified.tangency_solution()
+        assert osc_unified.sr_field_equations().xp_solution is first
+        assert osc_unified.tangency_solution() is first
+
+    def test_hessian_reads_the_momentum_jet(self, maxwell):
+        vel = [ex.velocity(A, mu) for A in range(4) for mu in range(4)]
+        assert maxwell.hessian() == sp.hessian(maxwell.L, vel)
+
+    def test_nonlinear_compatibility_row_raises(self, osc_unified, monkeypatch):
+        rows = osc_unified._compatibility_rows()
+        bad = coefficient_symbol("Xv", 0, 0, 0) * coefficient_symbol("Xs", 0, 0)
+        monkeypatch.setattr(UnifiedSystem, "_compatibility_rows",
+                            lambda self: rows + [bad])
+        with pytest.raises(ex.ExprError, match="field equations are not linear"):
+            osc_unified.constraint_algorithm()
