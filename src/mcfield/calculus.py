@@ -9,14 +9,15 @@ applies i(X_1) first, i(X_k) last, and contracting a k-vector into a form of
 degree < k gives zero.
 
 ``structure_diagnostics`` classifies a pair (theta, omega) numerically:
-kernels are computed at random sample points by SVD with a fixed pivot
-tolerance, so every rank in the report is tagged probabilistic.
+the coefficients are evaluated at the package's seeded sample points
+(``expr.sampled``) and kernels are computed there by SVD with the relative
+tolerance of ``expr.numeric_rank``, so every rank in the report is tagged
+probabilistic.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
@@ -392,46 +393,40 @@ def _intersect(*bases: np.ndarray) -> np.ndarray:
     return out
 
 
-def _span_rank(vectors: np.ndarray) -> int:
-    if vectors.size == 0:
-        return 0
-    s = np.linalg.svd(vectors, compute_uv=False)
-    return int(np.sum(s > _RANK_TOL * max(1.0, s[0])))
-
-
 def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
                           seed: int = 42,
                           point_map: Optional[Mapping[sp.Symbol, sp.Expr]] = None
                           ) -> StructureReport:
     """Classify (theta, omega=d^m x) numerically at random sample points.
 
-    The coefficients of theta and d(theta) are compiled once, into one
-    callable; the contraction matrices of theta, d(theta) and the Reeb
-    condition are assembled from its values at each point, and omega's
-    (constant) kernel needs no compilation.
+    The coefficients of theta and d(theta) are evaluated by the shared
+    seeded sampler (``expr.sampled``: one compile, ``samples`` points drawn
+    from ``seed``); the contraction matrices of theta, d(theta) and the
+    Reeb condition are assembled from their values at each point, and
+    omega's (constant) kernel needs no compilation.  When the ranks differ
+    between points, the first point's are reported and a note says so.
 
     ``point_map`` optionally constrains the sample points to a submanifold:
     it sends chart coordinates to expressions in the remaining coordinates
-    (e.g. momenta to a Legendre image), applied before evaluation.
+    (e.g. momenta to a Legendre image), substituted into the coefficients
+    before they are compiled.
     """
     m = chart.m
     dim = chart.dim
     dtheta = d(theta)
+    coeffs = list(theta.terms.values()) + list(dtheta.terms.values())
+    if point_map:
+        coeffs = [sp.sympify(c).xreplace(point_map) for c in coeffs]
     # free parameters appearing in the coefficients get sampled alongside the
     # chart coordinates
     params: set[sp.Symbol] = set()
-    for coeff in list(theta.terms.values()) + list(dtheta.terms.values()):
+    for coeff in coeffs:
         params |= coeff.free_symbols
-    if point_map:
-        for img in point_map.values():
-            params |= sp.sympify(img).free_symbols
     params -= set(chart.coords)
     args = list(chart.coords) + sorted(params, key=lambda s: s.name)
 
     theta_keys = list(theta.terms)
     dtheta_keys = list(dtheta.terms)
-    coeffs = list(theta.terms.values()) + list(dtheta.terms.values())
-    coeff_fn = sp.lambdify(args, coeffs, modules="math") if coeffs else None
     op_theta = _ContractionOp(theta_keys, chart)
     op_dtheta = _ContractionOp(dtheta_keys, chart)
     # Reeb condition: R in ker(omega) with i(R)dtheta annihilating ker(omega).
@@ -440,15 +435,8 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     op_reeb = _ContractionOp(dtheta_keys, chart, skip_basal=True)
     ker_omega = _nullspace(_ContractionOp([tuple(range(m))], chart).at([1.0]))
 
-    rng = random.Random(seed)
     results = []
-    for _ in range(samples):
-        point = ex.random_rational_point(args, rng)
-        if point_map:
-            for c, img in point_map.items():
-                point[c] = sp.sympify(img).xreplace(point)
-        values = [float(point[c]) for c in args]
-        vals = coeff_fn(*values) if coeff_fn is not None else []
+    for vals in ex.sampled(coeffs, args, samples, seed):
         theta_vals, dtheta_vals = vals[:len(theta_keys)], vals[len(theta_keys):]
 
         ker_theta = _nullspace(op_theta.at(theta_vals))
@@ -471,7 +459,7 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
                         or np.max(np.abs(images[other_rows]), initial=0.0) < 1e-8)
         sb_block = np.array([images[r] if r is not None else np.zeros(images.shape[1])
                              for r in sb_rows])
-        span_ok = semibasic_ok and _span_rank(sb_block) == m
+        span_ok = semibasic_ok and ex.numeric_rank(sb_block) == m
 
         results.append(dict(
             ker_omega=ker_omega.shape[1], ker_theta=ker_theta.shape[1],

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import sympy as sp
 
@@ -58,14 +58,6 @@ class Chart:
     # role-filtered accessors -------------------------------------------------
     def of_role(self, role: Role) -> tuple[sp.Symbol, ...]:
         return tuple(c for c in self.coords if ex.role_of(c) is role)
-
-    @property
-    def bases(self) -> tuple[sp.Symbol, ...]:
-        return tuple(ex.base(mu) for mu in range(self.m))
-
-    @property
-    def fields(self) -> tuple[sp.Symbol, ...]:
-        return tuple(ex.field(A) for A in range(self.n))
 
     @property
     def velocities(self) -> tuple[sp.Symbol, ...]:

@@ -32,9 +32,9 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
@@ -56,14 +56,15 @@ __all__ = [
     "indices_of",
     "parse_expr",
     "to_grammar",
-    "differentiate",
-    "substitute",
+    "gradient",
     "NormalForm",
     "normalize",
     "Verdict",
     "EqualityResult",
     "equal",
     "random_rational_point",
+    "sampled",
+    "numeric_rank",
     "exact_rank",
     "exact_nullspace",
     "exact_pinv",
@@ -100,45 +101,37 @@ class ParseError(ExprError):
 # ---------------------------------------------------------------------------
 # coordinate symbols
 
-_PREFIX = {
-    Role.BASE: "x",
-    Role.FIELD: "y",
-    Role.VELOCITY: "dy",
-    Role.MOMENTUM: "p",
-    Role.ACTION: "s",
-    Role.SECOND_JET: "d2y",
-    Role.ACTION_GRAD: "ds",
-    Role.MOMENTUM_GRAD: "dp",
+# The one coordinate vocabulary: role -> (grammar name, index ranges), where
+# each index ranges over the fields ("n") or the base directions ("m").
+_VOCAB = {
+    Role.BASE: ("x", "m"),
+    Role.FIELD: ("y", "n"),
+    Role.VELOCITY: ("dy", "nm"),
+    Role.MOMENTUM: ("p", "nm"),
+    Role.ACTION: ("s", "m"),
+    Role.EXTENDED: ("pext", ""),
+    Role.SECOND_JET: ("d2y", "nmm"),
+    Role.ACTION_GRAD: ("ds", "mm"),
+    Role.MOMENTUM_GRAD: ("dp", "nmm"),
 }
-_ARITY = {
-    Role.BASE: 1,
-    Role.FIELD: 1,
-    Role.VELOCITY: 2,
-    Role.MOMENTUM: 2,
-    Role.ACTION: 1,
-    Role.EXTENDED: 0,
-    Role.SECOND_JET: 3,
-    Role.ACTION_GRAD: 2,
-    Role.MOMENTUM_GRAD: 3,
-}
+_INDEXED = {name: role for role, (name, kinds) in _VOCAB.items() if kinds}
 
-_COORD_RE = re.compile(r"^(d2y|dy|dp|ds|x|y|p|s)((?:_?\d+)+)$")
+_COORD_RE = re.compile(r"^(%s)((?:_?\d+)+)$" % "|".join(_INDEXED))
 
 
 def coord(role: Role, *indices: int) -> sp.Symbol:
     """Canonical sympy symbol for a coordinate of the given role."""
-    if role is Role.EXTENDED:
-        if indices:
+    name, kinds = _VOCAB[role]
+    if len(indices) != len(kinds):
+        if role is Role.EXTENDED:
             raise ExprError("extended momentum carries no indices")
-        return sp.Symbol("pext")
-    if len(indices) != _ARITY[role]:
-        raise ExprError(f"{role.value} takes {_ARITY[role]} indices, got {len(indices)}")
+        raise ExprError(f"{role.value} takes {len(kinds)} indices, got {len(indices)}")
     if any(i < 0 for i in indices):
         raise ExprError("coordinate indices must be non-negative")
     if role is Role.SECOND_JET and indices[1] > indices[2]:
         # second jets are symmetric; keep the sorted representative
         indices = (indices[0], indices[2], indices[1])
-    return sp.Symbol(_PREFIX[role] + "_".join(str(i) for i in indices))
+    return sp.Symbol(name + "_".join(str(i) for i in indices))
 
 
 def base(mu: int) -> sp.Symbol:
@@ -187,10 +180,9 @@ def role_of(sym: sp.Symbol) -> Optional[Role]:
     m = _COORD_RE.match(name)
     if not m:
         return None
-    prefix = m.group(1)
-    for role, pfx in _PREFIX.items():
-        if pfx == prefix and len(_split_indices(m.group(2))) == _ARITY[role]:
-            return role
+    role = _INDEXED[m.group(1)]
+    if len(_split_indices(m.group(2))) == len(_VOCAB[role][1]):
+        return role
     return None
 
 
@@ -209,18 +201,6 @@ def _split_indices(tail: str) -> tuple[int, ...]:
 # parsing
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
-
-_COORD_KINDS = {
-    "x": (Role.BASE, 1),
-    "y": (Role.FIELD, 1),
-    "dy": (Role.VELOCITY, 2),
-    "p": (Role.MOMENTUM, 2),
-    "s": (Role.ACTION, 1),
-    "d2y": (Role.SECOND_JET, 3),
-    "ds": (Role.ACTION_GRAD, 2),
-    "dp": (Role.MOMENTUM_GRAD, 3),
-}
-
 
 @dataclass
 class _Token:
@@ -375,39 +355,19 @@ class _Parser:
                 raise ParseError(f"metric index out of range 0..{self.m - 1}",
                                  tok.line, tok.col)
             return sp.sympify(self.metric[idx[0]][idx[1]])
-        if name not in _COORD_KINDS:
+        if name not in _INDEXED:
             raise ParseError(f"unknown indexed name {name!r}", tok.line, tok.col)
-        role, arity = _COORD_KINDS[name]
-        if len(idx) != arity:
-            raise ParseError(f"{name} takes {arity} indices, got {len(idx)}",
+        role = _INDEXED[name]
+        kinds = _VOCAB[role][1]
+        if len(idx) != len(kinds):
+            raise ParseError(f"{name} takes {len(kinds)} indices, got {len(idx)}",
                              tok.line, tok.col)
-        self._check_ranges(role, idx, tok)
-        return coord(role, *idx)
-
-    def _check_ranges(self, role: Role, idx: Sequence[int], tok: _Token) -> None:
-        def chk(i: int, bound: int, what: str) -> None:
+        for i, kind in zip(idx, kinds):
+            bound, what = (self.n, "field") if kind == "n" else (self.m, "base")
             if not 0 <= i < bound:
                 raise ParseError(f"{what} index {i} out of range 0..{bound - 1}",
                                  tok.line, tok.col)
-
-        if role in (Role.BASE, Role.ACTION):
-            chk(idx[0], self.m, "base")
-        elif role is Role.FIELD:
-            chk(idx[0], self.n, "field")
-        elif role in (Role.VELOCITY, Role.MOMENTUM):
-            chk(idx[0], self.n, "field")
-            chk(idx[1], self.m, "base")
-        elif role is Role.SECOND_JET:
-            chk(idx[0], self.n, "field")
-            chk(idx[1], self.m, "base")
-            chk(idx[2], self.m, "base")
-        elif role is Role.ACTION_GRAD:
-            chk(idx[0], self.m, "base")
-            chk(idx[1], self.m, "base")
-        elif role is Role.MOMENTUM_GRAD:
-            chk(idx[0], self.n, "field")
-            chk(idx[1], self.m, "base")
-            chk(idx[2], self.m, "base")
+        return coord(role, *idx)
 
 
 def parse_expr(text: str, m: int, n: int,
@@ -493,32 +453,24 @@ def _print_symbol(sym: sp.Symbol) -> str:
     role = role_of(sym)
     if role is None:
         return sym.name
-    if role is Role.EXTENDED:
-        return "pext"
     idx = indices_of(sym)
-    pfx = _PREFIX[role]
-    return f"{pfx}[{','.join(str(i) for i in idx)}]"
+    name = _VOCAB[role][0]
+    return f"{name}[{','.join(str(i) for i in idx)}]" if idx else name
 
 
 # ---------------------------------------------------------------------------
 # calculus on expressions
 
 
-def differentiate(e: sp.Expr, v: sp.Symbol) -> sp.Expr:
-    """Partial derivative with respect to a coordinate symbol.
-
-    Parameters (non-coordinate symbols) are constants, so differentiating
-    by one is rejected rather than silently returning garbage.
-    """
-    e = sp.sympify(e)
-    if not isinstance(v, sp.Symbol):
-        raise ExprError(f"can only differentiate by a coordinate symbol, got {v}")
-    return sp.diff(e, v)
-
-
-def substitute(e: sp.Expr, bindings: Mapping[sp.Symbol, sp.Expr]) -> sp.Expr:
-    """Simultaneous substitution (all bindings applied in parallel)."""
-    return sp.sympify(e).xreplace(dict(bindings))
+def gradient(e: sp.Expr, coords: Sequence[sp.Symbol]) -> dict[sp.Symbol, sp.Expr]:
+    """The nonzero first partials of ``e`` by ``coords``, in their order."""
+    free = e.free_symbols
+    grad = {}
+    for z in coords:
+        dz = sp.diff(e, z) if z in free else 0
+        if dz != 0:
+            grad[z] = dz
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +587,39 @@ def equal(a: sp.Expr, b: sp.Expr, samples: int = 20, seed: int = 42,
     if worst < tol:
         return EqualityResult(Verdict.NUMERICALLY_EQUAL, residual=worst)
     return EqualityResult(Verdict.NOT_EQUAL, residual=worst, witness=witness)
+
+
+# ---------------------------------------------------------------------------
+# seeded numeric sampling
+
+
+def sampled(exprs, args: Sequence[sp.Symbol], samples: int, seed: int) -> list:
+    """Values of ``exprs`` at ``samples`` seeded random rational points.
+
+    ``exprs`` is an expression, a (nested) list of them or a Matrix, which
+    is evaluated as its nested row list.  The points are successive
+    :func:`random_rational_point` draws over ``args`` from
+    ``random.Random(seed)``.  There is one compile, with the ``math`` module:
+    numpy's lambdify namespace is slow to build in a fresh process.
+    """
+    if isinstance(exprs, sp.MatrixBase):
+        exprs = exprs.tolist()
+    fn = sp.lambdify(args, exprs, modules="math")
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        point = random_rational_point(args, rng)
+        out.append(fn(*[float(point[a]) for a in args]))
+    return out
+
+
+def numeric_rank(M) -> int:
+    """Numeric rank: the singular values above 1e-9 max(1, s_0)."""
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        return 0
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > 1e-9 * max(1.0, s[0])))
 
 
 # ---------------------------------------------------------------------------

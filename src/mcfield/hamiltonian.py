@@ -2,12 +2,15 @@
 
 The (restricted) Legendre map fixes (x, y, s) and sends p^mu_A to
 dL/dy^A_mu; the extended map additionally sends the extended momentum to
-L - y^A_mu dL/dy^A_mu = -E_L.  For (hyper)regular Lagrangians the map is
-inverted and the Hamiltonian H = p^mu_A y^A_mu - L is expressed on the
-momentum chart; for velocity-quadratic singular Lagrangians the fiber map is
-affine, and the minimum-norm solution of the affine system gives a canonical
+L - y^A_mu dL/dy^A_mu = -E_L.  For velocity-quadratic Lagrangians the fiber
+map is affine, and it is inverted one way whether or not the Hessian is
+singular: the minimum-norm solution of the affine system gives a canonical
 velocity representative together with the constraints cutting out the image
-(the almost-regular picture).
+(the almost-regular picture).  When the Hessian is invertible the
+minimum-norm solution is the inverse and the image carries no constraints,
+so the (hyper)regular case is the special case with an empty constraint
+list.  The Hamiltonian is H = p^mu_A y^A_mu - L with the representative
+substituted.
 
 The Hamilton--de Donder--Weyl equations emitted here use formal gradient
 symbols: dy[A,mu] for the x^mu-gradient of y^A, dp[A,mu,nu] for the
@@ -17,7 +20,6 @@ x^nu-gradient of p^mu_A, ds[nu,mu] for the x^mu-gradient of s^nu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import sympy as sp
 
@@ -33,15 +35,18 @@ __all__ = ["VelocityElimination", "eliminate_velocities", "HamiltonianSystem"]
 class VelocityElimination:
     """Result of solving p = dL/ddy for the velocities.
 
-    ``representative`` maps each velocity symbol to an expression in the
-    momentum-chart coordinates (the exact inverse when the Hessian is
-    regular, the minimum-norm solution otherwise).  ``image_constraints``
-    cut out the Legendre image; they are empty in the regular case.
+    ``representative`` maps each velocity symbol to the minimum-norm
+    solution in the momentum-chart coordinates, which is the exact inverse
+    when the Hessian is invertible.  ``image_constraints`` cut out the
+    Legendre image; the Lagrangian is regular exactly when there are none.
     """
 
     representative: dict[sp.Symbol, sp.Expr]
     image_constraints: list[sp.Expr]
-    regular: bool
+
+    @property
+    def regular(self) -> bool:
+        return not self.image_constraints
 
 
 def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
@@ -49,10 +54,11 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
 
     The assignments are affine in the velocities, p = W v + c, with W the
     Hessian of the derivative table.  All linear algebra is exact over the
-    fraction field of the parameters (``expr.exact_*``).  We return the
-    minimum-norm solution v = W^+ (p - c), with W^+ from a rank
-    decomposition, and the linear conditions k^T (p - c) = 0, k in the
-    kernel of W^T, that characterize the image.
+    fraction field of the parameters (``expr.exact_*``).  There is one
+    inversion path: the minimum-norm solution v = W^+ (p - c), with W^+ from
+    a rank decomposition, and the linear conditions k^T (p - c) = 0, k in
+    the kernel of W^T, that characterize the image.  On an invertible W the
+    pseudo-inverse is W^-1 and the kernel is empty.
     """
     vel = [ex.velocity(A, mu) for A in range(lag.n) for mu in range(lag.m)]
     pairs = [(A, mu) for A in range(lag.n) for mu in range(lag.m)]
@@ -67,11 +73,6 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
                    for i, (A, mu) in enumerate(pairs)])
     rhs = sp.Matrix([ex.momentum(A, mu) for A, mu in pairs]) - c
 
-    if ex.exact_rank(W) == len(vel):
-        sol = W.LUsolve(rhs)
-        rep = {vel[i]: sp.cancel(sol[i]) for i in range(len(vel))}
-        return VelocityElimination(rep, [], True)
-
     v_min = (ex.exact_pinv(W) * rhs).applyfunc(sp.cancel)
     rep = {vel[i]: v_min[i] for i in range(len(vel))}
     constraints = []
@@ -79,7 +80,7 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
         resid = sp.expand(sp.cancel((kvec.T * rhs)[0, 0]))
         if resid != 0:
             constraints.append(resid)
-    return VelocityElimination(rep, constraints, False)
+    return VelocityElimination(rep, constraints)
 
 
 class HamiltonianSystem:
@@ -88,11 +89,12 @@ class HamiltonianSystem:
     ``image_constraints`` is empty for (hyper)regular Lagrangians; in the
     almost-regular case it holds the linear conditions cutting out the
     Legendre image, and all equations are understood on that submanifold.
+    ``velocity_representative`` gives every velocity on the momentum chart,
+    as :func:`eliminate_velocities` returns it.
     """
 
-    def __init__(self, m: int, n: int, H: sp.Expr,
-                 image_constraints: Optional[list[sp.Expr]] = None,
-                 velocity_representative: Optional[dict[sp.Symbol, sp.Expr]] = None):
+    def __init__(self, m: int, n: int, H: sp.Expr, image_constraints: list[sp.Expr],
+                 velocity_representative: dict[sp.Symbol, sp.Expr]):
         self.m = m
         self.n = n
         self.chart = build_chart(ChartKind.PSTAR, m, n)
@@ -101,8 +103,8 @@ class HamiltonianSystem:
                                         for A in range(n) for mu in range(m))
         if bad:
             raise ex.ExprError(f"Hamiltonian still contains velocities: {bad}")
-        self.image_constraints = list(image_constraints or [])
-        self.velocity_representative = dict(velocity_representative or {})
+        self.image_constraints = list(image_constraints)
+        self.velocity_representative = dict(velocity_representative)
 
     @classmethod
     def from_legendre(cls, lag: LagrangianSystem) -> "HamiltonianSystem":
@@ -132,24 +134,20 @@ class HamiltonianSystem:
     def hhdw_equations(self) -> EquationSet:
         """Herglotz--Hamilton--de Donder--Weyl equations.
 
-        In the almost-regular case the y-gradient equations use the
-        minimum-norm velocity representative (the derivative of H in a
-        direction transverse to the image is not defined by the data), and
-        the image constraints are appended as constraint equations.
+        The y-gradient equations read the velocity representative, which
+        equals dH/dp when the Lagrangian is regular; in the almost-regular
+        case the derivative of H in a direction transverse to the image is
+        not defined by the data, and the image constraints are appended as
+        constraint equations.  Likewise the action balance uses p v with the
+        representative substituted, which equals p dH/dp on the image.
         """
         eqs = EquationSet("Herglotz-Hamilton-de Donder-Weyl equations",
                           self.m, self.n)
-        regular = not self.image_constraints
+        rep = self.velocity_representative
         for A in range(self.n):
             for mu in range(self.m):
-                if regular:
-                    rhs = sp.cancel(sp.diff(self.H, ex.momentum(A, mu)))
-                else:
-                    rhs = self.velocity_representative.get(
-                        ex.velocity(A, mu),
-                        sp.diff(self.H, ex.momentum(A, mu)))
                 eqs.equations.append(Equation(
-                    f"y[{A}]/x[{mu}]", ex.velocity(A, mu), rhs,
+                    f"y[{A}]/x[{mu}]", ex.velocity(A, mu), rep[ex.velocity(A, mu)],
                     EquationRole.EVOLUTION))
         for A in range(self.n):
             lhs = sum(ex.momentum_grad(A, mu, mu) for mu in range(self.m))
@@ -159,17 +157,9 @@ class HamiltonianSystem:
             eqs.equations.append(Equation(f"p[{A}]", lhs, sp.expand(rhs),
                                           EquationRole.EVOLUTION))
         balance_lhs = sum(ex.action_grad(mu, mu) for mu in range(self.m))
-        if regular:
-            balance_rhs = sp.expand(
-                sum(ex.momentum(A, mu) * sp.diff(self.H, ex.momentum(A, mu))
-                    for A in range(self.n) for mu in range(self.m)) - self.H)
-        else:
-            # on the image, p dH/dp equals p v with the velocity
-            # representative substituted
-            balance_rhs = sp.expand(
-                sum(ex.momentum(A, mu)
-                    * self.velocity_representative[ex.velocity(A, mu)]
-                    for A in range(self.n) for mu in range(self.m)) - self.H)
+        balance_rhs = sp.expand(
+            sum(ex.momentum(A, mu) * rep[ex.velocity(A, mu)]
+                for A in range(self.n) for mu in range(self.m)) - self.H)
         eqs.equations.append(Equation("action", balance_lhs, balance_rhs,
                                       EquationRole.ACTION_BALANCE))
         for i, cstr in enumerate(self.image_constraints):

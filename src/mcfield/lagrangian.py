@@ -14,12 +14,10 @@ action gradients ds[nu,mu]).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import cached_property
 
-import numpy as np
 import sympy as sp
 
 from . import expr as ex
@@ -176,16 +174,7 @@ class LagrangianSystem:
     def momentum_jet(self) -> list[dict[sp.Symbol, sp.Expr]]:
         """The nonzero first partials of each momentum in the P-chart
         coordinates, in the order of :attr:`momenta`."""
-        jet = []
-        for p in self.momenta:
-            row = {}
-            free = p.free_symbols
-            for z in self.chart.coords:
-                dz = sp.diff(p, z) if z in free else 0
-                if dz != 0:
-                    row[z] = dz
-            jet.append(row)
-        return jet
+        return [ex.gradient(p, self.chart.coords) for p in self.momenta]
 
     def momentum_assignment(self, A: int, mu: int) -> sp.Expr:
         """dL/dy^A_mu, the Legendre image of p^mu_A."""
@@ -223,16 +212,9 @@ class LagrangianSystem:
             rank = ex.exact_rank(H)
             probabilistic = False
         else:
-            rng = random.Random(seed)
-            ranks = []
             args = list(self.chart.coords) + sorted(hess_syms - coords,
                                                     key=lambda s: s.name)
-            fn = sp.lambdify(args, H, modules="numpy")
-            for _ in range(samples):
-                pt = ex.random_rational_point(args, rng)
-                M = np.array(fn(*[float(pt[c]) for c in args]), dtype=float)
-                s = np.linalg.svd(M, compute_uv=False)
-                ranks.append(int(np.sum(s > 1e-9 * max(1.0, s[0]))))
+            ranks = [ex.numeric_rank(M) for M in ex.sampled(H, args, samples, seed)]
             rank = max(ranks)
             probabilistic = True
             if len(set(ranks)) > 1:

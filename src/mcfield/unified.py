@@ -26,12 +26,10 @@ ladder in the singular case.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import cached_property
 
-import numpy as np
 import sympy as sp
 from sympy.solvers.solveset import NonlinearError
 
@@ -176,7 +174,8 @@ class UnifiedSystem:
                       + d2L/ddy[A,lam] ddy[B,nu] Xv[A,mu,lam]
                       + d2L/ds^lam ddy[B,nu] Xs[lam,mu] .
 
-        The second derivatives are read from the Lagrangian's momentum jet.
+        The second derivatives are read from the Lagrangian's momentum jet
+        and contracted with X_mu by the ladder's own operator (``_along``).
         The solution is built once per system and shared by the field
         equations, the ladder and the Lagrangian projection; callers must
         not mutate it.
@@ -185,22 +184,32 @@ class UnifiedSystem:
 
     @cached_property
     def _tangency(self) -> dict[sp.Symbol, sp.Expr]:
-        sol: dict[sp.Symbol, sp.Expr] = {}
-        for (B, nu), jet in zip(self._pairs, self.lag.momentum_jet):
-            for mu in range(self.m):
-                val = jet.get(ex.base(mu), sp.Integer(0))
-                for A in range(self.n):
-                    if ex.field(A) in jet:
-                        val += jet[ex.field(A)] * ex.velocity(A, mu)
-                    for lam in range(self.m):
-                        if ex.velocity(A, lam) in jet:
-                            val += (jet[ex.velocity(A, lam)]
-                                    * coefficient_symbol("Xv", A, mu, lam))
-                for lam in range(self.m):
-                    if ex.action(lam) in jet:
-                        val += jet[ex.action(lam)] * coefficient_symbol("Xs", lam, mu)
-                sol[coefficient_symbol("Xp", B, nu, mu)] = sp.expand(val)
-        return sol
+        return {coefficient_symbol("Xp", B, nu, mu): self._along(jet, mu)
+                for (B, nu), jet in zip(self._pairs, self.lag.momentum_jet)
+                for mu in range(self.m)}
+
+    def _along(self, grad: dict[sp.Symbol, sp.Expr], mu: int) -> sp.Expr:
+        """Derivative along the factor X_mu of a W0 function, given by its
+        gradient (coordinate -> nonzero partial): the gradient contracted
+        with X_mu's components (1, y^A_mu, Xv[A,mu,lam], Xp[A,nu,mu],
+        Xs[nu,mu]).  The momentum slots are read from the tangency
+        solution, which is itself this contraction of the momentum jet; the
+        jet lives on the velocity side and has no momentum components."""
+        out = sp.S.Zero
+        for z, dz in grad.items():
+            role, idx = ex.role_of(z), ex.indices_of(z)
+            if role is ex.Role.BASE:
+                if idx[0] == mu:
+                    out += dz
+            elif role is ex.Role.FIELD:
+                out += ex.velocity(idx[0], mu) * dz
+            elif role is ex.Role.VELOCITY:
+                out += coefficient_symbol("Xv", idx[0], mu, idx[1]) * dz
+            elif role is ex.Role.MOMENTUM:
+                out += self._tangency[coefficient_symbol("Xp", idx[0], idx[1], mu)] * dz
+            else:   # action
+                out += coefficient_symbol("Xs", idx[0], mu) * dz
+        return sp.expand(out)
 
     # --------------------------------------------------------------- ladder
     def _unknowns(self) -> list[sp.Symbol]:
@@ -209,29 +218,6 @@ class UnifiedSystem:
         u += [coefficient_symbol("Xs", lam, mu)
               for lam in range(self.m) for mu in range(self.m)]
         return u
-
-    def _directional_derivative(self, phi: sp.Expr, mu: int) -> sp.Expr:
-        """Derivative of a W0 function along the factor X_mu, with the
-        momentum slots already tangency-solved."""
-        xp_sol = self.tangency_solution()
-        out = sp.diff(phi, ex.base(mu))
-        for A in range(self.n):
-            dphi = sp.diff(phi, ex.field(A))
-            if dphi != 0:
-                out += ex.velocity(A, mu) * dphi
-            for lam in range(self.m):
-                dv = sp.diff(phi, ex.velocity(A, lam))
-                if dv != 0:
-                    out += coefficient_symbol("Xv", A, mu, lam) * dv
-            for nu in range(self.m):
-                dp = sp.diff(phi, ex.momentum(A, nu))
-                if dp != 0:
-                    out += xp_sol[coefficient_symbol("Xp", A, nu, mu)] * dp
-        for nu in range(self.m):
-            dsv = sp.diff(phi, ex.action(nu))
-            if dsv != 0:
-                out += coefficient_symbol("Xs", nu, mu) * dsv
-        return sp.expand(out)
 
     def _compatibility_rows(self) -> list[sp.Expr]:
         """The momentum-trace equations with Xp substituted, and the action
@@ -244,14 +230,14 @@ class UnifiedSystem:
                                   for mu in range(self.m)) - self.L))
         return rows
 
-    def _jacobian_row(self, phi: sp.Expr, graph: dict) -> tuple[set, list[sp.Expr]]:
-        """The W0 gradient of a constraint restricted to the Legendre graph,
-        with the free symbols of the unrestricted gradient."""
-        present = phi.free_symbols
-        grad = [sp.diff(phi, z) if z in present else sp.S.Zero
-                for z in self.chart_w0.coords]
-        free = set().union(*(g.free_symbols for g in grad))
-        return free, [g.xreplace(graph) for g in grad]
+    def _jacobian_row(self, phi: sp.Expr, graph: dict) -> tuple[dict, set, list[sp.Expr]]:
+        """The W0 gradient of a constraint, the free symbols of that
+        gradient, and the gradient restricted to the Legendre graph as a row
+        in chart order."""
+        grad = ex.gradient(phi, self.chart_w0.coords)
+        free = set().union(*(g.free_symbols for g in grad.values()))
+        return grad, free, [grad.get(z, sp.S.Zero).xreplace(graph)
+                            for z in self.chart_w0.coords]
 
     def constraint_algorithm(self, max_generations: int = 10, seed: int = 42,
                              samples: int = 5) -> ConstraintLadder:
@@ -304,8 +290,8 @@ class UnifiedSystem:
                 return ConstraintLadder(generations, LadderStatus.STABILIZED, notes)
             generations.append(new_gen)
             jacobian.extend(new_rows)
-            rows.extend(self._directional_derivative(phi, mu)
-                        for phi in new_gen for mu in range(self.m))
+            rows.extend(self._along(grad, mu)
+                        for grad, _, _ in new_rows for mu in range(self.m))
         return ConstraintLadder(generations, LadderStatus.MAX_GENERATIONS, notes)
 
     def _check_kernel_dim(self, A_on: sp.Matrix, symbolic_dim: int, seed: int,
@@ -314,42 +300,26 @@ class UnifiedSystem:
         syms = sorted(A_on.free_symbols, key=lambda s: s.name)
         if not syms:
             return
-        rng = random.Random(seed)
-        fn = sp.lambdify(syms, A_on, modules="numpy")
-        dims = []
-        for _ in range(3):
-            pt = ex.random_rational_point(syms, rng)
-            M = np.array(fn(*[float(pt[s]) for s in syms]), dtype=float)
-            sv = np.linalg.svd(M.T, compute_uv=False)
-            rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0] if len(sv) else 1.0)))
-            dims.append(M.shape[0] - rank)
+        dims = [A_on.rows - ex.numeric_rank(M) for M in ex.sampled(A_on, syms, 3, seed)]
         if any(d != symbolic_dim for d in dims):
             notes.append(f"left-kernel dimension sampled as {dims}, symbolic "
                          f"computation gave {symbolic_dim}")
 
-    def _is_novel(self, cand: sp.Expr, row: tuple[set, list[sp.Expr]],
-                  jacobian: list[tuple[set, list[sp.Expr]]], graph: dict,
+    def _is_novel(self, cand: sp.Expr, row: tuple[dict, set, list[sp.Expr]],
+                  jacobian: list[tuple[dict, set, list[sp.Expr]]], graph: dict,
                   seed: int, samples: int) -> bool:
         """Does the candidate raise the Jacobian rank of the constraint set
-        at sample points of the Legendre graph?  One compiled matrix: the
-        constraint set's Jacobian rows with the candidate's row stacked
+        at every sample point of the Legendre graph?  One compiled matrix:
+        the constraint set's Jacobian rows with the candidate's row stacked
         last."""
-        syms = sorted(set().union(*(free for free, _ in jacobian), row[0],
+        syms = sorted(set().union(*(free for _, free, _ in jacobian), row[1],
                                   cand.free_symbols,
                                   *(sp.sympify(v).free_symbols for v in graph.values())),
                       key=lambda s: s.name)
         syms = [s for s in syms if s not in graph]
-        fn = sp.lambdify(syms, sp.Matrix([r for _, r in jacobian] + [row[1]]),
-                         modules="numpy")
-        rng = random.Random(seed)
-        increases = 0
-        for _ in range(samples):
-            pt = ex.random_rational_point(syms, rng)
-            M = np.array(fn(*[float(pt[s]) for s in syms]), dtype=float)
-            if (np.linalg.matrix_rank(M, tol=1e-9)
-                    > np.linalg.matrix_rank(M[:-1], tol=1e-9)):
-                increases += 1
-        return increases == samples
+        stacked = [r for _, _, r in jacobian] + [row[2]]
+        return all(ex.numeric_rank(M) > ex.numeric_rank(M[:-1])
+                   for M in ex.sampled(stacked, syms, samples, seed))
 
     # ------------------------------------------------------------ projections
     def project_to_lagrangian(self) -> EquationSet:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
@@ -47,6 +48,38 @@ class TestParser:
             ex.parse_expr("y[0] + dy[0,9]", 2, 1)
         assert err.value.col == 8
         assert "9" in str(err.value)
+
+    # an m=2, n=3 chart: each index of every indexed role one past its range,
+    # and every indexed role with the wrong number of indices
+    @pytest.mark.parametrize("text,message", [
+        ("x[2]", "base index 2 out of range 0..1"),
+        ("y[3]", "field index 3 out of range 0..2"),
+        ("dy[3,0]", "field index 3 out of range 0..2"),
+        ("dy[0,2]", "base index 2 out of range 0..1"),
+        ("p[3,1]", "field index 3 out of range 0..2"),
+        ("p[2,2]", "base index 2 out of range 0..1"),
+        ("s[2]", "base index 2 out of range 0..1"),
+        ("d2y[3,0,0]", "field index 3 out of range 0..2"),
+        ("d2y[0,2,0]", "base index 2 out of range 0..1"),
+        ("d2y[0,0,2]", "base index 2 out of range 0..1"),
+        ("ds[2,0]", "base index 2 out of range 0..1"),
+        ("ds[0,2]", "base index 2 out of range 0..1"),
+        ("dp[3,0,0]", "field index 3 out of range 0..2"),
+        ("dp[0,2,1]", "base index 2 out of range 0..1"),
+        ("dp[0,1,2]", "base index 2 out of range 0..1"),
+        ("x[0,0]", "x takes 1 indices, got 2"),
+        ("y[0,1]", "y takes 1 indices, got 2"),
+        ("dy[0]", "dy takes 2 indices, got 1"),
+        ("p[0,0,0]", "p takes 2 indices, got 3"),
+        ("s[0,1]", "s takes 1 indices, got 2"),
+        ("d2y[0,0]", "d2y takes 3 indices, got 2"),
+        ("ds[0]", "ds takes 2 indices, got 1"),
+        ("dp[0,0,0,0]", "dp takes 3 indices, got 4"),
+    ])
+    def test_index_errors(self, text, message):
+        with pytest.raises(ex.ParseError) as err:
+            ex.parse_expr("1 + " + text, 2, 3)
+        assert str(err.value) == f"{message} (line 1, column 5)"
 
     def test_unknown_identifier(self):
         with pytest.raises(ex.ParseError):
@@ -126,14 +159,23 @@ class TestNormalFormAndEquality:
             assert -3 <= float(v) <= 3
 
 
-class TestCalculusHelpers:
-    def test_differentiate_rejects_non_symbol(self):
-        with pytest.raises(Exception):
-            ex.differentiate(ex.field(0), sp.Integer(2))
+class TestSampling:
+    def test_points_are_the_seeded_draws(self):
+        args = [ex.field(0), ex.base(0), sp.Symbol("a")]
+        rng = random.Random(5)
+        draws = [[float(v) for v in ex.random_rational_point(args, rng).values()]
+                 for _ in range(4)]
+        assert ex.sampled(args, args, 4, 5) == draws
+        assert ex.sampled(sp.Matrix([args, [1, 2, 3]]), args, 4, 5) == [
+            [d, [1, 2, 3]] for d in draws]
 
-    def test_substitute(self):
-        e = ex.substitute(ex.momentum(0, 0) ** 2, {ex.momentum(0, 0): ex.velocity(0, 0)})
-        assert e == ex.velocity(0, 0) ** 2
+    @pytest.mark.parametrize("M,rank", [
+        ([], 0), (np.zeros((2, 3)), 0), ([[1, 2], [3, 4]], 2), (np.eye(3), 3),
+        # an absolute 1e-9 tolerance would count both singular values
+        (np.diag([1e3, 5e-7]), 1),
+    ])
+    def test_numeric_rank(self, M, rank):
+        assert ex.numeric_rank(M) == rank
 
 
 _PARAM = sp.Symbol("a", real=True)   # real, so Matrix.pinv has no conjugates

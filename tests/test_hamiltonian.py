@@ -109,6 +109,22 @@ class TestHamiltonianSystem:
         assert bool(ex.equal(lhs - rhs, el.residual)) or bool(
             ex.equal(lhs - rhs, -el.residual))
 
+    @pytest.mark.parametrize("name", ["coupled_two_field", "damped_oscillator",
+                                      "damped_wave", "free_scalar",
+                                      "velocity_action_cross"])
+    def test_regular_hhdw_equals_dH_dp(self, models, name):
+        # reference: the regular-case equations written with dH/dp
+        ham = HamiltonianSystem.from_legendre(LagrangianSystem(models[name][0]))
+        assert ham.image_constraints == []
+        eqs = {e.name: e for e in ham.hhdw_equations()}
+        p_dHdp = 0
+        for A in range(ham.n):
+            for mu in range(ham.m):
+                dHdp = sp.diff(ham.H, ex.momentum(A, mu))
+                assert eqs[f"y[{A}]/x[{mu}]"].rhs == sp.cancel(dHdp)
+                p_dHdp += ex.momentum(A, mu) * dHdp
+        assert eqs["action"].rhs == sp.expand(p_dHdp - ham.H)
+
     def test_singular_image_constraints_emitted(self, maxwell):
         eqs = HamiltonianSystem.from_legendre(maxwell).hhdw_equations()
         cons = eqs.of_role(EquationRole.CONSTRAINT)

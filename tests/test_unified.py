@@ -13,6 +13,40 @@ def _unified(L, m=1, n=1, params=()):
     return UnifiedSystem(LagrangianSystem(ModelSpec("t", m, n, L, p)))
 
 
+def _directional_derivative(uni, phi, mu):
+    """Reference for the ladder's tangency rows: the derivative of a W0
+    function along the factor X_mu, one sp.diff per coordinate, with the
+    momentum slots tangency-solved."""
+    xp_sol = uni.tangency_solution()
+    out = sp.diff(phi, ex.base(mu))
+    for A in range(uni.n):
+        dphi = sp.diff(phi, ex.field(A))
+        if dphi != 0:
+            out += ex.velocity(A, mu) * dphi
+        for lam in range(uni.m):
+            dv = sp.diff(phi, ex.velocity(A, lam))
+            if dv != 0:
+                out += coefficient_symbol("Xv", A, mu, lam) * dv
+        for nu in range(uni.m):
+            dp = sp.diff(phi, ex.momentum(A, nu))
+            if dp != 0:
+                out += xp_sol[coefficient_symbol("Xp", A, nu, mu)] * dp
+    for nu in range(uni.m):
+        dsv = sp.diff(phi, ex.action(nu))
+        if dsv != 0:
+            out += coefficient_symbol("Xs", nu, mu) * dsv
+    return sp.expand(out)
+
+
+# models whose ladders reach generation 2: the chain model below, and
+# corpus_022 of the seed-1 benchmark corpus (m = 2, n = 2)
+_MULTI_GENERATION = {
+    "chain": (1, 2, "1/2*dy[0,0]^2 + y[1]*dy[0,0]"),
+    "corpus_022": (2, 2, "-dy[1,0]^2 + 2*y[0]*dy[1,0] + y[1]*dy[1,0] + 2*y[1]*dy[1,1]"
+                         " - y[0]*y[1] - 1/4*s[0] - 1/5*s[1]"),
+}
+
+
 @pytest.fixture()
 def osc_unified(oscillator):
     return UnifiedSystem(oscillator)
@@ -93,6 +127,27 @@ class TestConstraintLadder:
         assert ladder.status is LadderStatus.STABILIZED
         assert len(ladder.generations) == 3
 
+    @pytest.mark.parametrize("name", sorted(_MULTI_GENERATION))
+    def test_later_generation_tangency_rows(self, name, monkeypatch):
+        m, n, text = _MULTI_GENERATION[name]
+        uni = _unified(ex.parse_expr(text, m, n), m=m, n=n)
+        systems = []
+        solve = sp.linear_eq_to_matrix
+
+        def spy(rows, unknowns):
+            systems.append(list(rows))
+            return solve(rows, unknowns)
+
+        monkeypatch.setattr(sp, "linear_eq_to_matrix", spy)
+        ladder = uni.constraint_algorithm()
+        assert ladder.status is LadderStatus.STABILIZED
+        assert len(ladder.generations) >= 3
+        # the last system holds the tangency rows of every later generation
+        tangency = systems[-1][len(uni._compatibility_rows()):]
+        assert tangency == [_directional_derivative(uni, phi, mu)
+                            for gen in ladder.generations[1:] for phi in gen
+                            for mu in range(m)]
+
     def test_generation_cap(self):
         uni = _unified(ex.velocity(0, 0) ** 2 / 2
                        + ex.field(1) * ex.velocity(0, 0), n=2)
@@ -128,8 +183,12 @@ class TestProjections:
 class TestDerivationCore:
     def test_tangency_solution_matches_direct_derivatives(self, models):
         # reference: the chain rule along X_mu applied to dL/ddy[B,nu] with sp.diff
-        for name in ("coupled_two_field", "velocity_action_cross", "damped_wave"):
-            spec, _ = models[name]
+        specs = [models[name][0] for name in
+                 ("coupled_two_field", "velocity_action_cross", "damped_wave")]
+        # m = 2 with an action-velocity term: Xs[lam,mu] enters with lam != mu
+        specs.append(ModelSpec("t", 2, 1, ex.parse_expr(
+            "-1/2*dy[0,1]^2 + 2*y[0]*dy[0,1] - 1/4*s[0] + 1/10*s[0]*dy[0,0]", 2, 1)))
+        for spec in specs:
             lag = LagrangianSystem(spec)
             uni = UnifiedSystem(lag)
             sol = uni.tangency_solution()
