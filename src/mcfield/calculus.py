@@ -10,9 +10,9 @@ degree < k gives zero.
 
 ``structure_diagnostics`` classifies a pair (theta, omega) numerically:
 the coefficients are evaluated at the package's seeded sample points
-(``expr.sampled``) and kernels are computed there by SVD with the relative
-tolerance of ``expr.numeric_rank``, so every rank in the report is tagged
-probabilistic.
+(``expr.sampled``) and kernels are computed there by SVD with the rank rule
+of ``expr.numeric_rank`` (``expr.singular_rank``), so every rank in the
+report is tagged probabilistic.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .chart import Chart
 __all__ = ["Form", "VectorField", "MultiVector", "d", "wedge", "contract",
            "pullback", "volume_form", "coframe_volume_contraction",
            "canonical_form", "StructureReport", "structure_diagnostics"]
-
-_RANK_TOL = 1e-9
 
 
 def _sort_with_sign(idx: tuple[int, ...]) -> tuple[Optional[tuple[int, ...]], int]:
@@ -371,8 +369,7 @@ def _nullspace(M: np.ndarray) -> np.ndarray:
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
     u, s, vt = np.linalg.svd(M)
-    rank = int(np.sum(s > _RANK_TOL * max(1.0, s[0] if len(s) else 1.0)))
-    return vt[rank:].T
+    return vt[ex.singular_rank(s):].T
 
 
 def _intersect(*bases: np.ndarray) -> np.ndarray:
@@ -385,10 +382,13 @@ def _intersect(*bases: np.ndarray) -> np.ndarray:
         stacked = np.hstack([out, -b])
         ns = _nullspace(stacked)
         out = out @ ns[: out.shape[1]]
-        # re-orthonormalize
+        # re-orthonormalize.  With orthonormal bases in, each column is an
+        # orthonormal basis times a block of a unit kernel vector, of norm at
+        # most 1, so the QR pivot cut is the absolute RANK_TOL rather than
+        # singular_rank's relative rule
         if out.shape[1]:
             q, r = np.linalg.qr(out)
-            keep = np.abs(np.diag(r)) > _RANK_TOL
+            keep = np.abs(np.diag(r)) > ex.RANK_TOL
             out = q[:, keep]
     return out
 

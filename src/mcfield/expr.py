@@ -64,6 +64,8 @@ __all__ = [
     "equal",
     "random_rational_point",
     "sampled",
+    "RANK_TOL",
+    "singular_rank",
     "numeric_rank",
     "exact_rank",
     "exact_nullspace",
@@ -613,13 +615,21 @@ def sampled(exprs, args: Sequence[sp.Symbol], samples: int, seed: int) -> list:
     return out
 
 
+RANK_TOL = 1e-9
+
+
+def singular_rank(s: np.ndarray) -> int:
+    """How many of the descending singular values ``s`` count as nonzero:
+    those above ``RANK_TOL * max(1, s_0)``, the package's one rank rule."""
+    return int(np.sum(s > RANK_TOL * max(1.0, s[0]))) if len(s) else 0
+
+
 def numeric_rank(M) -> int:
-    """Numeric rank: the singular values above 1e-9 max(1, s_0)."""
+    """Numeric rank of a float matrix by :func:`singular_rank`."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > 1e-9 * max(1.0, s[0])))
+    return singular_rank(np.linalg.svd(M, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------

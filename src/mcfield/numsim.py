@@ -11,6 +11,20 @@ slots it uses, so each right-hand side computes only the stencils it needs;
 RK4 stages reuse two buffers per problem.  Results are bit-identical to the
 earlier per-expression, every-stencil integrator.
 
+One-point problems (``m = 1``, hence ``N = 1``) run their RK4 stages and
+monitors on numpy float64 scalars instead: the same compiled evaluators read
+the state's column as a list, and the stage sums keep the array path's
+order, so the results are bit for bit those of 1-element arrays at a
+fraction of the call overhead.  numpy scalars, not Python floats, keep the
+array semantics: overflow, division by zero and a negative base to a
+fractional power give inf/nan with a warning, and the run ends as
+``"non-finite state"``.  For the same bits, the evaluators are printed with
+``_PointwisePrinter``: ``float64 ** e`` calls libm ``pow`` where
+``ndarray ** e`` calls numpy's ``square``/``power`` kernels, which differ in
+the last bit, so every power is printed as an explicit numpy kernel.
+Compiling binds ``numpy`` by name: lambdify's string module ``"numpy"``
+would run ``from numpy import *``, which imports ``numpy.f2py`` and more.
+
 Action variables: the balance law constrains only the divergence of the
 ``s^mu`` fields.  We adopt the gauge ``s^1 == 0`` for ``m = 2`` (so the
 balance reads ``ds^0/dx^0 = L``) and integrate ``s^0`` alongside the fields.
@@ -37,6 +51,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
+from sympy.printing.precedence import precedence
 
 from . import expr as ex
 from .lagrangian import EquationRole, EquationSet
@@ -115,7 +131,7 @@ class EvolutionProblem:
             if free:
                 raise CompileError(
                     f"initial data for {name} has unresolved symbols {sorted(map(str, free))}")
-            f = sp.lambdify([ex.base(1)], e, modules="numpy")
+            f = _lambdify([ex.base(1)], e)
             arrays.append(np.broadcast_to(np.asarray(f(x1), dtype=float),
                                           (self.N,)).copy())
         return GridState(t=0.0, arrays=np.stack(arrays))
@@ -145,6 +161,37 @@ class RunReport:
     states: Optional[list[GridState]]
     max_action_residual: float
     termination: str  # "completed" | "non-finite state"
+
+
+class _PointwisePrinter(NumPyPrinter):
+    """numpy printer whose powers run the same kernel on a numpy scalar as on
+    an array.
+
+    ``ndarray ** e`` runs ``square`` for e = 2 and ``reciprocal`` for e = -1
+    and numpy's ``power`` ufunc for other exponents, while ``float64 ** e``
+    calls libm ``pow``; the two disagree in the last bit.  So ``b**2``
+    prints as ``(b*b)``, bit-equal to ``square`` (the parentheses keep
+    ``(1/2)*(x*x)`` from becoming ``((1/2)*x)*x``), ``b**-1`` as ``1/b``,
+    ``b**(+-1/2)`` through ``numpy.sqrt`` as sympy prints them, and every
+    other power as ``numpy.power(b, e)``.
+    """
+
+    def _print_Pow(self, expr, rational=False):
+        e = float(expr.exp) if expr.exp.is_Number and expr.exp.is_finite else None
+        if e in (2.0, -1.0):
+            base = self.parenthesize(expr.base, precedence(expr), strict=False)
+            return f"({base}*{base})" if e == 2.0 else f"1/{base}"
+        arg = self._print(expr.base)
+        if e in (0.5, -0.5):
+            sqrt = f"{self._module_format('numpy.sqrt')}({arg})"
+            return sqrt if e > 0 else f"1/{sqrt}"
+        return f"{self._module_format('numpy.power')}({arg}, {self._print(expr.exp)})"
+
+
+def _lambdify(args: list, exprs) -> Callable:
+    # numpy bound by name: the string module "numpy" would run lambdify's
+    # `from numpy import *`
+    return sp.lambdify(args, exprs, modules=[{"numpy": np}, np], printer=_PointwisePrinter())
 
 
 def _deriv_central(u: np.ndarray, dx: float) -> np.ndarray:
@@ -257,7 +304,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig,
             exprs.append(e)
         used = [a for a in slot_of if any(a in e.free_symbols for e in exprs)]
         # no cse: it reassociates products, (c*a)*b -> c*(a*b), changing last bits
-        func = sp.lambdify(used, exprs, modules="numpy")
+        func = _lambdify(used, exprs)
         return tuple(exprs), func, tuple(slot_of[a] for a in used)
 
     exprs, rhs_func, rhs_slots = _compile(
@@ -285,14 +332,25 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig,
 
 
 def _slot_values(p: EvolutionProblem, slots: Sequence[tuple[str, int]], t: float,
-                 arrays: np.ndarray) -> list:
+                 arrays) -> list:
+    # a one-point problem's slots are only "t" and "row", and its rows are
+    # a list of numpy scalars (see ``_rows``)
     return [t if kind == "t" else p.x if kind == "x" else arrays[row] if kind == "row"
             else _STENCILS[kind](arrays[row], p.dx) for kind, row in slots]
 
 
-def _lagrangian(p: EvolutionProblem, st: "GridState") -> np.ndarray:
-    vals = p.rhs_func(*_slot_values(p, p.rhs_slots, st.t, st.arrays))
-    return np.broadcast_to(np.asarray(vals[-1], dtype=float), (p.N,))
+def _rows(p: EvolutionProblem, st: "GridState"):
+    """The state's rows as the evaluators read them: numpy float64 scalars
+    for a one-point problem, the stacked arrays otherwise."""
+    return list(st.arrays[:, 0]) if p.m == 1 else st.arrays
+
+
+def _lagrangian(p: EvolutionProblem, st: "GridState"):
+    """L at the state: a numpy scalar for a one-point problem, else an (N,) array."""
+    val = p.rhs_func(*_slot_values(p, p.rhs_slots, st.t, _rows(p, st)))[-1]
+    if p.m == 1:
+        return np.float64(val)
+    return np.broadcast_to(np.asarray(val, dtype=float), (p.N,))
 
 
 def _fill_rhs(p: EvolutionProblem, t: float, arrays: np.ndarray, out: np.ndarray) -> None:
@@ -302,12 +360,38 @@ def _fill_rhs(p: EvolutionProblem, t: float, arrays: np.ndarray, out: np.ndarray
         out[n + i] = val
 
 
+def _rhs_point(p: EvolutionProblem, t: float, y: list) -> list:
+    n = p.n
+    return y[n:2 * n] + p.rhs_func(*_slot_values(p, p.rhs_slots, t, y))
+
+
+def _step_point(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
+    # the array path's arithmetic, one numpy scalar per state variable
+    a, h, t = _rows(p, st), dt / 2, st.t
+    k1 = _rhs_point(p, t, a)
+    k2 = _rhs_point(p, t + h, [k * h + y for k, y in zip(k1, a)])
+    k3 = _rhs_point(p, t + h, [k * h + y for k, y in zip(k2, a)])
+    k4 = _rhs_point(p, t + dt, [k * dt + y for k, y in zip(k3, a)])
+    c = dt / 6
+    new = [(((q1 + 2 * q2) + 2 * q3) + q4) * c + y
+           for q1, q2, q3, q4, y in zip(k1, k2, k3, k4, a)]
+    return GridState(t + dt, np.array(new, dtype=float).reshape(p.n_vars, 1))
+
+
 def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
-    """One classical fourth-order Runge--Kutta step (reuses ``p.stages``: not re-entrant)."""
+    """One classical fourth-order Runge--Kutta step (reuses ``p.stages``: not re-entrant).
+
+    The stage sums are ``(((k1 + 2 k2) + 2 k3) + k4) (dt/6) + a`` with stage
+    states ``k c + a``.  A one-point problem (``m = 1``) computes them on
+    numpy float64 scalars, a grid problem on the stacked arrays; both return
+    a fresh state array and give the same bits on one point.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if p.m == 2 and dt > p.cfl * p.dx:
         raise ValueError(f"dt={dt} violates the CFL guard dt <= {p.cfl}*dx = {p.cfl * p.dx}")
+    if p.m == 1:
+        return _step_point(p, st, dt)
     # stage sums in the textbook order ((k1 + 2 k2) + 2 k3) + k4, built in
     # a fresh array (the returned state) from the problem's two stage buffers
     a, h = st.arrays, dt / 2
@@ -339,7 +423,8 @@ def monitor_action_balance(p: EvolutionProblem, st: GridState) -> float:
     item 3).
     """
     lval = _lagrangian(p, st)
-    return float(np.max(np.abs(lval - lval)))
+    res = abs(lval - lval)
+    return float(res if p.m == 1 else np.max(res))
 
 
 def monitor_energy(p: EvolutionProblem, st: GridState) -> float:
@@ -349,11 +434,10 @@ def monitor_energy(p: EvolutionProblem, st: GridState) -> float:
     free wave this is exactly the invariant of the central-stencil
     semidiscretization; for ``m = 1`` it is the pointwise energy.
     """
-    vals = _slot_values(p, p.energy_slots, st.t, st.arrays)
-    dens = np.broadcast_to(np.asarray(p.energy_func(*vals)[0], dtype=float), (p.N,))
-    if p.m == 2:
-        return float(np.sum(dens) * p.dx)
-    return float(dens[0])
+    dens = p.energy_func(*_slot_values(p, p.energy_slots, st.t, _rows(p, st)))[0]
+    if p.m == 1:
+        return float(dens)
+    return float(np.sum(np.broadcast_to(np.asarray(dens, dtype=float), (p.N,))) * p.dx)
 
 
 def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1,
@@ -387,7 +471,7 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1,
 
     def record_fd(state: GridState):
         s_hist.append(state.arrays[2 * p.n].copy())
-        l_hist.append(_lagrangian(p, state).copy())
+        l_hist.append(np.array(_lagrangian(p, state), ndmin=1))
 
     sample(st)
     if want_fd:

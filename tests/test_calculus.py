@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcfield import calculus
 from mcfield import expr as ex
 from mcfield.calculus import (Form, MultiVector, VectorField, contract,
                               coframe_volume_contraction, d, pullback,
@@ -126,3 +128,10 @@ class TestStructureDiagnostics:
         ch = build_chart(ChartKind.P, 1, 1)
         rep = structure_diagnostics(volume_form(ch), ch, samples=4)
         assert not rep.is_multicontact and not rep.is_special
+
+    @pytest.mark.parametrize("M", [np.zeros((2, 3)), [[1, 2], [3, 4]], np.eye(3),
+                                   np.diag([1e3, 5e-7]), [[1, 2, 3], [2, 4, 6 + 1e-12]]])
+    def test_kernel_dimension_follows_numeric_rank(self, M):
+        # the kernels and every sampled rank share expr's one rank rule
+        M = np.asarray(M, dtype=float)
+        assert calculus._nullspace(M).shape[1] == M.shape[1] - ex.numeric_rank(M)

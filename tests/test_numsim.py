@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +111,48 @@ class TestStepLevel:
         assert abs(slope - 4.0) < 0.3
 
 
+class TestPointwisePrinter:
+    @pytest.mark.parametrize("e", [2, 3, -2, sp.Rational(3, 2), -1, sp.Rational(5, 2),
+                                   sp.Rational(1, 2), sp.Rational(-1, 2)], ids=str)
+    def test_scalar_and_array_powers_agree(self, e):
+        # a numpy scalar's ** is libm pow, an array's is numpy's kernel; the
+        # printed evaluator runs one kernel on both, the array's
+        x = sp.Symbol("x")
+        f = numsim._lambdify([x], x ** e / 3)
+        v = np.random.default_rng(5).uniform(0.1, 10.0, 2000)
+        assert np.array_equal(np.array([f(s) for s in v]), f(v))
+        assert np.array_equal(f(v), sp.lambdify([x], x ** e / 3, modules="numpy")(v))
+
+    def test_square_keeps_its_product_order(self):
+        x = sp.Symbol("x")
+        printer = numsim._PointwisePrinter()
+        assert printer.doprint(x ** 2 / 2) == "(1/2)*(x*x)"
+        assert printer.doprint((x + 1) ** 2) == "((x + 1)*(x + 1))"
+        assert printer.doprint(x + 1 / x) == "x + 1/x"
+        assert printer.doprint(x ** 3) == "numpy.power(x, 3)"
+
+    def test_compiling_skips_numpy_star_import(self):
+        # lambdify's string module "numpy" runs `from numpy import *`, which
+        # imports numpy.f2py; the compiled problem binds numpy by name only
+        code = (
+            "import sys\n"
+            "from mcfield import numsim\n"
+            "from mcfield.lagrangian import LagrangianSystem\n"
+            "from mcfield.modelfile import load_model\n"
+            f"spec, cfg = load_model({model_path('damped_oscillator')!r})\n"
+            "eqs = LagrangianSystem(spec).herglotz_el_equations()\n"
+            "p = numsim.compile_problem(eqs, cfg, cfg.parameters)\n"
+            "p.initial_state()\n"
+            "assert numsim.run(p, dt=1e-2, t_end=0.1).termination == 'completed'\n"
+            "assert 'numpy.f2py' not in sys.modules\n")
+        src = str(pathlib.Path(numsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
 class TestStencils:
     def test_spatial_stencils_second_order(self):
         k = 3
@@ -156,6 +202,18 @@ class TestRun:
         rep = numsim.run(p, dt=10.0, t_end=10000.0)
         assert rep.termination == "non-finite state"
         assert rep.states is None or all(s.finite for s in rep.states)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_division_by_zero_aborts_with_last_good(self):
+        # acceleration -1/y0 at y0 = 0: a numpy scalar gives -inf (a Python
+        # float would raise ZeroDivisionError)
+        L = ex.velocity(0, 0) ** 2 / 2 - sp.log(ex.field(0))
+        p = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(0)}))
+        assert "1/y0" in str(p.exprs[0])
+        rep = numsim.run(p, dt=1e-2, t_end=1.0, keep_states=True)
+        assert rep.termination == "non-finite state"
+        assert len(rep.states) == 1 and all(s.finite for s in rep.states)
 
     def test_csv_writer(self, tmp_path):
         p = _oscillator_problem()
@@ -229,6 +287,21 @@ def _every_slot_problem():
     return _problem(L, m=2, config=cfg), 2 * math.pi / 64 / 4
 
 
+def _pointwise_kernels_problem():
+    # m = 1, n = 2 model whose accelerations and L contain a cube,
+    # (y0 + y1)**2, sqrt(2 + y0**2), sin(y1) and 1/(3 + y0): the powers and
+    # functions whose scalar and array kernels could differ
+    y0, y1, v0, v1 = ex.field(0), ex.field(1), ex.velocity(0, 0), ex.velocity(1, 0)
+    L = (v0 ** 2 / 2 + v1 ** 2 / 2 + v0 * v1 / 5 - y0 ** 4 / 12 - (y0 + y1) ** 3 / 6
+         - (y0 + y1) ** 2 / 2 + (2 + y0 ** 2) ** sp.Rational(3, 2) / 10
+         + sp.sin(y1) * y0 / 5 + sp.log(3 + y0) + y1 / (3 + y0) - ex.action(0) / 10)
+    # y0(0) = 0.70259, whose libm pow(y0, 2) is one ulp off y0*y0 on glibc,
+    # and the ulp survives into the energy: a printed y0**2 shows at t = 0
+    initial = {"y0": sp.Rational(70259, 100000), "y1": sp.Rational(-4, 10),
+               "dy0_0": sp.Rational(3, 10), "dy1_0": sp.Rational(2, 10)}
+    return _problem(L, n=2, config=SimulateConfig(initial=initial)), 1e-2
+
+
 def _bundled_problem(name, N=None, parameters=None):
     spec, cfg = load_model(model_path(name))
     cfg = dataclasses.replace(cfg, N=N or cfg.N, parameters=parameters or cfg.parameters)
@@ -242,12 +315,17 @@ class TestBitIdentity:
     earlier integrator bit for bit: states and every monitor."""
 
     @pytest.mark.parametrize("case", ["damped_wave", "damped_oscillator",
-                                      "coupled_two_field", "every_slot"])
+                                      "coupled_two_field", "velocity_action_cross",
+                                      "every_slot", "pointwise_kernels"])
     def test_states_and_monitors_match_reference(self, case):
         if case == "every_slot":
             p, dt = _every_slot_problem()
             assert {kind for kind, _ in p.rhs_slots} == {"t", "x", "row", "central", "central2"}
             assert len(p.rhs_slots) == len(set(p.rhs_slots)) == 9
+        elif case == "pointwise_kernels":
+            p, dt = _pointwise_kernels_problem()
+            text = " ".join(map(str, p.exprs))
+            assert all(f in text for f in ("y0**3", "sqrt(y0**2 + 2)", "sin(y1)", "y0 + 3"))
         else:
             p, dt = _bundled_problem(case, N=64 if case == "damped_wave" else None,
                                      parameters={"gamma": 0.3} if case == "coupled_two_field"
@@ -263,9 +341,11 @@ class TestBitIdentity:
             assert np.array_equal(rep.series[name], np.asarray(want)), name
 
     def test_step_returns_fresh_array(self):
-        p, dt = _bundled_problem("damped_wave", N=16)
-        st0 = p.initial_state()
-        st1 = numsim.step_rk4(p, st0, dt)
-        st2 = numsim.step_rk4(p, st1, dt)
-        assert not np.shares_memory(st1.arrays, st2.arrays)
-        assert not any(np.shares_memory(st.arrays, p.stages) for st in (st0, st1, st2))
+        # the grid path and the one-point (numpy scalar) path
+        for p, dt in (_bundled_problem("damped_wave", N=16), _bundled_problem("damped_oscillator")):
+            st0 = p.initial_state()
+            st1 = numsim.step_rk4(p, st0, dt)
+            st2 = numsim.step_rk4(p, st1, dt)
+            assert not np.shares_memory(st1.arrays, st2.arrays)
+            assert not any(np.shares_memory(st.arrays, p.stages) for st in (st0, st1, st2))
+            assert st2.arrays.shape == (p.n_vars, p.N) and st2.arrays.dtype == np.float64
