@@ -12,7 +12,9 @@ degree < k gives zero.
 the coefficients are evaluated at the package's seeded sample points
 (``expr.sampled``) and kernels are computed there by SVD with the rank rule
 of ``expr.numeric_rank`` (``expr.singular_rank``), so every rank in the
-report is tagged probabilistic.
+report is tagged probabilistic.  It reads d(theta) from
+``Form.exterior()``: ``d`` of the form unless its builder supplied the
+derivative, as ``LagrangianSystem.theta`` does from the derivative table.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ class Form:
         self.chart = chart
         self.degree = degree
         self.terms: dict[tuple[int, ...], sp.Expr] = {}
+        self._exterior: Optional[Form] = None
         if terms:
             for idx, coeff in terms.items():
                 self._accumulate(tuple(idx), sp.sympify(coeff))
@@ -93,6 +96,24 @@ class Form:
             if c != 0:
                 out.terms[idx] = c
         return out
+
+    def expand(self) -> "Form":
+        """Expand every coefficient and drop those that vanish: exact for
+        polynomial coefficients, and cheaper than :meth:`simplify`."""
+        out = Form(self.chart, self.degree)
+        for idx, coeff in self.terms.items():
+            c = sp.expand(coeff)
+            if c != 0:
+                out.terms[idx] = c
+        return out
+
+    def exterior(self) -> "Form":
+        """The exterior derivative ``d(self)``, computed once per form.  A
+        builder that already holds the coefficients' partials supplies it
+        instead (``LagrangianSystem.theta``)."""
+        if self._exterior is None:
+            self._exterior = d(self)
+        return self._exterior
 
     def is_zero(self) -> bool:
         return not self.simplify().terms
@@ -284,7 +305,7 @@ def canonical_form(chart: Chart, momenta: Sequence[sp.Expr],
     for mu in range(chart.m):
         dsmu = Form(chart, 1, {(chart.index(ex.action(mu)),): sp.Integer(1)})
         out = out + wedge(dsmu, coframe_volume_contraction(chart, mu))
-    return out.simplify()
+    return out.expand()
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +420,11 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
                           ) -> StructureReport:
     """Classify (theta, omega=d^m x) numerically at random sample points.
 
-    The coefficients of theta and d(theta) are evaluated by the shared
-    seeded sampler (``expr.sampled``: one compile, ``samples`` points drawn
-    from ``seed``); the contraction matrices of theta, d(theta) and the
-    Reeb condition are assembled from their values at each point, and
-    omega's (constant) kernel needs no compilation.  When the ranks differ
+    The coefficients of theta and d(theta) (``theta.exterior()``) are
+    evaluated by the shared seeded sampler (``expr.sampled``: one compile,
+    ``samples`` points drawn from ``seed``); the contraction matrices of
+    theta, d(theta) and the Reeb condition are assembled from their values
+    at each point, and omega's (constant) kernel needs no compilation.  When the ranks differ
     between points, the first point's are reported and a note says so.
 
     ``point_map`` optionally constrains the sample points to a submanifold:
@@ -413,7 +434,7 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     """
     m = chart.m
     dim = chart.dim
-    dtheta = d(theta)
+    dtheta = theta.exterior()
     coeffs = list(theta.terms.values()) + list(dtheta.terms.values())
     if point_map:
         coeffs = [sp.sympify(c).xreplace(point_map) for c in coeffs]

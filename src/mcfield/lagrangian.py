@@ -10,6 +10,13 @@ Herglotz--Euler--Lagrange field equations
 
 written out with formal jet-gradient symbols (second jets d2y[A,mu,nu],
 action gradients ds[nu,mu]).
+
+Every derivative of L is taken once per system and kept in a derivative
+table: the momenta dL/dy^A_mu and their partials (``momentum_jet``), dL/dy^A
+(``field_partials``), dL/ds^mu (``action_partials``) and the energy's
+gradient (``energy_jet``, by the chain rule from the others).  The field
+equations, sigma_L and the unified side read it, and d(Theta_L) is
+assembled from it (``theta``) instead of differentiating Theta_L again.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from functools import cached_property
 import sympy as sp
 
 from . import expr as ex
-from .calculus import Form, VectorField, canonical_form
+from .calculus import (Form, VectorField, canonical_form, coframe_volume_contraction,
+                       volume_form, wedge)
 from .chart import ChartKind, ModelSpec, build_chart, validate_model
 
 __all__ = ["EquationRole", "Equation", "EquationSet", "total_derivative",
@@ -130,6 +138,11 @@ def total_derivative(f: sp.Expr, mu: int, m: int, n: int) -> sp.Expr:
     return out
 
 
+def _one_form(chart, components: dict[sp.Symbol, sp.Expr]) -> Form:
+    """The 1-form sum_z components[z] dz."""
+    return Form(chart, 1, {(chart.index(z),): c for z, c in components.items()})
+
+
 class Regularity(Enum):
     REGULAR = "regular"
     SINGULAR = "singular"
@@ -175,6 +188,36 @@ class LagrangianSystem:
         """The nonzero first partials of each momentum in the P-chart
         coordinates, in the order of :attr:`momenta`."""
         return [ex.gradient(p, self.chart.coords) for p in self.momenta]
+
+    @cached_property
+    def field_partials(self) -> list[sp.Expr]:
+        """dL/dy^A for every field."""
+        return [sp.diff(self.L, ex.field(A)) for A in range(self.n)]
+
+    @cached_property
+    def action_partials(self) -> list[sp.Expr]:
+        """dL/ds^mu for every action coordinate."""
+        return [sp.diff(self.L, ex.action(mu)) for mu in range(self.m)]
+
+    @cached_property
+    def energy_jet(self) -> dict[sp.Symbol, sp.Expr]:
+        """The nonzero partials of :attr:`energy` by the fields, velocities
+        and actions, in chart order, read off the table by the chain rule:
+        dE/dz = y^A_mu dp^mu_A/dz - dL/dz for a field or action z, and
+        dE/dz = y^A_mu dp^mu_A/dz for a velocity (there dL/dz is the
+        momentum that d(y p)/dz also yields).  Base partials are left out:
+        they wedge to zero with d^m x."""
+        partials = dict(zip(map(ex.field, range(self.n)), self.field_partials))
+        partials.update(zip(map(ex.action, range(self.m)), self.action_partials))
+        jet = {}
+        for z in self.chart.coords[self.m:]:
+            dz = sum((ex.velocity(A, mu) * row[z]
+                      for (A, mu), row in zip(self._vel_order, self.momentum_jet)
+                      if z in row), -partials.get(z, sp.S.Zero))
+            dz = sp.expand(dz)
+            if dz != 0:
+                jet[z] = dz
+        return jet
 
     def momentum_assignment(self, A: int, mu: int) -> sp.Expr:
         """dL/dy^A_mu, the Legendre image of p^mu_A."""
@@ -225,15 +268,33 @@ class LagrangianSystem:
 
     # forms -------------------------------------------------------------------
     def theta(self) -> Form:
-        """The Lagrangian m-form Theta_L on the velocity--action bundle."""
-        return canonical_form(self.chart, self.momenta, self.energy)
+        """The Lagrangian m-form Theta_L on the velocity--action bundle.
+
+        Its exterior derivative comes with it, assembled from the table
+        rather than by differentiating the coefficients again:
+
+            dTheta_L = -dp^mu_A ^ dy^A ^ d^{m-1}x_mu + dE_L ^ d^m x ,
+
+        with dp^mu_A from :attr:`momentum_jet` and dE_L from
+        :attr:`energy_jet` (the ds^mu terms of Theta_L are closed).
+        """
+        chart = self.chart
+        theta = canonical_form(chart, self.momenta, self.energy)
+        dtheta = Form(chart, chart.m + 1)
+        for (A, mu), jet in zip(self._vel_order, self.momentum_jet):
+            dy = _one_form(chart, {ex.field(A): sp.Integer(1)})
+            dtheta = dtheta - wedge(_one_form(chart, jet),
+                                    wedge(dy, coframe_volume_contraction(chart, mu)))
+        dtheta = dtheta + wedge(_one_form(chart, self.energy_jet), volume_form(chart))
+        theta._exterior = dtheta.expand()
+        return theta
 
     def sigma(self) -> Form:
         """Dissipation 1-form sigma_L = -(dL/ds^mu) dx^mu."""
         chart = self.chart
         terms = {}
         for mu in range(self.m):
-            c = -sp.diff(self.L, ex.action(mu))
+            c = -self.action_partials[mu]
             if c != 0:
                 terms[(chart.index(ex.base(mu)),)] = c
         return Form(chart, 1, terms)
@@ -269,9 +330,9 @@ class LagrangianSystem:
             for mu in range(self.m):
                 lhs += total_derivative(self.momentum_assignment(B, mu),
                                         mu, self.m, self.n)
-            rhs = sp.diff(self.L, ex.field(B))
+            rhs = self.field_partials[B]
             for mu in range(self.m):
-                rhs += sp.diff(self.L, ex.action(mu)) * self.momentum_assignment(B, mu)
+                rhs += self.action_partials[mu] * self.momentum_assignment(B, mu)
             eqs.equations.append(Equation(f"el[{B}]", sp.expand(lhs), sp.expand(rhs),
                                           EquationRole.EVOLUTION))
         balance_lhs = sum(ex.action_grad(mu, mu) for mu in range(self.m))

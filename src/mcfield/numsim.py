@@ -334,8 +334,10 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig,
 def _slot_values(p: EvolutionProblem, slots: Sequence[tuple[str, int]], t: float,
                  arrays) -> list:
     # a one-point problem's slots are only "t" and "row", and its rows are
-    # a list of numpy scalars (see ``_rows``)
-    return [t if kind == "t" else p.x if kind == "x" else arrays[row] if kind == "row"
+    # a list of numpy scalars (see ``_rows``); t is one too, so that a model
+    # dividing by t gives inf at t = 0 rather than ZeroDivisionError
+    return [np.float64(t) if kind == "t" else p.x if kind == "x"
+            else arrays[row] if kind == "row"
             else _STENCILS[kind](arrays[row], p.dx) for kind, row in slots]
 
 

@@ -120,7 +120,7 @@ class UnifiedSystem:
         chart = self.chart_w0
         terms = {}
         for mu in range(self.m):
-            coeff = sp.diff(self.L, ex.action(mu))
+            coeff = self.lag.action_partials[mu]
             if coeff != 0:
                 terms[(chart.index(ex.base(mu)),)] = coeff
         return Form(chart, 1, terms)
@@ -139,9 +139,9 @@ class UnifiedSystem:
     def _momentum_sources(self) -> list[sp.Expr]:
         """Right-hand sides of the momentum trace equations:
         dL/dy^A + (dL/ds^mu) p^mu_A, one per field."""
-        return [sp.diff(self.L, ex.field(A)) + sum(
-                    sp.diff(self.L, ex.action(mu)) * ex.momentum(A, mu)
-                    for mu in range(self.m))
+        lag = self.lag
+        return [lag.field_partials[A] + sum(lag.action_partials[mu] * ex.momentum(A, mu)
+                                            for mu in range(self.m))
                 for A in range(self.n)]
 
     def sr_field_equations(self) -> CoefficientSystem:

@@ -1,4 +1,6 @@
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 import sympy as sp
@@ -8,7 +10,8 @@ from mcfield.chart import ModelSpec
 from mcfield.lagrangian import LagrangianSystem
 from mcfield.modelfile import load_model
 
-MODELS = pathlib.Path(__file__).parent.parent / "src" / "mcfield" / "models"
+ROOT = pathlib.Path(__file__).parent.parent
+MODELS = ROOT / "src" / "mcfield" / "models"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -27,6 +30,23 @@ def models():
 
 
 @pytest.fixture(scope="session")
+def seed1_corpus(tmp_path_factory):
+    """The benchmark's seed-1 corpus of small singular models (36 specs),
+    drawn by ``perfbench/corpus.py``."""
+    src = importlib.util.spec_from_file_location("perfbench_corpus",
+                                                  ROOT / "perfbench" / "corpus.py")
+    corpus = sys.modules[src.name] = importlib.util.module_from_spec(src)
+    src.loader.exec_module(corpus)
+    out = tmp_path_factory.mktemp("corpus")
+    specs = []
+    for cm in corpus.generate_corpus(1):
+        path = out / f"{cm.name}.model"
+        path.write_text(cm.text)
+        specs.append(load_model(path)[0])
+    return specs
+
+
+@pytest.fixture(scope="session")
 def oscillator(models):
     return LagrangianSystem(models["damped_oscillator"][0])
 
@@ -41,3 +61,13 @@ def toy_m1n1():
     """Regular m=1, n=1 Lagrangian with velocity-action coupling."""
     L = sp.Rational(1, 2) * ex.velocity(0, 0) ** 2 + ex.action(0) * ex.velocity(0, 0)
     return LagrangianSystem(ModelSpec("cross", 1, 1, L, {}))
+
+
+def hamiltonian_pullback_holds(uni, H) -> bool:
+    """H pulled back to W1 by the Legendre graph is the Lagrangian energy,
+    and it is -pext with pext solved from the unified coupling on the graph."""
+    graph = uni.legendre_graph()
+    pulled = sp.sympify(H).xreplace(graph)
+    pext, = sp.solve(uni.coupling(), ex.extended_momentum())
+    return (bool(ex.equal(pulled, uni.lag.energy))
+            and bool(ex.equal(pulled, -pext.xreplace(graph))))

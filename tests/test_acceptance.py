@@ -38,7 +38,7 @@ from mcfield.lagrangian import (EquationRole, LagrangianSystem, Regularity,
 from mcfield.modelfile import SimulateConfig
 from mcfield.unified import LadderStatus, UnifiedSystem
 
-from conftest import GOLDEN
+from conftest import GOLDEN, hamiltonian_pullback_holds
 
 
 def _equal_up_to_sign(a, b):
@@ -186,8 +186,8 @@ class TestFormalismTriangle:
                                    .xreplace(ham.velocity_representative)
                                    .xreplace(fl)) == 0
 
-        # unified Hamiltonian projection matches the direct Legendre transform
-        assert sp.expand(uni.project_to_hamiltonian().H - ham.H) == 0
+        # H on the Legendre graph is E_L, and -pext of the unified coupling
+        assert hamiltonian_pullback_holds(uni, ham.H)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 import sympy as sp
 
 from mcfield import expr as ex
-from mcfield.calculus import contract, d, wedge
+from mcfield.calculus import contract, d, structure_diagnostics, wedge
 from mcfield.chart import ModelSpec
 from mcfield.lagrangian import (EquationRole, EquationSet, LagrangianSystem,
                                 Regularity, total_derivative)
@@ -84,6 +84,42 @@ class TestStructures:
             lhs = contract(R, d(theta))
             rhs = wedge(sig, contract(R, theta))
             assert (lhs - rhs).simplify().is_zero()
+
+
+def _exterior_mismatches(lag):
+    """Where Theta_L's exterior derivative, as assembled from the derivative
+    table, differs from calculus.d of Theta_L: a key-set difference, or the
+    keys whose coefficients do not cancel against each other."""
+    theta = lag.theta()
+    table, reference = theta.exterior(), d(theta)
+    if set(table.terms) != set(reference.terms):
+        return sorted(set(table.terms) ^ set(reference.terms))
+    return [k for k in table.terms
+            if sp.cancel(table.terms[k] - reference.terms[k]) != 0]
+
+
+class TestExteriorFromTable:
+    def test_matches_d_on_bundled_and_corpus_models(self, models, seed1_corpus):
+        specs = [spec for spec, _ in models.values()] + seed1_corpus
+        assert len(specs) == 43
+        bad = {spec.name: miss for spec in specs
+               if (miss := _exterior_mismatches(LagrangianSystem(spec)))}
+        assert not bad
+
+    def test_corrupted_energy_jet_is_caught(self, models):
+        lag = LagrangianSystem(models["damped_oscillator"][0])
+        z = next(iter(lag.energy_jet))
+        lag.energy_jet[z] += ex.field(0)
+        assert _exterior_mismatches(lag)
+
+    def test_structure_report_equals_the_d_fallback(self, models):
+        for name, (spec, _) in models.items():
+            lag = LagrangianSystem(spec)
+            theta = lag.theta()
+            unseeded = theta.copy()
+            assert theta._exterior is not None and unseeded._exterior is None
+            assert (structure_diagnostics(theta, lag.chart)
+                    == structure_diagnostics(unseeded, lag.chart)), name
 
 
 class TestHerglotzEquations:

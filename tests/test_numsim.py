@@ -215,6 +215,18 @@ class TestRun:
         assert rep.termination == "non-finite state"
         assert len(rep.states) == 1 and all(s.finite for s in rep.states)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_division_by_time_at_start_aborts(self):
+        # acceleration 1/x0 at t = 0: the time slot is a numpy scalar too, so
+        # the first stage gives inf rather than raising ZeroDivisionError
+        L = ex.velocity(0, 0) ** 2 / 2 + ex.field(0) / ex.base(0)
+        p = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(1)}))
+        assert p.rhs_slots[0] == ("t", 0)
+        rep = numsim.run(p, dt=1e-2, t_end=1.0, keep_states=True)
+        assert rep.termination == "non-finite state"
+        assert len(rep.states) == 1 and all(s.finite for s in rep.states)
+
     def test_csv_writer(self, tmp_path):
         p = _oscillator_problem()
         rep = numsim.run(p, dt=1e-3, t_end=0.1, cadence=10)

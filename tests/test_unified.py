@@ -3,9 +3,10 @@ import sympy as sp
 
 from mcfield import expr as ex
 from mcfield.chart import ModelSpec
-from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import EquationRole, LagrangianSystem
 from mcfield.unified import (LadderStatus, UnifiedSystem, coefficient_symbol)
+
+from conftest import hamiltonian_pullback_holds
 
 
 def _unified(L, m=1, n=1, params=()):
@@ -174,10 +175,14 @@ class TestProjections:
             assert r.verdict is ex.Verdict.EXACT_EQUAL or bool(
                 ex.equal(a.residual, -b.residual))
 
-    def test_hamiltonian_projection_matches_legendre(self, oscillator, osc_unified):
-        direct = HamiltonianSystem.from_legendre(oscillator)
+    def test_hamiltonian_projection_matches_legendre(self, osc_unified):
         projected = osc_unified.project_to_hamiltonian()
-        assert sp.expand(direct.H - projected.H) == 0
+        assert hamiltonian_pullback_holds(osc_unified, projected.H)
+
+    def test_hamiltonian_pullback_detects_sign_flip(self, osc_unified):
+        H = osc_unified.project_to_hamiltonian().H
+        for term in sp.Add.make_args(sp.expand(H)):
+            assert not hamiltonian_pullback_holds(osc_unified, H - 2 * term), term
 
 
 class TestDerivationCore:
