@@ -29,7 +29,7 @@ def wave_residual(n_grid: int) -> tuple[float, float]:
     cfg = dataclasses.replace(cfg, N=n_grid, length=length,
                               monitors=("action_balance_fd",), cadence=1)
     eqs = LagrangianSystem(spec).herglotz_el_equations()
-    p = numsim.compile_problem(eqs, cfg, cfg.parameters)
+    p = numsim.compile_problem(eqs, cfg)
     dx = length / n_grid
     rep = numsim.run(p, dt=dx / 4, t_end=2.0, cadence=1)
     r = np.asarray(rep.series["action_balance_fd"])
@@ -39,8 +39,8 @@ def wave_residual(n_grid: int) -> tuple[float, float]:
 def oscillator_error() -> float:
     spec, cfg = load_model(MODELS / "damped_oscillator.model")
     eqs = LagrangianSystem(spec).herglotz_el_equations()
-    p = numsim.compile_problem(eqs, cfg, cfg.parameters)
-    rep = numsim.run(p, dt=1e-3, t_end=10.0, cadence=1, keep_states=True)
+    p = numsim.compile_problem(eqs, cfg)
+    rep = numsim.run(p, dt=1e-3, t_end=10.0, cadence=1)
     gam, om = cfg.parameters["gamma"], cfg.parameters["omega"]
     omd = math.sqrt(om ** 2 - gam ** 2 / 4)
     t = np.asarray(rep.times)

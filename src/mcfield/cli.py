@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Verbs:
+Verbs (each accepts only the flags it reads, any other is a usage error;
+all but ``simulate`` print to stdout unless given ``--out DIR``):
 
 - ``derive``   write the field equations of one formalism
 - ``check``    regularity plus geometric structure classification
 - ``unify``    unified-formalism coefficient system and constraint ladder
 - ``simulate`` integrate the derived evolution system, write CSV + report
+  files into ``--out DIR`` or the working directory
 - ``export``   re-render a previously written machine-format equation file
 
 Exit codes: 0 success; 1 model or usage error; 2 internal inconsistency
@@ -69,40 +71,40 @@ def _build_parser() -> argparse.ArgumentParser:
                     "action-dependent classical field theories.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("model", help="path to a .model file")
-        p.add_argument("--format", choices=["text", "latex", "machine"],
-                       default="text")
-        p.add_argument("--seed", type=int, default=42,
-                       help="seed for random sample points (default 42)")
-        p.add_argument("--samples", type=int, default=8,
-                       help="number of random sample points")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help="write artifacts into DIR instead of stdout")
+    def verb(name: str, summary: str, *shared: str,
+             out: str = "write the output into DIR instead of stdout"):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("model", help="path to a .model file")
+        if "format" in shared:
+            p.add_argument("--format", choices=["text", "latex", "machine"],
+                           default="text")
+        if "seed" in shared:
+            p.add_argument("--seed", type=int, default=42,
+                           help="seed for random sample points (default 42)")
+        p.add_argument("--out", metavar="DIR", default=None, help=out)
+        return p
 
-    p = sub.add_parser("derive", help="write the field equations of one formalism")
-    common(p)
+    p = verb("derive", "write the field equations of one formalism", "format")
     p.add_argument("--formalism", choices=["lagrangian", "hamiltonian", "unified"],
                    default="lagrangian")
 
-    p = sub.add_parser("check", help="regularity and structure classification")
-    common(p)
+    p = verb("check", "regularity and structure classification", "seed")
+    p.add_argument("--samples", type=int, default=8,
+                   help="number of random sample points (default 8)")
 
-    p = sub.add_parser("unify", help="unified coefficient system and constraint ladder")
-    common(p)
+    p = verb("unify", "unified coefficient system and constraint ladder", "format", "seed")
     p.add_argument("--max-generations", type=int, default=10)
 
-    p = sub.add_parser("simulate", help="integrate the evolution system")
-    common(p)
+    p = verb("simulate", "integrate the evolution system",
+             out="write NAME.csv and NAME.run.txt into DIR "
+                 "(default: the working directory)")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--n-grid", type=int, default=None, help="override grid size N")
     p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                    help="bind a model parameter numerically (repeatable)")
 
-    p = sub.add_parser("export", help="re-render a machine-format equation file")
-    common(p)
+    p = verb("export", "re-render a machine-format equation file", "format")
     p.add_argument("--from", dest="source", required=True,
                    help="machine-format file written by a previous run")
     return parser

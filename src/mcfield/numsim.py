@@ -90,7 +90,6 @@ class EvolutionProblem:
     m: int
     n: int
     N: int
-    length: float
     dx: float
     state_names: tuple[str, ...]
     # the fields' accelerations then L; the energy density (gauge, parameters applied)
@@ -104,8 +103,7 @@ class EvolutionProblem:
     energy_slots: tuple[tuple[str, int], ...]
     initial: dict[str, sp.Expr]
     parameter_values: dict[str, float]
-    cfl: float = 0.5
-    monitors: tuple[str, ...] = ("action_balance", "energy")
+    monitors: tuple[str, ...]
 
     x: np.ndarray = dc_field(init=False, repr=False, compare=False)
     # RK4 work space: the stage right-hand side and the next stage state
@@ -225,15 +223,16 @@ def _deriv_forward(u: np.ndarray, dx: float) -> np.ndarray:
 
 
 _STENCILS = {"central": _deriv_central, "central2": _deriv2_central, "forward": _deriv_forward}
+_CFL = 0.5  # a grid (m = 2) step needs dt <= _CFL * dx
 
 
-def compile_problem(eqs: EquationSet, config: SimulateConfig,
-                    parameter_values: Optional[dict[str, float]] = None) -> EvolutionProblem:
+def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProblem:
     """Compile a Lagrangian evolution equation set into callable form.
 
     The set must contain the action-balance equation (its right-hand side is
     the Lagrangian) and one evolution equation per field, jointly solvable
-    for the highest time derivatives ``d2y[A,0,0]``.
+    for the highest time derivatives ``d2y[A,0,0]``.  Parameter values,
+    grid (``m = 2``), initial data and monitors come from ``config``.
     """
     m, n = eqs.m, eqs.n
     if m not in (1, 2):
@@ -288,8 +287,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig,
             slots[ex.second_jet(A, 1, 1)] = ("central2", A)
         slots[ex.action_grad(0, 1)] = ("central", 2 * n)
 
-    params = dict(parameter_values or {})
-    params.update(config.parameters)
+    params = dict(config.parameters)
     psubs = {sp.Symbol(k): sp.Float(v) for k, v in params.items()}
 
     def _compile(named: list, slot_of: dict) -> tuple:
@@ -320,11 +318,10 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig,
         [("the energy density", e_density)], {**slots, **forward})
 
     N = max(1, int(config.N)) if m == 2 else 1
-    length = float(config.length) if m == 2 else 1.0
-    dx = length / N
+    dx = (float(config.length) if m == 2 else 1.0) / N
     state_names = tuple(str(a) for a in rows + [ex.action(0)])
     return EvolutionProblem(
-        m=m, n=n, N=N, length=length, dx=dx, state_names=state_names, exprs=exprs,
+        m=m, n=n, N=N, dx=dx, state_names=state_names, exprs=exprs,
         energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_slots,
         energy_func=energy_func, energy_slots=energy_slots,
         initial=dict(config.initial), parameter_values=params,
@@ -390,8 +387,8 @@ def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if p.m == 2 and dt > p.cfl * p.dx:
-        raise ValueError(f"dt={dt} violates the CFL guard dt <= {p.cfl}*dx = {p.cfl * p.dx}")
+    if p.m == 2 and dt > _CFL * p.dx:
+        raise ValueError(f"dt={dt} violates the CFL guard dt <= {_CFL}*dx = {_CFL * p.dx}")
     if p.m == 1:
         return _step_point(p, st, dt)
     # stage sums in the textbook order ((k1 + 2 k2) + 2 k3) + k4, built in
@@ -442,22 +439,21 @@ def monitor_energy(p: EvolutionProblem, st: GridState) -> float:
     return float(np.sum(np.broadcast_to(np.asarray(dens, dtype=float), (p.N,))) * p.dx)
 
 
-def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1,
-        keep_states: Optional[bool] = None) -> RunReport:
+def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunReport:
     """Integrate from the problem's initial data to ``t_end``.
 
-    Monitors are sampled every ``cadence`` steps.  The centered-in-time
-    balance residual ``action_balance_fd`` is computed from the per-step
-    ``s^0`` history after the run.  A non-finite state aborts the run and the
-    report keeps the last good state.
+    Monitors are sampled every ``cadence`` steps and at both ends, as are
+    the states unless they would exceed 2e6 grid values (then ``states`` is
+    None).  The centered-in-time balance residual ``action_balance_fd`` is
+    computed from the per-step ``s^0`` history after the run.  A non-finite
+    state aborts the run and the report keeps the last good state.
     """
     steps = int(round(t_end / dt))
-    if keep_states is None:
-        keep_states = p.N * (steps // max(1, cadence) + 1) <= 2_000_000
+    keep_states = p.N * (steps // max(1, cadence) + 1) <= 2_000_000
     st = p.initial_state()
-    times = [st.t]
     mon: dict[str, list] = {name: [] for name in p.monitors if name != "action_balance_fd"}
-    states: list[GridState] = [st.copy()] if keep_states else []
+    times: list[float] = []
+    states: list[GridState] = []
     want_fd = "action_balance_fd" in p.monitors
     s_hist: list[np.ndarray] = []
     l_hist: list[np.ndarray] = []
@@ -470,6 +466,9 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1,
                 mon[name].append(monitor_energy(p, state))
             else:
                 raise ValueError(f"unknown monitor {name!r}")
+        times.append(state.t)
+        if keep_states:
+            states.append(state.copy())
 
     def record_fd(state: GridState):
         s_hist.append(state.arrays[2 * p.n].copy())
@@ -479,7 +478,6 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1,
     if want_fd:
         record_fd(st)
     termination = "completed"
-    sampled_times = [st.t]
     for k in range(steps):
         new = step_rk4(p, st, dt)
         if not new.finite:
@@ -490,10 +488,6 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1,
             record_fd(st)
         if (k + 1) % cadence == 0 or k == steps - 1:
             sample(st)
-            sampled_times.append(st.t)
-            if keep_states:
-                states.append(st.copy())
-        times.append(st.t)
 
     series = {name: np.asarray(vals) for name, vals in mon.items()}
     if want_fd and len(s_hist) >= 3:
@@ -502,7 +496,7 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1,
         fd = (S[2:] - S[:-2]) / (2.0 * dt) - Lv[1:-1]
         series["action_balance_fd"] = np.max(np.abs(fd), axis=1)
     max_res = float(np.max(series["action_balance"])) if "action_balance" in series else math.nan
-    return RunReport(times=np.asarray(sampled_times), series=series,
+    return RunReport(times=np.asarray(times), series=series,
                      states=states if keep_states else None,
                      max_action_residual=max_res, termination=termination)
 

@@ -42,6 +42,8 @@ from .lagrangian import Equation, EquationRole, EquationSet, LagrangianSystem
 __all__ = ["coefficient_symbol", "CoefficientSystem", "LadderStatus",
            "ConstraintLadder", "UnifiedSystem"]
 
+_NOVELTY_SAMPLES = 5  # graph points at which a novel candidate raises the Jacobian rank
+
 
 def coefficient_symbol(kind: str, *indices: int) -> sp.Symbol:
     """Unknown multivector coefficients: Xv (velocity slots), Xp (momentum
@@ -239,8 +241,8 @@ class UnifiedSystem:
         return grad, free, [grad.get(z, sp.S.Zero).xreplace(graph)
                             for z in self.chart_w0.coords]
 
-    def constraint_algorithm(self, max_generations: int = 10, seed: int = 42,
-                             samples: int = 5) -> ConstraintLadder:
+    def constraint_algorithm(self, max_generations: int = 10,
+                             seed: int = 42) -> ConstraintLadder:
         """Iterate tangency until the constraint set stabilizes.
 
         Each round assembles the linear system (compatibility rows plus
@@ -283,7 +285,7 @@ class UnifiedSystem:
                     return ConstraintLadder(generations, LadderStatus.EMPTY_INTERSECTION,
                                             notes)
                 row = self._jacobian_row(cand, graph)
-                if self._is_novel(cand, row, jacobian, graph, seed, samples):
+                if self._is_novel(cand, row, jacobian, graph, seed):
                     new_gen.append(cand)
                     new_rows.append(row)
             if not new_gen:
@@ -307,11 +309,11 @@ class UnifiedSystem:
 
     def _is_novel(self, cand: sp.Expr, row: tuple[dict, set, list[sp.Expr]],
                   jacobian: list[tuple[dict, set, list[sp.Expr]]], graph: dict,
-                  seed: int, samples: int) -> bool:
+                  seed: int) -> bool:
         """Does the candidate raise the Jacobian rank of the constraint set
-        at every sample point of the Legendre graph?  One compiled matrix:
-        the constraint set's Jacobian rows with the candidate's row stacked
-        last."""
+        at each of ``_NOVELTY_SAMPLES`` points of the Legendre graph?  One
+        compiled matrix: the constraint set's Jacobian rows with the
+        candidate's row stacked last."""
         syms = sorted(set().union(*(free for _, free, _ in jacobian), row[1],
                                   cand.free_symbols,
                                   *(sp.sympify(v).free_symbols for v in graph.values())),
@@ -319,7 +321,7 @@ class UnifiedSystem:
         syms = [s for s in syms if s not in graph]
         stacked = [r for _, _, r in jacobian] + [row[2]]
         return all(ex.numeric_rank(M) > ex.numeric_rank(M[:-1])
-                   for M in ex.sampled(stacked, syms, samples, seed))
+                   for M in ex.sampled(stacked, syms, _NOVELTY_SAMPLES, seed))
 
     # ------------------------------------------------------------ projections
     def project_to_lagrangian(self) -> EquationSet:

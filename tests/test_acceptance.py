@@ -284,7 +284,7 @@ class TestConstraintLadderGoldens:
     def test_ladder_matches_golden(self, models, name):
         spec, _ = models[name]
         uni = UnifiedSystem(LagrangianSystem(spec))
-        ladder = uni.constraint_algorithm(seed=42, samples=5)
+        ladder = uni.constraint_algorithm(seed=42)
         golden_status, golden_gens = _read_golden(
             name, spec.m, spec.n, spec.parameters)
         assert ladder.status.value == golden_status
@@ -304,8 +304,8 @@ class TestOscillatorSimulation:
             cfg, monitors=("action_balance", "energy"), cadence=1)
         t0 = time.monotonic()
         eqs = LagrangianSystem(spec).herglotz_el_equations()
-        p = numsim.compile_problem(eqs, cfg, cfg.parameters)
-        rep = numsim.run(p, dt=1e-3, t_end=10.0, cadence=1, keep_states=True)
+        p = numsim.compile_problem(eqs, cfg)
+        rep = numsim.run(p, dt=1e-3, t_end=10.0, cadence=1)
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0
         assert rep.termination == "completed"
@@ -352,7 +352,7 @@ class TestDampedWave:
             cfg, N=N, length=length, monitors=tuple(monitors),
             parameters={"gamma": gamma}, cadence=1)
         eqs = LagrangianSystem(spec).herglotz_el_equations()
-        p = numsim.compile_problem(eqs, cfg, cfg.parameters)
+        p = numsim.compile_problem(eqs, cfg)
         return p, length / N
 
     def test_free_wave_energy_conservation(self, models):

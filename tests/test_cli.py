@@ -1,9 +1,10 @@
+import argparse
 import textwrap
 
 import pytest
 
 from mcfield import expr as ex
-from mcfield.cli import main
+from mcfield.cli import _build_parser, main
 from mcfield.lagrangian import EquationSet
 from mcfield.unified import UnifiedSystem
 
@@ -93,6 +94,13 @@ class TestSimulate:
                        "--param", "nope=1", "--out", str(tmp_path))
         assert code == 1
 
+    def test_writes_into_working_directory_without_out(self, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", model_path("damped_oscillator"), "--t-end", "0.05") == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "damped_oscillator.csv", "damped_oscillator.run.txt"]
+
 
 class TestExitCodesAndErrors:
     def test_missing_model_file(self, capsys):
@@ -111,6 +119,73 @@ class TestExitCodesAndErrors:
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli("derive", model_path("damped_oscillator"),
                        "--frobnicate") == 1
+
+
+# every flag each verb reads, with a value it accepts; paths are relative to
+# a working directory holding the damped oscillator's Lagrangian machine file
+KEPT_FLAGS = [
+    ("derive", "--formalism", "hamiltonian"), ("derive", "--format", "latex"),
+    ("derive", "--out", "out"),
+    ("check", "--seed", "7"), ("check", "--samples", "4"), ("check", "--out", "out"),
+    ("unify", "--format", "machine"), ("unify", "--seed", "7"),
+    ("unify", "--max-generations", "2"), ("unify", "--out", "out"),
+    ("simulate", "--dt", "0.01"), ("simulate", "--t-end", "0.02"),
+    ("simulate", "--n-grid", "4"), ("simulate", "--param", "gamma=1/5"),
+    ("simulate", "--out", "out"),
+    ("export", "--from", "damped_oscillator.lagrangian.machine"),
+    ("export", "--format", "latex"), ("export", "--out", "out"),
+]
+# flags no verb reads any more, removed rather than silently ignored
+REMOVED_FLAGS = [
+    ("derive", "--seed", "7"), ("derive", "--samples", "4"),
+    ("check", "--format", "latex"),
+    ("unify", "--samples", "4"),
+    ("simulate", "--format", "latex"), ("simulate", "--seed", "7"),
+    ("simulate", "--samples", "4"),
+    ("export", "--seed", "7"), ("export", "--samples", "4"),
+]
+
+
+class TestFlags:
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("derive", model_path("damped_oscillator"), "--format", "machine",
+                       "--out", ".") == 0
+        return tmp_path
+
+    @staticmethod
+    def argv(verb, flag, value):
+        """A valid invocation of ``verb`` on the damped oscillator with
+        ``flag value`` added (or replacing the default given here)."""
+        extra = {"simulate": {"--t-end": "0.05"},
+                 "export": {"--from": "damped_oscillator.lagrangian.machine"}}.get(verb, {})
+        extra = {**extra, flag: value}
+        return [verb, model_path("damped_oscillator"),
+                *(tok for item in extra.items() for tok in item)]
+
+    def test_each_verb_has_exactly_its_flags(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {verb: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+               for verb, p in sub.choices.items()}
+        want = {}
+        for verb, flag, _ in KEPT_FLAGS:
+            want.setdefault(verb, set()).add(flag)
+        assert got == want
+        assert sum(map(len, got.values())) == 18
+
+    @pytest.mark.parametrize("verb,flag,value", KEPT_FLAGS,
+                             ids=[f"{v}{f}" for v, f, _ in KEPT_FLAGS])
+    def test_kept_flag_accepted(self, workdir, verb, flag, value, capsys):
+        assert run_cli(*self.argv(verb, flag, value)) == 0
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,flag,value", REMOVED_FLAGS,
+                             ids=[f"{v}{f}" for v, f, _ in REMOVED_FLAGS])
+    def test_removed_flag_is_usage_error(self, workdir, verb, flag, value, capsys):
+        assert run_cli(*self.argv(verb, flag, value)) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestExportRoundTrip:

@@ -18,11 +18,11 @@ from mcfield.modelfile import SimulateConfig, load_model
 from conftest import model_path
 
 
-def _problem(L, m=1, n=1, params=(), config=None, values=None):
+def _problem(L, m=1, n=1, params=(), config=None):
     p = {str(s): s for s in params}
     lag = LagrangianSystem(ModelSpec("t", m, n, L, p))
     eqs = lag.herglotz_el_equations()
-    return numsim.compile_problem(eqs, config or SimulateConfig(), values or {})
+    return numsim.compile_problem(eqs, config or SimulateConfig())
 
 
 def _oscillator_problem(gamma=0.1, omega=1.0, initial=None):
@@ -141,7 +141,7 @@ class TestPointwisePrinter:
             "from mcfield.modelfile import load_model\n"
             f"spec, cfg = load_model({model_path('damped_oscillator')!r})\n"
             "eqs = LagrangianSystem(spec).herglotz_el_equations()\n"
-            "p = numsim.compile_problem(eqs, cfg, cfg.parameters)\n"
+            "p = numsim.compile_problem(eqs, cfg)\n"
             "p.initial_state()\n"
             "assert numsim.run(p, dt=1e-2, t_end=0.1).termination == 'completed'\n"
             "assert 'numpy.f2py' not in sys.modules\n")
@@ -211,7 +211,7 @@ class TestRun:
         L = ex.velocity(0, 0) ** 2 / 2 - sp.log(ex.field(0))
         p = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(0)}))
         assert "1/y0" in str(p.exprs[0])
-        rep = numsim.run(p, dt=1e-2, t_end=1.0, keep_states=True)
+        rep = numsim.run(p, dt=1e-2, t_end=1.0)
         assert rep.termination == "non-finite state"
         assert len(rep.states) == 1 and all(s.finite for s in rep.states)
 
@@ -223,7 +223,7 @@ class TestRun:
         L = ex.velocity(0, 0) ** 2 / 2 + ex.field(0) / ex.base(0)
         p = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(1)}))
         assert p.rhs_slots[0] == ("t", 0)
-        rep = numsim.run(p, dt=1e-2, t_end=1.0, keep_states=True)
+        rep = numsim.run(p, dt=1e-2, t_end=1.0)
         assert rep.termination == "non-finite state"
         assert len(rep.states) == 1 and all(s.finite for s in rep.states)
 
@@ -318,7 +318,7 @@ def _bundled_problem(name, N=None, parameters=None):
     spec, cfg = load_model(model_path(name))
     cfg = dataclasses.replace(cfg, N=N or cfg.N, parameters=parameters or cfg.parameters)
     eqs = LagrangianSystem(spec).herglotz_el_equations()
-    p = numsim.compile_problem(eqs, cfg, cfg.parameters)
+    p = numsim.compile_problem(eqs, cfg)
     return p, (cfg.length / p.N / 4 if p.m == 2 else 1e-3)
 
 
@@ -345,7 +345,7 @@ class TestBitIdentity:
         p.monitors = ("action_balance", "energy", "action_balance_fd")
         steps, cadence = 60, 3
         states, series = _reference_run(p, dt, steps, cadence)
-        rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence, keep_states=True)
+        rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence)
         assert len(rep.states) == len(states) == steps // cadence + 1
         for got, want in zip(rep.states, states):
             assert np.array_equal(got.arrays, want)
