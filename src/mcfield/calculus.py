@@ -185,7 +185,7 @@ def d(form: Form) -> Form:
     coords = form.chart.coords
     for idx, coeff in form.terms.items():
         for j, cj in enumerate(coords):
-            dc = sp.diff(coeff, cj)
+            dc = ex.diff(coeff, cj)
             if dc == 0:
                 continue
             out._accumulate((j,) + idx, dc)
@@ -255,7 +255,7 @@ def pullback(form: Form, source: Chart, coord_map: Mapping[sp.Symbol, sp.Expr]) 
     for c, img in images.items():
         row = {}
         for j, sj in enumerate(source.coords):
-            dcomp = sp.diff(img, sj)
+            dcomp = ex.diff(img, sj)
             if dcomp != 0:
                 row[j] = dcomp
         diffs[c] = row
@@ -432,6 +432,8 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     (e.g. momenta to a Legendre image), substituted into the coefficients
     before they are compiled.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     m = chart.m
     dim = chart.dim
     dtheta = theta.exterior()

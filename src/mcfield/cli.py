@@ -147,9 +147,12 @@ def _cmd_derive(args) -> int:
 def _cmd_check(args) -> int:
     spec, _ = _load(args.model)
     lag = LagrangianSystem(spec)
-    reg = lag.regularity(samples=args.samples, seed=args.seed)
-    theta = lag.theta()
-    rep = structure_diagnostics(theta, lag.chart, samples=args.samples, seed=args.seed)
+    try:
+        reg = lag.regularity(samples=args.samples, seed=args.seed)
+        rep = structure_diagnostics(lag.theta(), lag.chart, samples=args.samples,
+                                    seed=args.seed)
+    except ValueError as err:
+        return _fail(str(err))
     lines = [f"# {spec.name} (m={spec.m}, n={spec.n})",
              f"regularity: {reg.status.value} (Hessian rank {reg.rank}/{reg.size})"
              + (" [hyperregular]" if reg.hyperregular else "")
@@ -164,8 +167,11 @@ def _cmd_unify(args) -> int:
     lag = LagrangianSystem(spec)
     uni = UnifiedSystem(lag)
     system = uni.sr_field_equations()
-    ladder = uni.constraint_algorithm(max_generations=args.max_generations,
-                                      seed=args.seed)
+    try:
+        ladder = uni.constraint_algorithm(max_generations=args.max_generations,
+                                          seed=args.seed)
+    except ValueError as err:
+        return _fail(str(err))
     parts = [_render(system.equations, args.format), "", ladder.to_text()]
 
     # internal consistency: the unified projection must reproduce the

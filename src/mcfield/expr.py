@@ -8,6 +8,12 @@ kernels (sin, cos, exp, log, sqrt) are treated as opaque: nothing in this
 module rewrites trigonometric identities, so ``sin(u)**2 + cos(u)**2`` does
 *not* normalize to 1 (it is detected as numerically equal to 1 instead).
 
+Every partial derivative in the package is taken by :func:`diff`.  It
+applies the rules of sympy's ``Add``, ``Mul`` and ``Pow._eval_derivative``
+itself, in their order, so it returns the very trees ``sympy.diff`` does;
+it skips ``Derivative``, whose per-node ``is_zero`` assumptions query
+changes no result but dominates the cost of differentiating a Lagrangian.
+
 The text grammar
 ----------------
 
@@ -32,6 +38,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -56,6 +63,7 @@ __all__ = [
     "indices_of",
     "parse_expr",
     "to_grammar",
+    "diff",
     "gradient",
     "NormalForm",
     "normalize",
@@ -464,12 +472,48 @@ def _print_symbol(sym: sp.Symbol) -> str:
 # calculus on expressions
 
 
+def diff(e: sp.Expr, z: sp.Symbol) -> sp.Expr:
+    """The partial of ``e`` by the symbol ``z``: the same tree as sympy's
+    ``diff`` gives, built without ``Derivative``.
+
+    ``sp.diff`` wraps every node in ``Derivative.__new__``, which asks each
+    partial result ``is_zero`` before returning it unchanged; that
+    assumptions query costs far more than the arithmetic.  Sums, products
+    and powers with a ``z``-free exponent are instead taken here by the
+    rules of sympy's ``Add``, ``Mul`` and ``Pow._eval_derivative``, in
+    their order (so the trees are the same): a sum of partials; the product
+    rule, each term multiplied out left to right from 1 and the terms summed
+    by ``Add.fromiter``; and ``e * (d(base) * exp / base)``.  A node free of
+    ``z`` is 0, as in ``Derivative``'s quick exit.  Any other node (``sin``,
+    ``exp``, ``log``, a ``z``-dependent exponent) goes to ``sp.diff``.
+    Symbols compare by value, so fresh ones after ``clear_cache`` still match.
+    """
+    if z not in e.free_symbols:
+        return sp.S.Zero
+    if e.is_Symbol:
+        return sp.S.One
+    if e.is_Add:
+        return e.func(*[diff(a, z) for a in e.args])
+    if e.is_Mul:
+        args = list(e.args)
+        terms = []
+        for i, a in enumerate(args):
+            d = diff(a, z)
+            if d:
+                terms.append(reduce(lambda x, y: x * y, args[:i] + [d] + args[i + 1:],
+                                    sp.S.One))
+        return sp.Add.fromiter(terms)
+    if e.is_Pow and z not in e.exp.free_symbols:
+        return e * (diff(e.base, z) * e.exp / e.base)
+    return sp.diff(e, z)
+
+
 def gradient(e: sp.Expr, coords: Sequence[sp.Symbol]) -> dict[sp.Symbol, sp.Expr]:
     """The nonzero first partials of ``e`` by ``coords``, in their order."""
     free = e.free_symbols
     grad = {}
     for z in coords:
-        dz = sp.diff(e, z) if z in free else 0
+        dz = diff(e, z) if z in free else 0
         if dz != 0:
             grad[z] = dz
     return grad
@@ -506,9 +550,9 @@ class NormalForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormalForm):
             return NotImplemented
-        diff = sp.expand(self.numerator * other.denominator
-                         - other.numerator * self.denominator)
-        return diff == 0
+        delta = sp.expand(self.numerator * other.denominator
+                          - other.numerator * self.denominator)
+        return delta == 0
 
     def __hash__(self):
         return hash(sp.srepr(self.numerator) + "/" + sp.srepr(self.denominator))
@@ -560,11 +604,11 @@ def equal(a: sp.Expr, b: sp.Expr, samples: int = 20, seed: int = 42,
     point.  Points where the difference fails to evaluate to a finite real
     are resampled.
     """
-    diff = sp.sympify(a) - sp.sympify(b)
-    nf = NormalForm(diff)
+    delta = sp.sympify(a) - sp.sympify(b)
+    nf = NormalForm(delta)
     if nf.numerator == 0:
         return EqualityResult(Verdict.EXACT_EQUAL)
-    syms = sorted(diff.free_symbols, key=lambda s: s.name)
+    syms = sorted(delta.free_symbols, key=lambda s: s.name)
     rng = random.Random(seed)
     worst = 0.0
     witness = None
@@ -574,7 +618,7 @@ def equal(a: sp.Expr, b: sp.Expr, samples: int = 20, seed: int = 42,
         attempts += 1
         point = random_rational_point(syms, rng)
         try:
-            val = complex(diff.xreplace(point).evalf(25))
+            val = complex(delta.xreplace(point).evalf(25))
         except (TypeError, ValueError):
             continue
         if val != val or abs(val) == float("inf"):

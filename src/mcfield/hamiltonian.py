@@ -125,7 +125,7 @@ class HamiltonianSystem:
         chart = self.chart
         terms = {}
         for mu in range(self.m):
-            coeff = sp.diff(self.H, ex.action(mu))
+            coeff = ex.diff(self.H, ex.action(mu))
             if coeff != 0:
                 terms[(chart.index(ex.base(mu)),)] = coeff
         return Form(chart, 1, terms)
@@ -151,8 +151,8 @@ class HamiltonianSystem:
                     EquationRole.EVOLUTION))
         for A in range(self.n):
             lhs = sum(ex.momentum_grad(A, mu, mu) for mu in range(self.m))
-            rhs = -(sp.diff(self.H, ex.field(A))
-                    + sum(ex.momentum(A, mu) * sp.diff(self.H, ex.action(mu))
+            rhs = -(ex.diff(self.H, ex.field(A))
+                    + sum(ex.momentum(A, mu) * ex.diff(self.H, ex.action(mu))
                           for mu in range(self.m)))
             eqs.equations.append(Equation(f"p[{A}]", lhs, sp.expand(rhs),
                                           EquationRole.EVOLUTION))

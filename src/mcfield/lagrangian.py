@@ -11,12 +11,14 @@ Herglotz--Euler--Lagrange field equations
 written out with formal jet-gradient symbols (second jets d2y[A,mu,nu],
 action gradients ds[nu,mu]).
 
-Every derivative of L is taken once per system and kept in a derivative
-table: the momenta dL/dy^A_mu and their partials (``momentum_jet``), dL/dy^A
-(``field_partials``), dL/ds^mu (``action_partials``) and the energy's
-gradient (``energy_jet``, by the chain rule from the others).  The field
-equations, sigma_L and the unified side read it, and d(Theta_L) is
-assembled from it (``theta``) instead of differentiating Theta_L again.
+Every derivative of L is taken once per system, by ``expr.diff``, and kept
+in a derivative table: the momenta dL/dy^A_mu and their partials
+(``momentum_jet``), dL/dy^A (``field_partials``), dL/ds^mu
+(``action_partials``) and the energy's gradient (``energy_jet``, by the
+chain rule from the others).  The field equations, sigma_L and the unified
+side read it, and d(Theta_L) is assembled from it (``theta``) instead of
+differentiating Theta_L again.  The total derivatives of the field
+equations are taken by ``expr.diff`` too.
 """
 
 from __future__ import annotations
@@ -122,17 +124,17 @@ def total_derivative(f: sp.Expr, mu: int, m: int, n: int) -> sp.Expr:
     coordinates become action-gradient symbols.
     """
     f = sp.sympify(f)
-    out = sp.diff(f, ex.base(mu))
+    out = ex.diff(f, ex.base(mu))
     for A in range(n):
-        df = sp.diff(f, ex.field(A))
+        df = ex.diff(f, ex.field(A))
         if df != 0:
             out += ex.velocity(A, mu) * df
         for nu in range(m):
-            dv = sp.diff(f, ex.velocity(A, nu))
+            dv = ex.diff(f, ex.velocity(A, nu))
             if dv != 0:
                 out += ex.second_jet(A, mu, nu) * dv
     for nu in range(m):
-        dsv = sp.diff(f, ex.action(nu))
+        dsv = ex.diff(f, ex.action(nu))
         if dsv != 0:
             out += ex.action_grad(nu, mu) * dsv
     return out
@@ -181,7 +183,7 @@ class LagrangianSystem:
     @cached_property
     def momenta(self) -> list[sp.Expr]:
         """dL/dy^A_mu for every velocity, in the (A-major, mu-minor) order."""
-        return [sp.diff(self.L, ex.velocity(A, mu)) for A, mu in self._vel_order]
+        return [ex.diff(self.L, ex.velocity(A, mu)) for A, mu in self._vel_order]
 
     @cached_property
     def momentum_jet(self) -> list[dict[sp.Symbol, sp.Expr]]:
@@ -192,12 +194,12 @@ class LagrangianSystem:
     @cached_property
     def field_partials(self) -> list[sp.Expr]:
         """dL/dy^A for every field."""
-        return [sp.diff(self.L, ex.field(A)) for A in range(self.n)]
+        return [ex.diff(self.L, ex.field(A)) for A in range(self.n)]
 
     @cached_property
     def action_partials(self) -> list[sp.Expr]:
         """dL/ds^mu for every action coordinate."""
-        return [sp.diff(self.L, ex.action(mu)) for mu in range(self.m)]
+        return [ex.diff(self.L, ex.action(mu)) for mu in range(self.m)]
 
     @cached_property
     def energy_jet(self) -> dict[sp.Symbol, sp.Expr]:
@@ -243,6 +245,8 @@ class LagrangianSystem:
 
     def regularity(self, samples: int = 6, seed: int = 42) -> RegularityReport:
         """Classify the Hessian: exact when constant, sampled otherwise."""
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         H = self.hessian()
         size = H.shape[0]
         coords = set(self.chart.coords)

@@ -237,6 +237,9 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     m, n = eqs.m, eqs.n
     if m not in (1, 2):
         raise CompileError(f"numeric integration supports m in (1, 2), got m={m}")
+    if m == 2 and config.N < 3:
+        # the periodic central stencils need a point on either side
+        raise CompileError(f"a grid needs N >= 3 points, got N={config.N}")
     balance = [e for e in eqs.equations if e.role is EquationRole.ACTION_BALANCE]
     if not balance:
         raise CompileError("equation set has no action-balance equation")
@@ -261,10 +264,10 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     for e in evolution[:n]:
         r = sp.expand((e.lhs - e.rhs).xreplace(gauge))
         for a in acc:
-            if sp.diff(r, a, 2) != 0:
+            if ex.diff(ex.diff(r, a), a) != 0:
                 raise CompileError(f"equation {e.name!r} is not linear in {a}")
         residuals.append(r)
-    M = sp.Matrix(n, n, lambda B, A: sp.diff(residuals[B], acc[A]))
+    M = sp.Matrix(n, n, lambda B, A: ex.diff(residuals[B], acc[A]))
     b = -sp.Matrix([r.xreplace({a: sp.Integer(0) for a in acc}) for r in residuals])
     if M.det() == 0:
         raise CompileError(
@@ -310,14 +313,14 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
         + [("the Lagrangian", L_expr)], slots)
     # mechanical energy density: sum_A v dL/dv - L with action variables at
     # zero; its spatial gradients are forward differences
-    e_density = sum(ex.velocity(A, 0) * sp.diff(L_expr, ex.velocity(A, 0)) for A in range(n))
+    e_density = sum(ex.velocity(A, 0) * ex.diff(L_expr, ex.velocity(A, 0)) for A in range(n))
     e_density = sp.expand(e_density - L_expr).xreplace(
         {ex.action(mu): sp.Integer(0) for mu in range(m)})
     forward = {ex.velocity(A, 1): ("forward", A) for A in range(n)} if m == 2 else {}
     (energy_expr,), energy_func, energy_slots = _compile(
         [("the energy density", e_density)], {**slots, **forward})
 
-    N = max(1, int(config.N)) if m == 2 else 1
+    N = int(config.N) if m == 2 else 1
     dx = (float(config.length) if m == 2 else 1.0) / N
     state_names = tuple(str(a) for a in rows + [ex.action(0)])
     return EvolutionProblem(
@@ -448,6 +451,10 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     computed from the per-step ``s^0`` history after the run.  A non-finite
     state aborts the run and the report keeps the last good state.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got dt={dt}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be non-negative and finite, got t_end={t_end}")
     steps = int(round(t_end / dt))
     keep_states = p.N * (steps // max(1, cadence) + 1) <= 2_000_000
     st = p.initial_state()

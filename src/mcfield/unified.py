@@ -254,6 +254,8 @@ class UnifiedSystem:
         constraint submanifold.  Each constraint's tangency rows and
         Jacobian row are built once per run.
         """
+        if max_generations < 0:
+            raise ValueError(f"max_generations must be non-negative, got {max_generations}")
         unknowns = self._unknowns()
         graph = self.legendre_graph()
         coords = set(self.chart_w0.coords)

@@ -124,6 +124,10 @@ class TestStructureDiagnostics:
         assert "special multicontact" in rep.summary()
         assert rep.probabilistic
 
+    def test_no_samples_rejected(self, oscillator):
+        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+            structure_diagnostics(oscillator.theta(), oscillator.chart, samples=0)
+
     def test_degenerate_form_is_neither(self):
         ch = build_chart(ChartKind.P, 1, 1)
         rep = structure_diagnostics(volume_form(ch), ch, samples=4)

@@ -94,6 +94,24 @@ class TestSimulate:
                        "--param", "nope=1", "--out", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--dt", "0"), ("--dt", "-0.1"), ("--dt", "nan"), ("--dt", "inf"),
+        ("--t-end", "-1"), ("--t-end", "nan"), ("--t-end", "inf")])
+    def test_bad_step_or_end_time_exits_one(self, tmp_path, capsys, flag, value):
+        code = run_cli("simulate", model_path("damped_oscillator"), flag, value,
+                       "--out", str(tmp_path))
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        assert f"{name}={float(value)}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("n_grid", ["0", "2"])
+    def test_grid_too_small_exits_one(self, tmp_path, capsys, n_grid):
+        code = run_cli("simulate", model_path("damped_wave"), "--n-grid", n_grid,
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert f"N >= 3 points, got N={n_grid}" in capsys.readouterr().err
+
     def test_writes_into_working_directory_without_out(self, tmp_path, monkeypatch,
                                                        capsys):
         monkeypatch.chdir(tmp_path)
@@ -115,6 +133,17 @@ class TestExitCodesAndErrors:
         """))
         assert run_cli("derive", str(bad)) == 1
         assert "column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("check", "--samples", "0"), "samples must be at least 1, got 0"),
+        (("unify", "--max-generations", "-1"),
+         "max_generations must be non-negative, got -1")])
+    def test_bad_count_is_usage_error(self, capsys, argv, message):
+        verb, *flags = argv
+        assert run_cli(verb, model_path("damped_oscillator"), *flags) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "status:" not in captured.out
 
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli("derive", model_path("damped_oscillator"),

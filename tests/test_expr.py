@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcfield import expr as ex
@@ -232,3 +232,130 @@ class TestExactLinearAlgebra:
         P = ex.exact_pinv(M)
         assert _same(M * P * M, M) and _same(P * M * P, P)
         assert _same((M * P).T, M * P) and _same((P * M).T, P * M)
+
+
+# ---------------------------------------------------------------------------
+# the structural differentiator against sp.diff
+
+
+def _same_tree(a, b) -> bool:
+    return sp.srepr(a) == sp.srepr(b)
+
+
+def _grammar_text(leaves=st.sampled_from(
+        ["1", "2", "3", "x[0]", "y[0]", "y[1]", "dy[0,0]", "dy[1,0]", "s[0]", "p[0,0]", "k"])):
+    """Model-grammar text: sums, products, quotients, integer powers
+    (negative ones included) and the five function kernels.  Products with
+    a rational coefficient and two more factors are drawn on their own: the
+    order in which the product rule multiplies out shows only in them."""
+    def grow(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+            st.tuples(st.integers(-3, 3), st.integers(2, 3), sub, sub, st.integers(1, 3)).map(
+                lambda t: f"{t[0]}/{t[1]}*({t[2]})*({t[3]})^{t[4]}"),
+            st.tuples(sub, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(sorted(ex._FUNCS)), sub).map(lambda t: f"{t[0]}({t[1]})"))
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+_GRAMMAR_COORDS = [ex.base(0), ex.field(0), ex.field(1), ex.velocity(0, 0),
+                   ex.velocity(1, 0), ex.action(0), ex.momentum(0, 0),
+                   ex.momentum(1, 0), sp.Symbol("k")]
+
+
+class TestDiff:
+    @given(_grammar_text())
+    # a coefficient, a z-free factor and a power of a sum: the product rule
+    # must multiply out from the left for the coefficient to distribute
+    @example("-1/2*k*(y[0]-y[1])^2")
+    @example("-1/2*(dy[0,0]-dy[1,0])^2/k")
+    @settings(max_examples=150, deadline=None)
+    def test_grammar_expressions_match_sympy(self, text):
+        e = ex.parse_expr(text, 1, 2, parameters={"k": sp.Symbol("k")})
+        for z in _GRAMMAR_COORDS:
+            assert _same_tree(ex.diff(e, z), sp.diff(e, z)), (text, z)
+
+    @pytest.mark.parametrize("e,z,expected", [
+        (ex.field(0) ** 3, ex.field(0), 3 * ex.field(0) ** 2),
+        (1 / (ex.field(0) * ex.velocity(0, 0)), ex.velocity(0, 0),
+         -1 / (ex.field(0) * ex.velocity(0, 0) ** 2)),
+        (sp.sqrt(ex.field(0)) * ex.action(0), ex.field(0),
+         ex.action(0) / (2 * sp.sqrt(ex.field(0)))),
+        (sp.sin(ex.field(0) ** 2), ex.field(0), 2 * ex.field(0) * sp.cos(ex.field(0) ** 2)),
+        (ex.field(0), ex.field(1), 0),
+        (sp.Integer(7), ex.field(0), 0),
+    ])
+    def test_values(self, e, z, expected):
+        assert sp.expand(ex.diff(e, z) - expected) == 0
+
+    def test_fresh_symbols_after_clear_cache(self):
+        L = ex.velocity(0, 0) ** 2 * ex.field(0)
+        sp.core.cache.clear_cache()
+        z = ex.velocity(0, 0)   # a new object, equal by value
+        assert _same_tree(ex.diff(L, z), 2 * ex.field(0) * ex.velocity(0, 0))
+
+    def test_pipeline_calls_match_sympy(self, models, monkeypatch, capsys, tmp_path):
+        # every top-level partial taken while the bundled models go through
+        # derive (three formalisms), check, unify and compile_problem
+        from mcfield import cli, numsim
+        from mcfield.lagrangian import LagrangianSystem
+        from conftest import model_path
+
+        calls, depth, structural = [], [0], ex.diff
+
+        def recording(e, z):
+            if not depth[0]:
+                calls.append((e, z))
+            depth[0] += 1
+            try:
+                return structural(e, z)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ex, "diff", recording)
+        for name, (spec, sim) in models.items():
+            path = model_path(name)
+            for formalism in ("lagrangian", "hamiltonian", "unified"):
+                cli.main(["derive", path, "--formalism", formalism])
+            cli.main(["check", path])
+            cli.main(["unify", path])
+            try:
+                numsim.compile_problem(LagrangianSystem(spec).herglotz_el_equations(), sim)
+            except numsim.CompileError:
+                pass
+        capsys.readouterr()
+        assert len(calls) > 1000
+        bad = [(e, z) for e, z in calls if not _same_tree(structural(e, z), sp.diff(e, z))]
+        assert not bad
+
+    def test_corpus_tables_match_sympy(self, seed1_corpus):
+        from mcfield.lagrangian import LagrangianSystem
+
+        for spec in seed1_corpus:
+            lag = LagrangianSystem(spec)
+            L, chart = lag.L, lag.chart
+            vel = [ex.velocity(A, mu) for A, mu in lag._vel_order]
+            tables = [(lag.momenta, [sp.diff(L, v) for v in vel]),
+                      (lag.field_partials, [sp.diff(L, ex.field(A)) for A in range(lag.n)]),
+                      (lag.action_partials, [sp.diff(L, ex.action(mu)) for mu in range(lag.m)])]
+            for p, jet in zip(lag.momenta, lag.momentum_jet):
+                ref = {z: sp.diff(p, z) for z in chart.coords}
+                tables.append((jet, {z: dz for z, dz in ref.items() if dz != 0}))
+            for ours, ref in tables:
+                assert sp.srepr(ours) == sp.srepr(ref), spec.name
+
+    def test_one_differentiator(self):
+        # the package differentiates only through expr.diff: its one
+        # fallback is the only call into sympy's differentiation
+        import inspect
+        import pathlib
+        import re
+
+        src = pathlib.Path(ex.__file__).parent
+        pattern = re.compile(r"(\w*)\.diff\(|\bDerivative\(|\.jacobian\(|\bsp\.hessian\(")
+        hits = [(path.name, line.strip())
+                for path in sorted(src.glob("*.py"))
+                for line in path.read_text().splitlines()
+                for m in pattern.finditer(line) if m.group(1) != "ex"]
+        assert hits == [("expr.py", "return sp.diff(e, z)")]
+        assert "return sp.diff(e, z)" in inspect.getsource(ex.diff)

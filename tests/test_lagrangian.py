@@ -34,6 +34,10 @@ class TestHessianRegularity:
         assert rep.hyperregular and not rep.probabilistic
         assert (rep.rank, rep.size) == (1, 1)
 
+    def test_no_samples_rejected(self, oscillator):
+        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+            oscillator.regularity(samples=0)
+
     def test_maxwell_singular_rank_6(self, maxwell):
         rep = maxwell.regularity()
         assert rep.status is Regularity.SINGULAR

@@ -52,6 +52,12 @@ class TestCompile:
         with pytest.raises(numsim.CompileError, match="m in"):
             _problem(L, m=3)
 
+    @pytest.mark.parametrize("N", [0, 2])
+    def test_grid_below_three_points_rejected(self, N):
+        L = ex.velocity(0, 0) ** 2 / 2 - ex.velocity(0, 1) ** 2 / 2
+        with pytest.raises(numsim.CompileError, match=f"got N={N}"):
+            _problem(L, m=2, config=SimulateConfig(N=N))
+
     def test_coupled_hessian_solve(self):
         # coupled two-field model: accelerations from a non-diagonal Hessian,
         # M a = dL/dy with M = [[1, 1/2], [1/2, 1]] and dL/dy = (-y1, -y0)
@@ -184,6 +190,18 @@ class TestStencils:
 
 
 class TestRun:
+    @pytest.mark.parametrize("dt,t_end,message", [
+        (0.0, 1.0, "dt=0.0"), (-0.1, 1.0, "dt=-0.1"), (math.nan, 1.0, "dt=nan"),
+        (math.inf, 1.0, "dt=inf"), (1e-3, -1.0, "t_end=-1.0"),
+        (1e-3, math.nan, "t_end=nan"), (1e-3, math.inf, "t_end=inf")])
+    def test_bad_step_or_end_time_rejected(self, dt, t_end, message):
+        with pytest.raises(ValueError, match=message):
+            numsim.run(_oscillator_problem(), dt=dt, t_end=t_end)
+
+    def test_zero_end_time_keeps_the_initial_state(self):
+        rep = numsim.run(_oscillator_problem(), dt=1e-3, t_end=0.0)
+        assert rep.termination == "completed" and rep.times == [0.0]
+
     def test_report_time_stamps_monotone(self):
         p = _oscillator_problem()
         rep = numsim.run(p, dt=1e-3, t_end=0.5, cadence=7)

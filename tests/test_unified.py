@@ -108,6 +108,10 @@ class TestConstraintLadder:
         assert len(ladder.generations) == 1
         assert len(ladder.generations[0]) == 1
 
+    def test_negative_generation_cap_rejected(self, osc_unified):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            osc_unified.constraint_algorithm(max_generations=-1)
+
     def test_cyclic_model_empty_intersection(self, models):
         spec, _ = models["singular_cyclic"]
         uni = UnifiedSystem(LagrangianSystem(spec))
