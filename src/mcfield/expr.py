@@ -9,10 +9,12 @@ module rewrites trigonometric identities, so ``sin(u)**2 + cos(u)**2`` does
 *not* normalize to 1 (it is detected as numerically equal to 1 instead).
 
 Every partial derivative in the package is taken by :func:`diff`.  It
-applies the rules of sympy's ``Add``, ``Mul`` and ``Pow._eval_derivative``
-itself, in their order, so it returns the very trees ``sympy.diff`` does;
-it skips ``Derivative``, whose per-node ``is_zero`` assumptions query
-changes no result but dominates the cost of differentiating a Lagrangian.
+applies the sum, product and power rules that ``sympy.diff`` dispatches to
+(``Add._eval_derivative``, ``Mul._eval_derivative_n_times``,
+``Pow._eval_derivative``) itself, in their order, so it returns the very
+trees ``sympy.diff`` does; it skips ``Derivative``, whose per-node
+``is_zero`` assumptions query changes no result but dominates the cost of
+differentiating a Lagrangian.
 
 The text grammar
 ----------------
@@ -38,7 +40,6 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -472,39 +473,48 @@ def _print_symbol(sym: sp.Symbol) -> str:
 # calculus on expressions
 
 
+_NON_FINITE = (sp.S.NaN, sp.S.ComplexInfinity, sp.S.Infinity, sp.S.NegativeInfinity)
+
+
 def diff(e: sp.Expr, z: sp.Symbol) -> sp.Expr:
     """The partial of ``e`` by the symbol ``z``: the same tree as sympy's
     ``diff`` gives, built without ``Derivative``.
 
     ``sp.diff`` wraps every node in ``Derivative.__new__``, which asks each
     partial result ``is_zero`` before returning it unchanged; that
-    assumptions query costs far more than the arithmetic.  Sums, products
-    and powers with a ``z``-free exponent are instead taken here by the
-    rules of sympy's ``Add``, ``Mul`` and ``Pow._eval_derivative``, in
-    their order (so the trees are the same): a sum of partials; the product
-    rule, each term multiplied out left to right from 1 and the terms summed
-    by ``Add.fromiter``; and ``e * (d(base) * exp / base)``.  A node free of
-    ``z`` is 0, as in ``Derivative``'s quick exit.  Any other node (``sin``,
-    ``exp``, ``log``, a ``z``-dependent exponent) goes to ``sp.diff``.
-    Symbols compare by value, so fresh ones after ``clear_cache`` still match.
+    assumptions query costs far more than the arithmetic.  Here the rules
+    sympy dispatches to are applied directly, in their order, so the trees
+    are the same: a node free of ``z`` is 0 (``Derivative``'s quick exit);
+    a sum is the sum of its partials (``Add._eval_derivative``); a product
+    is the Leibniz sum ``Add(*[Mul(f0, .., df_i, .., fk)])`` of
+    ``Mul._eval_derivative_n_times``; a power with a ``z``-free exponent is
+    ``e * (d(base) * exp / base)`` (``Pow._eval_derivative``).  Any other
+    node (``sin``, ``exp``, ``log``, a ``z``-dependent exponent) goes to
+    ``sp.diff``.  The Leibniz terms whose factor has partial 0 are left out:
+    they are 0, unless another factor is infinite (``0*zoo`` is ``nan``), so
+    an expression holding an infinite or undefined number goes to
+    ``sp.diff`` whole.  Symbols compare by value, so fresh ones after
+    ``clear_cache`` still match.
     """
+    if e.has(*_NON_FINITE):
+        return sp.diff(e, z)
+    return _diff(e, z)
+
+
+def _diff(e: sp.Expr, z: sp.Symbol) -> sp.Expr:
     if z not in e.free_symbols:
         return sp.S.Zero
     if e.is_Symbol:
         return sp.S.One
     if e.is_Add:
-        return e.func(*[diff(a, z) for a in e.args])
+        return e.func(*[_diff(a, z) for a in e.args])
     if e.is_Mul:
-        args = list(e.args)
-        terms = []
-        for i, a in enumerate(args):
-            d = diff(a, z)
-            if d:
-                terms.append(reduce(lambda x, y: x * y, args[:i] + [d] + args[i + 1:],
-                                    sp.S.One))
-        return sp.Add.fromiter(terms)
+        args = e.args
+        partials = [_diff(a, z) for a in args]
+        return sp.Add(*[sp.Mul(*args[:i], d, *args[i + 1:])
+                        for i, d in enumerate(partials) if d is not sp.S.Zero])
     if e.is_Pow and z not in e.exp.free_symbols:
-        return e * (diff(e.base, z) * e.exp / e.base)
+        return e * (_diff(e.base, z) * e.exp / e.base)
     return sp.diff(e, z)
 
 

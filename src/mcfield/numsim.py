@@ -455,8 +455,10 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
         raise ValueError(f"dt must be positive and finite, got dt={dt}")
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be non-negative and finite, got t_end={t_end}")
+    if cadence < 1:
+        raise ValueError(f"cadence must be at least 1, got cadence={cadence}")
     steps = int(round(t_end / dt))
-    keep_states = p.N * (steps // max(1, cadence) + 1) <= 2_000_000
+    keep_states = p.N * (steps // cadence + 1) <= 2_000_000
     st = p.initial_state()
     mon: dict[str, list] = {name: [] for name in p.monitors if name != "action_balance_fd"}
     times: list[float] = []

@@ -1,4 +1,6 @@
 import argparse
+import pathlib
+import re
 import textwrap
 
 import pytest
@@ -104,6 +106,14 @@ class TestSimulate:
         name = flag[2:].replace("-", "_")
         assert f"{name}={float(value)}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_zero_cadence_exits_one(self, tmp_path, capsys):
+        text = pathlib.Path(model_path("damped_oscillator")).read_text()
+        model = tmp_path / "cadence0.model"
+        model.write_text(re.sub(r"cadence: \d+", "cadence: 0", text))
+        code = run_cli("simulate", str(model), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "cadence=0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_grid", ["0", "2"])
     def test_grid_too_small_exits_one(self, tmp_path, capsys, n_grid):

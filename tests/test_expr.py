@@ -1,4 +1,7 @@
+import inspect
+import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +9,11 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcfield import cli, numsim
 from mcfield import expr as ex
+from mcfield.lagrangian import LagrangianSystem
+
+from conftest import model_path
 
 
 class TestCoordinates:
@@ -246,8 +253,8 @@ def _grammar_text(leaves=st.sampled_from(
         ["1", "2", "3", "x[0]", "y[0]", "y[1]", "dy[0,0]", "dy[1,0]", "s[0]", "p[0,0]", "k"])):
     """Model-grammar text: sums, products, quotients, integer powers
     (negative ones included) and the five function kernels.  Products with
-    a rational coefficient and two more factors are drawn on their own: the
-    order in which the product rule multiplies out shows only in them."""
+    a rational coefficient and two more factors are drawn on their own: how
+    the product rule multiplies out shows only in them."""
     def grow(sub):
         return st.one_of(
             st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
@@ -265,28 +272,16 @@ _GRAMMAR_COORDS = [ex.base(0), ex.field(0), ex.field(1), ex.velocity(0, 0),
 
 class TestDiff:
     @given(_grammar_text())
-    # a coefficient, a z-free factor and a power of a sum: the product rule
-    # must multiply out from the left for the coefficient to distribute
-    @example("-1/2*k*(y[0]-y[1])^2")
-    @example("-1/2*(dy[0,0]-dy[1,0])^2/k")
+    # a product multiplied out pairwise, 1/2*(2*x0 + 2) -> x0 + 1, is not
+    # the one Mul sympy builds per Leibniz term
+    @example("1/2*cos(1)*(1+x[0])^2")
+    # 0*zoo is nan: the z-free factors' Leibniz terms are not all 0
+    @example("k*y[0]*(1/(y[1]-y[1]))")
     @settings(max_examples=150, deadline=None)
     def test_grammar_expressions_match_sympy(self, text):
         e = ex.parse_expr(text, 1, 2, parameters={"k": sp.Symbol("k")})
         for z in _GRAMMAR_COORDS:
             assert _same_tree(ex.diff(e, z), sp.diff(e, z)), (text, z)
-
-    @pytest.mark.parametrize("e,z,expected", [
-        (ex.field(0) ** 3, ex.field(0), 3 * ex.field(0) ** 2),
-        (1 / (ex.field(0) * ex.velocity(0, 0)), ex.velocity(0, 0),
-         -1 / (ex.field(0) * ex.velocity(0, 0) ** 2)),
-        (sp.sqrt(ex.field(0)) * ex.action(0), ex.field(0),
-         ex.action(0) / (2 * sp.sqrt(ex.field(0)))),
-        (sp.sin(ex.field(0) ** 2), ex.field(0), 2 * ex.field(0) * sp.cos(ex.field(0) ** 2)),
-        (ex.field(0), ex.field(1), 0),
-        (sp.Integer(7), ex.field(0), 0),
-    ])
-    def test_values(self, e, z, expected):
-        assert sp.expand(ex.diff(e, z) - expected) == 0
 
     def test_fresh_symbols_after_clear_cache(self):
         L = ex.velocity(0, 0) ** 2 * ex.field(0)
@@ -294,23 +289,14 @@ class TestDiff:
         z = ex.velocity(0, 0)   # a new object, equal by value
         assert _same_tree(ex.diff(L, z), 2 * ex.field(0) * ex.velocity(0, 0))
 
-    def test_pipeline_calls_match_sympy(self, models, monkeypatch, capsys, tmp_path):
+    def test_pipeline_calls_match_sympy(self, models, monkeypatch, capsys):
         # every top-level partial taken while the bundled models go through
         # derive (three formalisms), check, unify and compile_problem
-        from mcfield import cli, numsim
-        from mcfield.lagrangian import LagrangianSystem
-        from conftest import model_path
-
-        calls, depth, structural = [], [0], ex.diff
+        calls, structural = [], ex.diff
 
         def recording(e, z):
-            if not depth[0]:
-                calls.append((e, z))
-            depth[0] += 1
-            try:
-                return structural(e, z)
-            finally:
-                depth[0] -= 1
+            calls.append((e, z))
+            return structural(e, z)
 
         monkeypatch.setattr(ex, "diff", recording)
         for name, (spec, sim) in models.items():
@@ -329,8 +315,6 @@ class TestDiff:
         assert not bad
 
     def test_corpus_tables_match_sympy(self, seed1_corpus):
-        from mcfield.lagrangian import LagrangianSystem
-
         for spec in seed1_corpus:
             lag = LagrangianSystem(spec)
             L, chart = lag.L, lag.chart
@@ -342,20 +326,16 @@ class TestDiff:
                 ref = {z: sp.diff(p, z) for z in chart.coords}
                 tables.append((jet, {z: dz for z, dz in ref.items() if dz != 0}))
             for ours, ref in tables:
-                assert sp.srepr(ours) == sp.srepr(ref), spec.name
+                assert _same_tree(ours, ref), spec.name
 
     def test_one_differentiator(self):
-        # the package differentiates only through expr.diff: its one
-        # fallback is the only call into sympy's differentiation
-        import inspect
-        import pathlib
-        import re
-
+        # the package differentiates only through expr.diff: its two
+        # fallbacks are the only calls into sympy's differentiation
         src = pathlib.Path(ex.__file__).parent
         pattern = re.compile(r"(\w*)\.diff\(|\bDerivative\(|\.jacobian\(|\bsp\.hessian\(")
         hits = [(path.name, line.strip())
                 for path in sorted(src.glob("*.py"))
                 for line in path.read_text().splitlines()
                 for m in pattern.finditer(line) if m.group(1) != "ex"]
-        assert hits == [("expr.py", "return sp.diff(e, z)")]
-        assert "return sp.diff(e, z)" in inspect.getsource(ex.diff)
+        assert hits == [("expr.py", "return sp.diff(e, z)")] * 2
+        assert all("return sp.diff(e, z)" in inspect.getsource(f) for f in (ex.diff, ex._diff))

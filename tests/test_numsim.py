@@ -190,13 +190,14 @@ class TestStencils:
 
 
 class TestRun:
-    @pytest.mark.parametrize("dt,t_end,message", [
-        (0.0, 1.0, "dt=0.0"), (-0.1, 1.0, "dt=-0.1"), (math.nan, 1.0, "dt=nan"),
-        (math.inf, 1.0, "dt=inf"), (1e-3, -1.0, "t_end=-1.0"),
-        (1e-3, math.nan, "t_end=nan"), (1e-3, math.inf, "t_end=inf")])
-    def test_bad_step_or_end_time_rejected(self, dt, t_end, message):
+    @pytest.mark.parametrize("dt,t_end,cadence,message", [
+        (0.0, 1.0, 1, "dt=0.0"), (-0.1, 1.0, 1, "dt=-0.1"), (math.nan, 1.0, 1, "dt=nan"),
+        (math.inf, 1.0, 1, "dt=inf"), (1e-3, -1.0, 1, "t_end=-1.0"),
+        (1e-3, math.nan, 1, "t_end=nan"), (1e-3, math.inf, 1, "t_end=inf"),
+        (1e-3, 1.0, 0, "cadence=0"), (1e-3, 1.0, -2, "cadence=-2")])
+    def test_bad_step_end_time_or_cadence_rejected(self, dt, t_end, cadence, message):
         with pytest.raises(ValueError, match=message):
-            numsim.run(_oscillator_problem(), dt=dt, t_end=t_end)
+            numsim.run(_oscillator_problem(), dt=dt, t_end=t_end, cadence=cadence)
 
     def test_zero_end_time_keeps_the_initial_state(self):
         rep = numsim.run(_oscillator_problem(), dt=1e-3, t_end=0.0)
