@@ -249,8 +249,11 @@ def _same_tree(a, b) -> bool:
     return sp.srepr(a) == sp.srepr(b)
 
 
-def _grammar_text(leaves=st.sampled_from(
-        ["1", "2", "3", "x[0]", "y[0]", "y[1]", "dy[0,0]", "dy[1,0]", "s[0]", "p[0,0]", "k"])):
+_GRAMMAR_LEAVES = ["1", "2", "3", "x[0]", "y[0]", "y[1]", "dy[0,0]", "dy[1,0]", "s[0]",
+                   "p[0,0]", "k"]
+
+
+def _grammar_text():
     """Model-grammar text: sums, products, quotients, integer powers
     (negative ones included) and the five function kernels.  Products with
     a rational coefficient and two more factors are drawn on their own: how
@@ -262,7 +265,7 @@ def _grammar_text(leaves=st.sampled_from(
                 lambda t: f"{t[0]}/{t[1]}*({t[2]})*({t[3]})^{t[4]}"),
             st.tuples(sub, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
             st.tuples(st.sampled_from(sorted(ex._FUNCS)), sub).map(lambda t: f"{t[0]}({t[1]})"))
-    return st.recursive(leaves, grow, max_leaves=10)
+    return st.recursive(st.sampled_from(_GRAMMAR_LEAVES), grow, max_leaves=10)
 
 
 _GRAMMAR_COORDS = [ex.base(0), ex.field(0), ex.field(1), ex.velocity(0, 0),
