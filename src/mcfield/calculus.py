@@ -421,16 +421,17 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     """Classify (theta, omega=d^m x) numerically at random sample points.
 
     The coefficients of theta and d(theta) (``theta.exterior()``) are
-    evaluated by the shared seeded sampler (``expr.sampled``: one compile,
-    ``samples`` points drawn from ``seed``); the contraction matrices of
-    theta, d(theta) and the Reeb condition are assembled from their values
-    at each point, and omega's (constant) kernel needs no compilation.  When the ranks differ
-    between points, the first point's are reported and a note says so.
+    evaluated by the shared seeded sampler (``expr.sampled``: their DAG is
+    walked once and run on floats at ``samples`` points drawn from
+    ``seed``); the contraction matrices of theta, d(theta) and the Reeb
+    condition are assembled from their values at each point, and omega's
+    (constant) kernel needs no evaluation.  When the ranks differ between
+    points, the first point's are reported and a note says so.
 
     ``point_map`` optionally constrains the sample points to a submanifold:
     it sends chart coordinates to expressions in the remaining coordinates
     (e.g. momenta to a Legendre image), substituted into the coefficients
-    before they are compiled.
+    before they are sampled.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")

@@ -18,6 +18,7 @@ termination without stabilization (generation cap or empty intersection).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -206,7 +207,13 @@ def _cmd_simulate(args) -> int:
         name, _, value = binding.partition("=")
         if name not in spec.parameters:
             return _fail(f"unknown parameter {name!r}")
-        sim.parameters[name] = float(sp.Rational(value))
+        try:
+            number = float(sp.Rational(value))
+        except (TypeError, ValueError, ArithmeticError):
+            number = math.nan
+        if not math.isfinite(number):
+            return _fail(f"--param {name}: expected a finite number, got {value!r}")
+        sim.parameters[name] = number
     if args.dt is not None:
         sim.dt = args.dt
     if args.t_end is not None:

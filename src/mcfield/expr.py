@@ -36,6 +36,7 @@ Indices are 0-based.  ``g[mu,nu]`` denotes an entry of the user-supplied
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -79,6 +80,7 @@ __all__ = [
     "exact_rank",
     "exact_nullspace",
     "exact_pinv",
+    "exact_cancel",
 ]
 
 _FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "log": sp.log, "sqrt": sp.sqrt}
@@ -655,18 +657,106 @@ def sampled(exprs, args: Sequence[sp.Symbol], samples: int, seed: int) -> list:
     ``exprs`` is an expression, a (nested) list of them or a Matrix, which
     is evaluated as its nested row list.  The points are successive
     :func:`random_rational_point` draws over ``args`` from
-    ``random.Random(seed)``.  There is one compile, with the ``math`` module:
-    numpy's lambdify namespace is slow to build in a fresh process.
+    ``random.Random(seed)``.  Nothing is compiled: the expression DAG is
+    flattened once into a list of float operations, each shared subtree
+    once, and run at every point.  The operations are the ones sympy's
+    lambdify prints with the ``math`` module (``x**(1/2)`` is
+    ``math.sqrt``, ``x**(-1/2)`` is ``1/math.sqrt``, ``x**-1`` is ``1/x``,
+    other powers ``**``; ``math.sin``/``cos``/``exp``/``log``; ``zoo`` and
+    ``nan`` are ``nan``), so a point raises the same ``ZeroDivisionError``
+    or ``math`` ``ValueError`` and a negative base to a fractional power
+    gives the same complex value.  Sums and products run in argument order,
+    not in printed order, so values agree to rounding, not bit for bit.
     """
     if isinstance(exprs, sp.MatrixBase):
         exprs = exprs.tolist()
-    fn = sp.lambdify(args, exprs, modules="math")
+    program: list[tuple] = []
+    shape = _flatten(exprs, {a: i for i, a in enumerate(args)}, {}, program)
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
         point = random_rational_point(args, rng)
-        out.append(fn(*[float(point[a]) for a in args]))
+        regs = [float(point[a]) for a in args]
+        for op, operands in program:
+            regs.append(op(*[regs[i] for i in operands]))
+        out.append(_unflatten(shape, regs))
     return out
+
+
+def _sum(*terms):
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def _product(*factors):
+    total = factors[0]
+    for f in factors[1:]:
+        total = total * f
+    return total
+
+
+def _reciprocal(x):
+    return 1 / x
+
+
+def _reciprocal_sqrt(x):
+    return 1 / math.sqrt(x)
+
+
+_MATH = {sp.sin: math.sin, sp.cos: math.cos, sp.exp: math.exp, sp.log: math.log}
+
+
+def _flatten(e, slots: dict, memo: dict, program: list):
+    """Append the operations of ``e`` (or of each item of a nested list) to
+    ``program`` and return the register, or nested list of registers, that
+    holds its value.  Registers ``0 .. len(args)-1`` hold the point."""
+    if isinstance(e, (list, tuple)):
+        return [_flatten(item, slots, memo, program) for item in e]
+    e = sp.sympify(e)
+    if e in slots:
+        return slots[e]
+    if e in memo:
+        return memo[e]
+    if e.is_Symbol:
+        raise ExprError(f"sampled: {e} is not among the arguments")
+    if e is sp.S.NaN or e is sp.S.ComplexInfinity:
+        op, operands = (lambda: math.nan), ()
+    elif e.is_Number or isinstance(e, sp.NumberSymbol) or e is sp.S.ImaginaryUnit:
+        value = 1j if e is sp.S.ImaginaryUnit else float(e)
+        op, operands = (lambda: value), ()
+    elif e.is_Add or e.is_Mul:
+        op = _sum if e.is_Add else _product
+        operands = tuple(_flatten(a, slots, memo, program) for a in e.args)
+    elif e.is_Pow:
+        base, exp = e.base, e.exp
+        operands = (_flatten(base, slots, memo, program),)
+        if exp is sp.S.Half:
+            op = math.sqrt
+        elif exp == -sp.S.Half:
+            op = _reciprocal_sqrt
+        elif exp is sp.S.NegativeOne:
+            op = _reciprocal
+        elif exp.is_Number:
+            power = int(exp) if exp.is_Integer else float(exp)
+            op = lambda x: x ** power   # noqa: E731
+        else:
+            op = pow
+            operands += (_flatten(exp, slots, memo, program),)
+    elif type(e) in _MATH:
+        op, operands = _MATH[type(e)], (_flatten(e.args[0], slots, memo, program),)
+    else:
+        raise ExprError(f"sampled: cannot evaluate {type(e).__name__} node {e}")
+    program.append((op, operands))
+    memo[e] = len(slots) + len(program) - 1
+    return memo[e]
+
+
+def _unflatten(shape, regs: list):
+    if isinstance(shape, list):
+        return [_unflatten(s, regs) for s in shape]
+    return regs[shape]
 
 
 RANK_TOL = 1e-9
@@ -732,3 +822,30 @@ def exact_pinv(M: sp.Matrix) -> sp.Matrix:
     C = R.extract(range(len(pivots)), range(M.cols))
     Bt, Ct = B.transpose(), C.transpose()
     return (Ct * (C * Ct).inv() * (Bt * B).inv() * Bt).to_Matrix()
+
+
+_EXACT_GROUNDS = (sp.ZZ, sp.QQ)
+
+
+def exact_cancel(M: sp.Matrix) -> sp.Matrix:
+    """Every entry of ``M`` as ``sp.cancel`` writes it, through one
+    ``DomainMatrix`` conversion of the whole matrix.
+
+    The domain sympy constructs for the entries is trusted only when it is
+    ZZ, QQ, or a polynomial ring or fraction field over ZZ or QQ whose
+    generators are all plain symbols.  There a round trip gives each entry
+    as numerator over denominator, cancelled and sign-normalised over the
+    integers: the very tree ``cancel`` builds, without its
+    ``factor_terms`` and ``signsimp`` passes.  Any other domain (EX, or a
+    generator such as ``sin(x)``, ``exp(x)``, ``sqrt(2)`` or ``zoo``) can
+    normalise differently, so those matrices go through ``sp.cancel``
+    entry by entry.
+    """
+    dM = DomainMatrix.from_Matrix(M)
+    dom = dM.domain
+    if dom in _EXACT_GROUNDS or (
+            (dom.is_PolynomialRing or dom.is_FractionField)
+            and dom.domain in _EXACT_GROUNDS
+            and all(g.is_Symbol for g in dom.symbols)):
+        return dM.to_Matrix()
+    return M.applyfunc(sp.cancel)

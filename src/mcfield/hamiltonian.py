@@ -73,13 +73,11 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
                    for i, (A, mu) in enumerate(pairs)])
     rhs = sp.Matrix([ex.momentum(A, mu) for A, mu in pairs]) - c
 
-    v_min = (ex.exact_pinv(W) * rhs).applyfunc(sp.cancel)
+    v_min = ex.exact_cancel(ex.exact_pinv(W) * rhs)
     rep = {vel[i]: v_min[i] for i in range(len(vel))}
-    constraints = []
-    for kvec in ex.exact_nullspace(W.T):
-        resid = sp.expand(sp.cancel((kvec.T * rhs)[0, 0]))
-        if resid != 0:
-            constraints.append(resid)
+    resids = ex.exact_cancel(sp.Matrix([(kvec.T * rhs)[0, 0]
+                                        for kvec in ex.exact_nullspace(W.T)]))
+    constraints = [r for r in map(sp.expand, resids) if r != 0]
     return VelocityElimination(rep, constraints)
 
 
@@ -112,7 +110,8 @@ class HamiltonianSystem:
         elim = eliminate_velocities(lag)
         pv = sum(ex.momentum(A, mu) * ex.velocity(A, mu)
                  for A in range(lag.n) for mu in range(lag.m))
-        H = sp.cancel(sp.expand((pv - lag.L).xreplace(elim.representative)))
+        H, = ex.exact_cancel(
+            sp.Matrix([sp.expand((pv - lag.L).xreplace(elim.representative))]))
         return cls(lag.m, lag.n, H, elim.image_constraints, elim.representative)
 
     # forms --------------------------------------------------------------

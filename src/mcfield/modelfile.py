@@ -186,16 +186,10 @@ def _simulate_config(block, m: int, n: int, parameters, path: str) -> SimulateCo
     if extra:
         raise ModelFileError(f"simulate: unknown keys {sorted(extra)}", path)
     cfg = SimulateConfig()
-    if "N" in block:
-        cfg.N = int(block["N"])
-    for key in ("length", "dt", "t_end"):
+    for key, kind in (("N", int), ("length", float), ("dt", float), ("t_end", float),
+                      ("cadence", int)):
         if key in block:
-            val = block[key]
-            if isinstance(val, str):
-                val = float(sp.Rational(val))
-            cfg.__setattr__(key, float(val))
-    if "cadence" in block:
-        cfg.cadence = int(block["cadence"])
+            setattr(cfg, key, _setting(block[key], kind, key, path))
     if "monitors" in block:
         mons = block["monitors"]
         if not isinstance(mons, list):
@@ -220,9 +214,25 @@ def _simulate_config(block, m: int, n: int, parameters, path: str) -> SimulateCo
     if not isinstance(raw_vals, dict):
         raise ModelFileError("simulate.parameters must be a mapping", path)
     for pname, pval in raw_vals.items():
-        cfg.parameters[str(pname)] = float(
-            _scalar_expr(pval, m, path, what=f"simulate.parameters[{pname!r}]"))
+        what = f"simulate.parameters[{pname!r}]"
+        value = _scalar_expr(pval, m, path, what=what)
+        try:
+            cfg.parameters[str(pname)] = float(value)
+        except TypeError:
+            raise ModelFileError(f"{what} must be a number, got {value}", path) from None
     return cfg
+
+
+def _setting(value, kind: type, key: str, path: str):
+    """A simulate setting as ``kind``; a string float is read as an exact
+    rational first (``dt: 1/1000``)."""
+    try:
+        if kind is float and isinstance(value, str):
+            value = sp.Rational(value)
+        return kind(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ModelFileError(f"simulate.{key} must be a number, got {value!r}",
+                             path) from None
 
 
 def parse_model_file(path: Union[str, Path]) -> ModelSpec:

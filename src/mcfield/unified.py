@@ -271,14 +271,14 @@ class UnifiedSystem:
                 raise ex.ExprError("field equations are not linear in the "
                                    "multivector coefficients") from None
             # restrict the coefficient matrix to the constraint submanifold
-            A_on = A.xreplace(graph).applyfunc(sp.cancel)
+            A_on = ex.exact_cancel(A.xreplace(graph))
             left_kernel = ex.exact_nullspace(A_on.T)
             self._check_kernel_dim(A_on, len(left_kernel), seed, notes)
 
             new_gen: list[sp.Expr] = []
             new_rows = []
-            for kvec in left_kernel:
-                cand = sp.expand(sp.cancel((kvec.T * b)[0, 0]))
+            cands = ex.exact_cancel(sp.Matrix([(kvec.T * b)[0, 0] for kvec in left_kernel]))
+            for cand in map(sp.expand, cands):
                 if cand == 0:
                     continue
                 if not (cand.free_symbols & coords):
@@ -314,7 +314,7 @@ class UnifiedSystem:
                   seed: int) -> bool:
         """Does the candidate raise the Jacobian rank of the constraint set
         at each of ``_NOVELTY_SAMPLES`` points of the Legendre graph?  One
-        compiled matrix: the constraint set's Jacobian rows with the
+        sampled matrix: the constraint set's Jacobian rows with the
         candidate's row stacked last."""
         syms = sorted(set().union(*(free for _, free, _ in jacobian), row[1],
                                   cand.free_symbols,

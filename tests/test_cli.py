@@ -122,6 +122,35 @@ class TestSimulate:
         assert code == 1
         assert f"N >= 3 points, got N={n_grid}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "1/0", "nan", "inf", "-inf", "1e400"])
+    def test_bad_param_value_is_usage_error(self, tmp_path, capsys, value):
+        code = run_cli("simulate", model_path("damped_oscillator"),
+                       "--param", f"gamma={value}", "--out", str(tmp_path))
+        assert code == 1
+        assert (f"--param gamma: expected a finite number, got {value!r}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key,value", [
+        ("dt", "abc"), ("length", "abc"), ("t_end", "1/0"), ("N", "abc"),
+        ("cadence", "x"), ("parameters", "{k: 1/0}")])
+    def test_malformed_simulate_block_is_model_error(self, tmp_path, capsys, key, value):
+        model = tmp_path / "bad.model"
+        model.write_text(textwrap.dedent(f"""
+            m: 1
+            n: 1
+            parameters:
+              k: 1
+            lagrangian: 1/2*dy[0,0]^2 - k*y[0]^2
+            simulate:
+              {key}: {value}
+        """))
+        for verb in ("derive", "check", "unify", "simulate"):
+            assert run_cli(verb, str(model), "--out", str(tmp_path / "out")) == 1
+            err = capsys.readouterr().err
+            assert f"simulate.{key}" in err and "must be a number" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_writes_into_working_directory_without_out(self, tmp_path, monkeypatch,
                                                        capsys):
         monkeypatch.chdir(tmp_path)

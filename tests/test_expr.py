@@ -1,3 +1,4 @@
+import cmath
 import inspect
 import pathlib
 import random
@@ -9,9 +10,13 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sympy.polys.matrices import DomainMatrix
+
 from mcfield import cli, numsim
 from mcfield import expr as ex
+from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import LagrangianSystem
+from mcfield.unified import UnifiedSystem
 
 from conftest import model_path
 
@@ -342,3 +347,156 @@ class TestDiff:
                 for m in pattern.finditer(line) if m.group(1) != "ex"]
         assert hits == [("expr.py", "return sp.diff(e, z)")] * 2
         assert all("return sp.diff(e, z)" in inspect.getsource(f) for f in (ex.diff, ex._diff))
+
+
+# ---------------------------------------------------------------------------
+# exact_cancel against sp.cancel
+
+
+def _grammar(text: str) -> sp.Expr:
+    return ex.parse_expr(text, 1, 2, parameters={"k": sp.Symbol("k")})
+
+
+def _cancels_like_sympy(M: sp.Matrix) -> bool:
+    ours = ex.exact_cancel(M)
+    return ours.shape == M.shape and all(
+        _same_tree(a, sp.cancel(e)) for a, e in zip(ours, M))
+
+
+class TestExactCancel:
+    @given(st.lists(_grammar_text(), min_size=1, max_size=4))
+    # the function kernels make sin(..), exp(..) generators: the fallback
+    @example(["sin(y[0])/(2*sin(y[0])^2)", "(x[0]+1)/(2*x[0]+2)"])
+    @example(["(2*y[0]-2*y[1])/(y[1]-y[0])^2", "k/2+1/(3*p[0,0])", "3"])
+    @settings(max_examples=150, deadline=None)
+    def test_grammar_matrices_match_cancel(self, texts):
+        # entries share one domain, so each column is cancelled jointly
+        assert _cancels_like_sympy(sp.Matrix([_grammar(t) for t in texts])), texts
+
+    @pytest.mark.parametrize("M", [sp.Matrix(0, 1, []), sp.zeros(2, 2),
+                                   sp.Matrix([[1, sp.Rational(-3, 4)]]),
+                                   sp.Matrix([sp.zoo * ex.field(0), sp.nan])],
+                             ids=["empty", "zeros", "rationals", "non-finite"])
+    def test_edge_cases(self, M):
+        assert _cancels_like_sympy(M)
+
+    def test_pipeline_sites_match_cancel(self, models, seed1_corpus, monkeypatch):
+        # every matrix the five call sites pass (velocity representative,
+        # image constraints and H in the Legendre map; restricted
+        # coefficient matrix and candidates in the ladder)
+        calls, exact = [], ex.exact_cancel
+
+        def recording(M):
+            calls.append(M)
+            return exact(M)
+
+        monkeypatch.setattr(ex, "exact_cancel", recording)
+        specs = [spec for spec, _ in models.values()] + list(seed1_corpus)
+        for spec in specs:
+            lag = LagrangianSystem(spec)
+            HamiltonianSystem.from_legendre(lag)
+            UnifiedSystem(lag).constraint_algorithm()
+        monkeypatch.undo()
+        assert len(calls) > 4 * len(specs)
+        # the domain round trip, not only the fallback, is exercised
+        domains = [DomainMatrix.from_Matrix(M).domain for M in calls]
+        assert sum(d.is_PolynomialRing or d.is_FractionField for d in domains) > 50
+        bad = [M for M in calls if not _cancels_like_sympy(M)]
+        assert not bad
+
+
+# ---------------------------------------------------------------------------
+# sampled against lambdify
+
+
+def _lambdify_reference(exprs, args, samples, seed) -> list:
+    """The values ``sampled`` gives, or the exception class it raises,
+    through ``sp.lambdify(..., modules="math")`` at the same points."""
+    fn = sp.lambdify(args, exprs, modules="math")
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        point = ex.random_rational_point(args, rng)
+        out.append(fn(*[float(point[a]) for a in args]))
+    return out
+
+
+def _outcome(f, *a):
+    try:
+        return f(*a)
+    except Exception as err:   # the class is what is compared
+        return type(err)
+
+
+def _close(a, b) -> bool:
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_close, a, b))
+    if a != a or b != b:
+        return a != a and b != b
+    return cmath.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300)
+
+
+class TestSampledAgainstLambdify:
+    @given(st.lists(_grammar_text(), min_size=1, max_size=3), st.integers(0, 50))
+    @settings(max_examples=150, deadline=None)
+    def test_grammar_values_match_lambdify(self, texts, seed):
+        exprs = [_grammar(t) for t in texts]
+        args = sorted(set().union(*(e.free_symbols for e in exprs)), key=str)
+        ours = _outcome(ex.sampled, exprs, args, 4, seed)
+        ref = _outcome(_lambdify_reference, exprs, args, 4, seed)
+        if isinstance(ref, type):
+            assert ours is ref, texts
+        else:
+            assert not isinstance(ours, type) and _close(ours, ref), (texts, ours, ref)
+
+    @pytest.mark.parametrize("e", [
+        sp.zoo * ex.field(0) + 1, sp.nan * ex.field(0),
+        # a negative base to a fractional power is complex
+        (ex.field(0) - 4) ** sp.Rational(3, 2), (ex.field(0) - 4) ** sp.Rational(-1, 3),
+        # x**(1/2) is math.sqrt, x**(-1/2) is 1/math.sqrt: a math ValueError
+        sp.sqrt(ex.field(0) - 4), 1 / sp.sqrt(ex.field(0) - 4),
+        sp.log(ex.field(0) - 4), 1 / (ex.field(0) - ex.field(0).subs(ex.field(0), 1)),
+        ex.field(0) ** -3 * sp.exp(ex.field(0)) * sp.E + sp.cos(ex.base(0)),
+    ], ids=str)
+    def test_special_nodes(self, e):
+        args = [ex.field(0), ex.base(0)]
+        ours = _outcome(ex.sampled, [e, [e]], args, 6, 3)
+        ref = _outcome(_lambdify_reference, [e, [e]], args, 6, 3)
+        if isinstance(ref, type):
+            assert ours is ref
+        else:
+            assert not isinstance(ours, type) and _close(ours, ref)
+
+    def test_division_by_zero_raises(self):
+        y = ex.field(0)
+        drawn = ex.random_rational_point([y], random.Random(0))[y]
+        for e in (1 / (y - drawn), (y - drawn) ** -2, sp.log(y) / (y - drawn)):
+            with pytest.raises(ZeroDivisionError):
+                ex.sampled(e, [y], 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# one sampler, one cancellation
+
+
+def _source_hits(pattern: str) -> list[tuple[str, str]]:
+    src = pathlib.Path(ex.__file__).parent
+    return [(path.name, line.strip())
+            for path in sorted(src.glob("*.py"))
+            for line in path.read_text().splitlines() if re.search(pattern, line)]
+
+
+def test_one_sampler_and_one_cancellation():
+    # lambdify compiles only the integrator's evaluators; sympy's cancel is
+    # called only by exact_cancel's fallback and at three pinned sites
+    assert _source_hits(r"\blambdify\(") == [
+        ("numsim.py", "return sp.lambdify(args, exprs, modules=[{\"numpy\": np}, np], "
+                      "printer=_PointwisePrinter())")]
+    assert "sp.lambdify(" in inspect.getsource(numsim._lambdify)
+    assert _source_hits(r"\bsp\.cancel[()]|\bcancel\(") == [
+        ("calculus.py", "c = sp.cancel(sp.expand(coeff))"),
+        ("expr.py", "together = sp.cancel(sp.together(sp.sympify(e)))"),
+        ("expr.py", "return M.applyfunc(sp.cancel)"),
+        ("lagrangian.py", "coeff = sp.cancel(coeff)")]
+    assert "sp.cancel" in inspect.getsource(ex.exact_cancel)
+    assert "sp.cancel" in inspect.getsource(ex.NormalForm)
