@@ -712,7 +712,7 @@ def _flatten(e, slots: dict, memo: dict, program: list):
     """Append the operations of ``e`` (or of each item of a nested list) to
     ``program`` and return the register, or nested list of registers, that
     holds its value.  Registers ``0 .. len(args)-1`` hold the point."""
-    if isinstance(e, (list, tuple)):
+    if isinstance(e, list):
         return [_flatten(item, slots, memo, program) for item in e]
     e = sp.sympify(e)
     if e in slots:

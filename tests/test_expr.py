@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from mcfield import cli, numsim
+from mcfield.calculus import Form
 from mcfield import expr as ex
 from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import LagrangianSystem
@@ -438,7 +439,9 @@ def _close(a, b) -> bool:
 
 class TestSampledAgainstLambdify:
     @given(st.lists(_grammar_text(), min_size=1, max_size=3), st.integers(0, 50))
-    @settings(max_examples=150, deadline=None)
+    # a sum that is 0 at a point can round to 0 in one term order and to
+    # ~1e-16 in another, so the examples are fixed: a red run is a finding
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_grammar_values_match_lambdify(self, texts, seed):
         exprs = [_grammar(t) for t in texts]
         args = sorted(set().union(*(e.free_symbols for e in exprs)), key=str)
@@ -455,7 +458,7 @@ class TestSampledAgainstLambdify:
         (ex.field(0) - 4) ** sp.Rational(3, 2), (ex.field(0) - 4) ** sp.Rational(-1, 3),
         # x**(1/2) is math.sqrt, x**(-1/2) is 1/math.sqrt: a math ValueError
         sp.sqrt(ex.field(0) - 4), 1 / sp.sqrt(ex.field(0) - 4),
-        sp.log(ex.field(0) - 4), 1 / (ex.field(0) - ex.field(0).subs(ex.field(0), 1)),
+        sp.log(ex.field(0) - 4), 1 / (ex.field(0) - 1),
         ex.field(0) ** -3 * sp.exp(ex.field(0)) * sp.E + sp.cos(ex.base(0)),
     ], ids=str)
     def test_special_nodes(self, e):
@@ -466,6 +469,15 @@ class TestSampledAgainstLambdify:
             assert ours is ref
         else:
             assert not isinstance(ours, type) and _close(ours, ref)
+
+    def test_shared_subtree_evaluated_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(ex._MATH, sp.sin, lambda v: calls.append(v) or np.sin(v))
+        y = ex.field(0)
+        shared = sp.sin(y + 1)
+        vals = ex.sampled([shared, 2 * shared + y, [shared ** 2]], [y], 3, 0)
+        assert len(calls) == 3
+        assert all(v[0] == np.sin(c) and v[2] == [v[0] ** 2] for v, c in zip(vals, calls))
 
     def test_division_by_zero_raises(self):
         y = ex.field(0)
@@ -498,5 +510,8 @@ def test_one_sampler_and_one_cancellation():
         ("expr.py", "together = sp.cancel(sp.together(sp.sympify(e)))"),
         ("expr.py", "return M.applyfunc(sp.cancel)"),
         ("lagrangian.py", "coeff = sp.cancel(coeff)")]
-    assert "sp.cancel" in inspect.getsource(ex.exact_cancel)
-    assert "sp.cancel" in inspect.getsource(ex.NormalForm)
+    for owner, line in [(Form.simplify, "c = sp.cancel(sp.expand(coeff))"),
+                        (ex.NormalForm, "together = sp.cancel(sp.together(sp.sympify(e)))"),
+                        (ex.exact_cancel, "return M.applyfunc(sp.cancel)"),
+                        (LagrangianSystem.reeb_fields, "coeff = sp.cancel(coeff)")]:
+        assert line in inspect.getsource(owner)
