@@ -10,11 +10,14 @@ degree < k gives zero.
 
 ``structure_diagnostics`` classifies a pair (theta, omega) numerically:
 the coefficients are evaluated at the package's seeded sample points
-(``expr.sampled``) and kernels are computed there by SVD with the rank rule
-of ``expr.numeric_rank`` (``expr.singular_rank``), so every rank in the
-report is tagged probabilistic.  It reads d(theta) from
+(``expr.sampled``), and every kernel and every intersection of kernels is
+sized there by the rank of a stacked contraction matrix under the one rank
+rule of ``expr.numeric_rank`` (``expr.singular_rank``), so every rank in
+the report is tagged probabilistic.  It reads d(theta) from
 ``Form.exterior()``: ``d`` of the form unless its builder supplied the
 derivative, as ``LagrangianSystem.theta`` does from the derivative table.
+Coefficients that cancel to zero are dropped through ``expr.exact_cancel``,
+the package's one cancellation path.
 """
 
 from __future__ import annotations
@@ -89,10 +92,11 @@ class Form:
         return out
 
     def simplify(self) -> "Form":
-        """Drop terms whose coefficient cancels to zero."""
+        """Drop terms whose coefficient cancels to zero; all coefficients
+        are cancelled in one ``expr.exact_cancel``."""
         out = Form(self.chart, self.degree)
-        for idx, coeff in self.terms.items():
-            c = sp.cancel(sp.expand(coeff))
+        cancelled = ex.exact_cancel(sp.Matrix(list(self.terms.values())))
+        for idx, c in zip(self.terms, cancelled):
             if c != 0:
                 out.terms[idx] = c
         return out
@@ -393,27 +397,6 @@ def _nullspace(M: np.ndarray) -> np.ndarray:
     return vt[ex.singular_rank(s):].T
 
 
-def _intersect(*bases: np.ndarray) -> np.ndarray:
-    """Intersection of column-span subspaces of R^dim."""
-    out = bases[0]
-    for b in bases[1:]:
-        if out.shape[1] == 0 or b.shape[1] == 0:
-            return out[:, :0]
-        # v in span(out) ∩ span(b): solve [out, -b][a;c] = 0
-        stacked = np.hstack([out, -b])
-        ns = _nullspace(stacked)
-        out = out @ ns[: out.shape[1]]
-        # re-orthonormalize.  With orthonormal bases in, each column is an
-        # orthonormal basis times a block of a unit kernel vector, of norm at
-        # most 1, so the QR pivot cut is the absolute RANK_TOL rather than
-        # singular_rank's relative rule
-        if out.shape[1]:
-            q, r = np.linalg.qr(out)
-            keep = np.abs(np.diag(r)) > ex.RANK_TOL
-            out = q[:, keep]
-    return out
-
-
 def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
                           seed: int = 42,
                           point_map: Optional[Mapping[sp.Symbol, sp.Expr]] = None
@@ -424,9 +407,12 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     evaluated by the shared seeded sampler (``expr.sampled``: their DAG is
     walked once and run on floats at ``samples`` points drawn from
     ``seed``); the contraction matrices of theta, d(theta) and the Reeb
-    condition are assembled from their values at each point, and omega's
-    (constant) kernel needs no evaluation.  When the ranks differ between
-    points, the first point's are reported and a note says so.
+    condition are assembled from their values at each point.  A kernel of
+    a stack of these matrices is an intersection of kernels.  omega = d^m x
+    kills exactly the non-base directions: its kernel is the constant
+    ``dim - m``, and restricting to it keeps the non-base columns.  When the
+    ranks differ between points, the first point's are reported and a note
+    says so.
 
     ``point_map`` optionally constrains the sample points to a submanifold:
     it sends chart coordinates to expressions in the remaining coordinates
@@ -457,39 +443,29 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     # A form annihilates ker(omega) iff all its monomials are purely basal, so
     # only the non-basal rows of the dtheta contraction constrain R.
     op_reeb = _ContractionOp(dtheta_keys, chart, skip_basal=True)
-    ker_omega = _nullspace(_ContractionOp([tuple(range(m))], chart).at([1.0]))
+    # condition (4): { i(R)Theta } exhausts the semibasic (m-1)-forms
+    # annihilating ker(omega), i.e. span{ d^{m-1}x_mu }
+    semibasic_keys = [tuple(k for k in range(m) if k != mu) for mu in range(m)]
+    sb_rows = [r for key, r in op_theta.row_index.items() if key in semibasic_keys]
+    other_rows = [r for key, r in op_theta.row_index.items()
+                  if key not in semibasic_keys]
 
     results = []
     for vals in ex.sampled(coeffs, args, samples, seed):
         theta_vals, dtheta_vals = vals[:len(theta_keys)], vals[len(theta_keys):]
-
-        ker_theta = _nullspace(op_theta.at(theta_vals))
-        ker_dtheta = _nullspace(op_dtheta.at(dtheta_vals))
-        core = _intersect(ker_omega, ker_theta, ker_dtheta)
-        premult = _intersect(ker_theta, ker_dtheta)
-
-        reeb_in = _nullspace(op_reeb.at(dtheta_vals) @ ker_omega)
-        reeb = ker_omega @ reeb_in if reeb_in.size else ker_omega[:, :0]
-
-        # condition (4): { i(R)Theta } exhausts the semibasic (m-1)-forms
-        # annihilating ker(omega), i.e. span{ d^{m-1}x_mu }.
-        Mth = op_theta.at(theta_vals)
-        images = Mth @ reeb if reeb.shape[1] else np.zeros((Mth.shape[0], 0))
-        semibasic_keys = [tuple(k for k in range(m) if k != mu) for mu in range(m)]
-        sb_rows = [op_theta.row_index.get(key) for key in semibasic_keys]
-        other_rows = [r for key, r in op_theta.row_index.items()
-                      if key not in semibasic_keys]
-        semibasic_ok = (not other_rows
-                        or np.max(np.abs(images[other_rows]), initial=0.0) < 1e-8)
-        sb_block = np.array([images[r] if r is not None else np.zeros(images.shape[1])
-                             for r in sb_rows])
-        span_ok = semibasic_ok and ex.numeric_rank(sb_block) == m
-
+        Mth, Mdth = op_theta.at(theta_vals), op_dtheta.at(dtheta_vals)
+        stacked = np.vstack([Mth, Mdth])
+        # the Reeb fields in ker(omega) coordinates, and their images under Theta
+        reeb = _nullspace(op_reeb.at(dtheta_vals)[:, m:])
+        images = Mth[:, m:] @ reeb
         results.append(dict(
-            ker_omega=ker_omega.shape[1], ker_theta=ker_theta.shape[1],
-            ker_dtheta=ker_dtheta.shape[1], core=core.shape[1],
-            premult=premult.shape[1], reeb=reeb.shape[1],
-            span_ok=span_ok))
+            ker_theta=dim - ex.numeric_rank(Mth),
+            ker_dtheta=dim - ex.numeric_rank(Mdth),
+            premult=dim - ex.numeric_rank(stacked),
+            core=dim - m - ex.numeric_rank(stacked[:, m:]),
+            reeb=reeb.shape[1],
+            span_ok=(ex.numeric_rank(images[other_rows]) == 0
+                     and ex.numeric_rank(images[sb_rows]) == m)))
 
     notes = []
     first = results[0]
@@ -500,14 +476,14 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     is_multicontact = r["premult"] == 0 and r["ker_dtheta"] > 0
     is_premulticontact = r["premult"] > 0
     k = r["core"]
-    # Definition of a *special* structure: rank ker(omega) = dim - m,
-    # rank Reeb = m + k with k the characteristic rank, and the Reeb
-    # contractions exhaust the semibasic (m-1)-forms.  It does not require
-    # ker(dtheta) to be nontrivial.
-    special = (r["ker_omega"] == dim - m and r["reeb"] == m + k and r["span_ok"])
+    # Definition of a *special* structure: rank Reeb = m + k with k the
+    # characteristic rank, and the Reeb contractions exhaust the semibasic
+    # (m-1)-forms (rank ker(omega) = dim - m holds for omega = d^m x).  It
+    # does not require ker(dtheta) to be nontrivial.
+    special = r["reeb"] == m + k and r["span_ok"]
     return StructureReport(
         chart_dim=dim,
-        rank_ker_omega=r["ker_omega"],
+        rank_ker_omega=dim - m,
         rank_ker_theta=r["ker_theta"],
         rank_ker_dtheta=r["ker_dtheta"],
         rank_core=k,

@@ -67,8 +67,6 @@ __all__ = [
     "to_grammar",
     "diff",
     "gradient",
-    "NormalForm",
-    "normalize",
     "Verdict",
     "EqualityResult",
     "equal",
@@ -532,49 +530,7 @@ def gradient(e: sp.Expr, coords: Sequence[sp.Symbol]) -> dict[sp.Symbol, sp.Expr
 
 
 # ---------------------------------------------------------------------------
-# normal forms and equality
-
-
-class NormalForm:
-    """Canonical rational form: expanded numerator over expanded denominator.
-
-    Equal normal forms imply mathematically equal expressions; the converse
-    holds only for expressions that are rational in their kernels (opaque
-    function applications count as independent kernels, so identities like
-    sin^2 + cos^2 = 1 are *not* detected here).
-    """
-
-    def __init__(self, e: sp.Expr):
-        together = sp.cancel(sp.together(sp.sympify(e)))
-        num, den = sp.fraction(together)
-        num = sp.expand(num)
-        den = sp.expand(den)
-        # normalize overall sign via the leading term of the denominator
-        if den.could_extract_minus_sign():
-            num, den = -num, -den
-        self.numerator = num
-        self.denominator = den
-
-    @property
-    def expression(self) -> sp.Expr:
-        return self.numerator / self.denominator
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        delta = sp.expand(self.numerator * other.denominator
-                          - other.numerator * self.denominator)
-        return delta == 0
-
-    def __hash__(self):
-        return hash(sp.srepr(self.numerator) + "/" + sp.srepr(self.denominator))
-
-    def __repr__(self):
-        return f"NormalForm({self.expression})"
-
-
-def normalize(e: sp.Expr) -> NormalForm:
-    return NormalForm(e)
+# equality
 
 
 class Verdict(Enum):
@@ -610,15 +566,17 @@ def equal(a: sp.Expr, b: sp.Expr, samples: int = 20, seed: int = 42,
           tol: float = 1e-10) -> EqualityResult:
     """Two-tier equality check.
 
-    Tier 1: canonical rational normal form of the difference.  Tier 2:
-    evaluation at ``samples`` random rational points; max |residual| below
-    ``tol`` reports NUMERICALLY-EQUAL, otherwise NOT-EQUAL with a witness
-    point.  Points where the difference fails to evaluate to a finite real
-    are resampled.
+    Tier 1: the difference cancelled by :func:`exact_cancel`, the package's
+    one cancellation path; 0 reports EXACT-EQUAL.  That is exact for
+    expressions rational in their kernels (opaque function applications
+    count as independent kernels, so identities like sin^2 + cos^2 = 1 are
+    *not* detected there).  Tier 2: evaluation at ``samples`` random
+    rational points to 25 digits; max |residual| below ``tol`` reports
+    NUMERICALLY-EQUAL, otherwise NOT-EQUAL with a witness point.  Points
+    where the difference fails to evaluate to a finite real are resampled.
     """
     delta = sp.sympify(a) - sp.sympify(b)
-    nf = NormalForm(delta)
-    if nf.numerator == 0:
+    if exact_cancel(sp.Matrix([delta]))[0] == 0:
         return EqualityResult(Verdict.EXACT_EQUAL)
     syms = sorted(delta.free_symbols, key=lambda s: s.name)
     rng = random.Random(seed)

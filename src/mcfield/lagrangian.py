@@ -306,22 +306,20 @@ class LagrangianSystem:
     def reeb_fields(self) -> list[VectorField]:
         """The local Reeb basis (R_L)_mu, regular Lagrangians only."""
         H = self.hessian()
-        if H.det() == 0:
+        if ex.exact_rank(H) < H.rows:
             raise ex.ExprError("Reeb fields need a regular Lagrangian")
-        W = H.inv()
+        # the velocity components: -d^2L/ds^mu dy^A_nu times H^-1 (the
+        # pseudo-inverse of a regular H), all cancelled at once
+        mixed = sp.Matrix([[row.get(ex.action(mu), 0) for row in self.momentum_jet]
+                           for mu in range(self.m)])
+        coeffs = ex.exact_cancel(-mixed * ex.exact_pinv(H))
         chart = self.chart
         fields = []
         for mu in range(self.m):
             comps = {chart.index(ex.action(mu)): sp.Integer(1)}
             for j, (A, nu) in enumerate(self._vel_order):
-                coeff = sp.Integer(0)
-                for i, row in enumerate(self.momentum_jet):
-                    mixed = row.get(ex.action(mu), 0)
-                    if mixed != 0:
-                        coeff -= W[i, j] * mixed
-                coeff = sp.cancel(coeff)
-                if coeff != 0:
-                    comps[chart.index(ex.velocity(A, nu))] = coeff
+                if coeffs[mu, j] != 0:
+                    comps[chart.index(ex.velocity(A, nu))] = coeffs[mu, j]
             fields.append(VectorField(chart, comps))
         return fields
 

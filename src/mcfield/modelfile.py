@@ -207,8 +207,11 @@ def _simulate_config(block, m: int, n: int, parameters, path: str) -> SimulateCo
         if not target.is_Symbol:
             raise ModelFileError(f"simulate.initial key {key!r} must name a single "
                                  "coordinate (y[A], dy[A,0] or s[mu])", path)
-        parsed[str(target)] = _scalar_expr(val, m, path, parameters=parameters,
-                                           what=f"simulate.initial[{key!r}]")
+        what = f"simulate.initial[{key!r}]"
+        value = _scalar_expr(val, m, path, parameters=parameters, what=what)
+        if value.has(sp.nan, sp.zoo, sp.oo, -sp.oo, sp.I):
+            raise ModelFileError(f"{what} must be finite and real, got {value}", path)
+        parsed[str(target)] = value
     cfg.initial = parsed
     raw_vals = block.get("parameters") or {}
     if not isinstance(raw_vals, dict):
@@ -224,14 +227,16 @@ def _simulate_config(block, m: int, n: int, parameters, path: str) -> SimulateCo
 
 
 def _setting(value, kind: type, key: str, path: str):
-    """A simulate setting as ``kind``; a string float is read as an exact
-    rational first (``dt: 1/1000``)."""
+    """A simulate setting as ``kind``; a string is read as an exact rational
+    first (``dt: 1/1000``), and an ``int`` setting must be integral."""
     try:
-        if kind is float and isinstance(value, str):
-            value = sp.Rational(value)
-        return kind(value)
+        number = sp.Rational(value) if isinstance(value, str) else value
+        if isinstance(value, bool) or kind is int and number != int(number):
+            raise ValueError
+        return kind(number)
     except (TypeError, ValueError, ArithmeticError):
-        raise ModelFileError(f"simulate.{key} must be a number, got {value!r}",
+        whole = " with no fractional part" if kind is int else ""
+        raise ModelFileError(f"simulate.{key} must be a number{whole}, got {value!r}",
                              path) from None
 
 

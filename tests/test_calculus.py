@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mcfield.calculus import (Form, MultiVector, VectorField, contract,
                               coframe_volume_contraction, d, pullback,
                               structure_diagnostics, volume_form, wedge)
 from mcfield.chart import ChartKind, build_chart
+from mcfield.lagrangian import LagrangianSystem
 
 CHART = build_chart(ChartKind.P, 2, 1)  # x0 x1 y0 dy00 dy01 s0 s1 (dim 7)
 DIM = CHART.dim
@@ -139,3 +141,74 @@ class TestStructureDiagnostics:
         # the kernels and every sampled rank share expr's one rank rule
         M = np.asarray(M, dtype=float)
         assert calculus._nullspace(M).shape[1] == M.shape[1] - ex.numeric_rank(M)
+
+
+# -- structure diagnostics against exact ranks ---------------------------------
+
+VARIED = "ranks varied across sample points; reporting the first sample"
+
+
+def _exact_contraction(columns, point) -> sp.Matrix:
+    """Column j holds i(d/dz^j) of a form, evaluated exactly at ``point``;
+    one row per monomial of the images."""
+    keys = sorted(set().union(*(c.terms for c in columns)))
+    return sp.Matrix(len(keys), len(columns),
+                     lambda r, j: sp.sympify(columns[j].terms.get(keys[r], 0)).xreplace(point))
+
+
+def _exact_ranks(theta, chart, samples, seed) -> list[dict]:
+    """ker theta, ker dtheta, their intersection (premult) and the core
+    (with ker omega too) at each seeded point: the kernels of the stacked
+    contraction matrices of omega = d^m x, theta and calculus.d(theta), in
+    exact Rationals at the points structure_diagnostics draws."""
+    forms = [volume_form(chart), theta, d(theta)]
+    columns = [[contract(VectorField.basis(chart, z), f) for z in chart.coords]
+               for f in forms]
+    params = set().union(*(c.free_symbols for f in forms
+                           for c in f.terms.values())) - set(chart.coords)
+    args = list(chart.coords) + sorted(params, key=lambda s: s.name)
+    rng = random.Random(seed)
+    dim = chart.dim
+    out = []
+    for _ in range(samples):
+        point = ex.random_rational_point(args, rng)
+        omega, th, dth = (_exact_contraction(cols, point) for cols in columns)
+        out.append(dict(ker_theta=dim - ex.exact_rank(th),
+                        ker_dtheta=dim - ex.exact_rank(dth),
+                        premult=dim - ex.exact_rank(th.col_join(dth)),
+                        core=dim - ex.exact_rank(omega.col_join(th).col_join(dth))))
+    return out
+
+
+def _agrees_with_exact_ranks(lag, samples=8, seed=42):
+    """The report of Theta_L at the check defaults against the exact ranks:
+    the first point's ranks are reported, and a note says when any point's
+    exact ranks differ from them."""
+    rep = structure_diagnostics(lag.theta(), lag.chart, samples=samples, seed=seed)
+    exact = _exact_ranks(lag.theta(), lag.chart, samples, seed)
+    first = exact[0]
+    name = lag.spec.name
+    assert (rep.rank_ker_theta, rep.rank_ker_dtheta, rep.rank_core) == (
+        first["ker_theta"], first["ker_dtheta"], first["core"]), name
+    assert rep.is_premulticontact == (first["premult"] > 0), name
+    assert rep.is_multicontact == (first["premult"] == 0 and first["ker_dtheta"] > 0), name
+    if any(r != first for r in exact):
+        assert VARIED in rep.notes, name
+    return rep, exact
+
+
+class TestStructureAgainstExactRanks:
+    def test_bundled_models(self, models):
+        for spec, _ in models.values():
+            _agrees_with_exact_ranks(LagrangianSystem(spec))
+
+    def test_seed1_corpus(self, seed1_corpus):
+        for spec in seed1_corpus:
+            _agrees_with_exact_ranks(LagrangianSystem(spec))
+
+    def test_varied_ranks_are_noted(self, seed1_corpus):
+        # the core of corpus_005 grows at the third point only
+        spec, = [s for s in seed1_corpus if s.name == "corpus_005"]
+        rep, exact = _agrees_with_exact_ranks(LagrangianSystem(spec))
+        assert [r["core"] for r in exact] == [3, 3, 4, 3, 3, 3, 3, 3]
+        assert rep.rank_core == 3 and rep.notes == [VARIED]

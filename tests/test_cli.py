@@ -133,7 +133,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key,value", [
         ("dt", "abc"), ("length", "abc"), ("t_end", "1/0"), ("N", "abc"),
-        ("cadence", "x"), ("parameters", "{k: 1/0}")])
+        ("cadence", "x"), ("parameters", "{k: 1/0}"),
+        # int() would truncate these, and float(True) is 1.0
+        ("N", "1.7"), ("cadence", "2.5"), ("dt", "true"), ("N", "true")])
     def test_malformed_simulate_block_is_model_error(self, tmp_path, capsys, key, value):
         model = tmp_path / "bad.model"
         model.write_text(textwrap.dedent(f"""
@@ -149,6 +151,17 @@ class TestSimulate:
             assert run_cli(verb, str(model), "--out", str(tmp_path / "out")) == 1
             err = capsys.readouterr().err
             assert f"simulate.{key}" in err and "must be a number" in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["1/0", "log(0)", "sqrt(0-1)", "2+sqrt(0-4)"])
+    def test_non_finite_initial_value_is_model_error(self, tmp_path, capsys, value):
+        text = pathlib.Path(model_path("damped_oscillator")).read_text()
+        model = tmp_path / "bad_initial.model"
+        model.write_text(text.replace('y[0]: "1"', f'y[0]: "{value}"'))
+        code = run_cli("simulate", str(model), "--out", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "simulate.initial['y[0]'] must be finite and real" in err, err
         assert not (tmp_path / "out").exists()
 
     def test_writes_into_working_directory_without_out(self, tmp_path, monkeypatch,

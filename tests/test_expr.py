@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from mcfield import cli, numsim
-from mcfield.calculus import Form
 from mcfield import expr as ex
 from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import LagrangianSystem
@@ -139,14 +138,12 @@ class TestPrinter:
 
 
 class TestNormalFormAndEquality:
-    def test_normal_form_cancels(self):
-        y = ex.field(0)
-        assert ex.normalize((y ** 2 - 1) / (y - 1)) == ex.normalize(y + 1)
-
     def test_exact_equal(self):
         y = ex.field(0)
-        r = ex.equal((y + 1) ** 2, y ** 2 + 2 * y + 1)
-        assert r.verdict is ex.Verdict.EXACT_EQUAL and bool(r)
+        # tier 1 expands, and cancels a common factor of numerator and denominator
+        for a, b in [((y + 1) ** 2, y ** 2 + 2 * y + 1), ((y ** 2 - 1) / (y - 1), y + 1)]:
+            r = ex.equal(a, b)
+            assert r.verdict is ex.Verdict.EXACT_EQUAL and bool(r), (a, b)
 
     def test_numerically_equal_transcendental(self):
         x = ex.base(0)
@@ -500,18 +497,25 @@ def _source_hits(pattern: str) -> list[tuple[str, str]]:
 
 def test_one_sampler_and_one_cancellation():
     # lambdify compiles only the integrator's evaluators; sympy's cancel is
-    # called only by exact_cancel's fallback and at three pinned sites
+    # called only by exact_cancel's fallback
     assert _source_hits(r"\blambdify\(") == [
         ("numsim.py", "return sp.lambdify(args, exprs, modules=[{\"numpy\": np}, np], "
                       "printer=_PointwisePrinter())")]
     assert "sp.lambdify(" in inspect.getsource(numsim._lambdify)
     assert _source_hits(r"\bsp\.cancel[()]|\bcancel\(") == [
-        ("calculus.py", "c = sp.cancel(sp.expand(coeff))"),
-        ("expr.py", "together = sp.cancel(sp.together(sp.sympify(e)))"),
-        ("expr.py", "return M.applyfunc(sp.cancel)"),
-        ("lagrangian.py", "coeff = sp.cancel(coeff)")]
-    for owner, line in [(Form.simplify, "c = sp.cancel(sp.expand(coeff))"),
-                        (ex.NormalForm, "together = sp.cancel(sp.together(sp.sympify(e)))"),
-                        (ex.exact_cancel, "return M.applyfunc(sp.cancel)"),
-                        (LagrangianSystem.reeb_fields, "coeff = sp.cancel(coeff)")]:
-        assert line in inspect.getsource(owner)
+        ("expr.py", "return M.applyfunc(sp.cancel)")]
+    assert "return M.applyfunc(sp.cancel)" in inspect.getsource(ex.exact_cancel)
+
+
+def test_one_rank_rule_and_one_inversion():
+    # the rank tolerance is read only where the rank rule lives, and the
+    # matrix inversions left are exact_pinv's over the fraction field and
+    # the integrator's solve for the highest time derivatives
+    assert {name for name, _ in _source_hits(r"\bRANK_TOL\b")} == {"expr.py"}
+    assert _source_hits(r"\.det\(|\.inv\(|\bLUsolve\(|linalg\.(qr|inv|det)\b") == [
+        ("expr.py", "return (Ct * (C * Ct).inv() * (Bt * B).inv() * Bt).to_Matrix()"),
+        ("numsim.py", "if M.det() == 0:"),
+        ("numsim.py", "sol = M.LUsolve(b)")]
+    assert "(C * Ct).inv()" in inspect.getsource(ex.exact_pinv)
+    source = inspect.getsource(numsim.compile_problem)
+    assert "if M.det() == 0:" in source and "sol = M.LUsolve(b)" in source
