@@ -11,17 +11,18 @@ slots it uses, so each right-hand side computes only the stencils it needs;
 RK4 stages reuse two buffers per problem.  Results are bit-identical to the
 earlier per-expression, every-stencil integrator.
 
-One-point problems (``m = 1``, hence ``N = 1``) run their RK4 stages and
-monitors on numpy float64 scalars instead: the same compiled evaluators read
-the state's column as a list, and the stage sums keep the array path's
-order, so the results are bit for bit those of 1-element arrays at a
-fraction of the call overhead.  numpy scalars, not Python floats, keep the
-array semantics: overflow, division by zero and a negative base to a
-fractional power give inf/nan with a warning, and the run ends as
-``"non-finite state"``.  For the same bits, the evaluators are printed with
-``_PointwisePrinter``: ``float64 ** e`` calls libm ``pow`` where
-``ndarray ** e`` calls numpy's ``square``/``power`` kernels, which differ in
-the last bit, so every power is printed as an explicit numpy kernel.
+One-point problems (``m = 1``, hence ``N = 1``) step through one function
+that ``compile_problem`` generates per problem: a whole RK4 step as straight
+Python code over the state's numpy float64 scalars, four calls of the same
+compiled right-hand side and the stage sums in the array path's order, so
+the results are bit for bit those of 1-element arrays at a fraction of the
+call overhead.  numpy scalars, not Python floats, keep the array semantics:
+overflow, division by zero and a negative base to a fractional power give
+inf/nan with a warning, and the run ends as ``"non-finite state"``.  For the
+same bits, the evaluators are printed with ``_PointwisePrinter``:
+``float64 ** e`` calls libm ``pow`` where ``ndarray ** e`` calls numpy's
+``square``/``power`` kernels, which differ in the last bit, so every power
+is printed as an explicit numpy kernel.
 Compiling binds ``numpy`` by name: lambdify's string module ``"numpy"``
 would run ``from numpy import *``, which imports ``numpy.f2py`` and more.
 
@@ -101,6 +102,9 @@ class EvolutionProblem:
     rhs_slots: tuple[tuple[str, int], ...]
     energy_func: Callable
     energy_slots: tuple[tuple[str, int], ...]
+    # one whole RK4 step of a one-point problem (see ``_compile_point_step``);
+    # None for a grid
+    rk4_point: Optional[Callable]
     initial: dict[str, sp.Expr]
     parameter_values: dict[str, float]
     monitors: tuple[str, ...]
@@ -147,6 +151,9 @@ class GridState:
 
     @property
     def finite(self) -> bool:
+        if self.arrays.shape[1] == 1:
+            # one point: a few scalars, cheaper in Python than through a ufunc
+            return all(map(math.isfinite, self.arrays.flat))
         return bool(np.isfinite(self.arrays).all())
 
 
@@ -327,8 +334,45 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
         m=m, n=n, N=N, dx=dx, state_names=state_names, exprs=exprs,
         energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_slots,
         energy_func=energy_func, energy_slots=energy_slots,
+        rk4_point=_compile_point_step(n, rhs_func, rhs_slots) if m == 1 else None,
         initial=dict(config.initial), parameter_values=params,
         monitors=tuple(config.monitors))
+
+
+def _compile_point_step(n: int, rhs_func: Callable,
+                        rhs_slots: tuple[tuple[str, int], ...]) -> Callable:
+    """One classical RK4 step of a one-point problem as straight-line code.
+
+    The function takes ``(t, dt, a0, ..., a{2n})``, the time, the step and
+    the state's numpy float64 scalars, and returns the new state as a tuple.
+    Each stage calls ``rhs_func`` with the arguments ``rhs_slots`` names; the
+    time is a numpy scalar too, so that a model dividing by t gives inf at
+    t = 0 rather than ZeroDivisionError.  The arithmetic is the grid path's:
+    stage states ``k*c + a`` and ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a``.
+    """
+    a = [f"a{i}" for i in range(2 * n + 1)]
+    lines = [f"def rk4_point(t, dt, {', '.join(a)}):", "    h = dt / 2"]
+    y, ks = a, []
+    for stage, (t_stage, c) in enumerate(
+            [("t", None), ("t + h", "h"), ("t + h", "h"), ("t + dt", "dt")], 1):
+        if c is not None:
+            y = [f"y{stage}_{i}" for i in range(len(a))]
+            lines.append(f"    {', '.join(y)} = "
+                         + ", ".join(f"{k}*{c} + {ai}" for k, ai in zip(ks[-1], a)))
+        args = ", ".join(f"float64({t_stage})" if kind == "t" else y[row]
+                         for kind, row in rhs_slots)
+        # the state's derivative: the stage's velocities, then the
+        # accelerations and L from the right-hand side
+        out = [f"k{stage}_{i}" for i in range(n, len(a))]
+        lines.append(f"    {', '.join(out)} = rhs({args})")
+        ks.append(y[n:2 * n] + out)
+    lines.append("    c = dt / 6")
+    lines.append("    return " + ", ".join(
+        f"(((({k1} + 2*{k2}) + 2*{k3}) + {k4})*c + {ai})"
+        for k1, k2, k3, k4, ai in zip(*ks, a)))
+    namespace = {"float64": np.float64, "rhs": rhs_func}
+    exec(compile("\n".join(lines), "<rk4_point>", "exec"), namespace)
+    return namespace["rk4_point"]
 
 
 def _slot_values(p: EvolutionProblem, slots: Sequence[tuple[str, int]], t: float,
@@ -362,38 +406,27 @@ def _fill_rhs(p: EvolutionProblem, t: float, arrays: np.ndarray, out: np.ndarray
         out[n + i] = val
 
 
-def _rhs_point(p: EvolutionProblem, t: float, y: list) -> list:
-    n = p.n
-    return y[n:2 * n] + p.rhs_func(*_slot_values(p, p.rhs_slots, t, y))
-
-
-def _step_point(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
-    # the array path's arithmetic, one numpy scalar per state variable
-    a, h, t = _rows(p, st), dt / 2, st.t
-    k1 = _rhs_point(p, t, a)
-    k2 = _rhs_point(p, t + h, [k * h + y for k, y in zip(k1, a)])
-    k3 = _rhs_point(p, t + h, [k * h + y for k, y in zip(k2, a)])
-    k4 = _rhs_point(p, t + dt, [k * dt + y for k, y in zip(k3, a)])
-    c = dt / 6
-    new = [(((q1 + 2 * q2) + 2 * q3) + q4) * c + y
-           for q1, q2, q3, q4, y in zip(k1, k2, k3, k4, a)]
-    return GridState(t + dt, np.array(new, dtype=float).reshape(p.n_vars, 1))
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got dt={dt}")
 
 
 def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
     """One classical fourth-order Runge--Kutta step (reuses ``p.stages``: not re-entrant).
 
     The stage sums are ``(((k1 + 2 k2) + 2 k3) + k4) (dt/6) + a`` with stage
-    states ``k c + a``.  A one-point problem (``m = 1``) computes them on
-    numpy float64 scalars, a grid problem on the stacked arrays; both return
-    a fresh state array and give the same bits on one point.
+    states ``k c + a``.  A one-point problem (``m = 1``) runs its compiled
+    step ``p.rk4_point`` on the state's numpy float64 scalars, a grid problem
+    computes the stages on the stacked arrays; both return a fresh state
+    array and give the same bits on one point.  ``dt`` must be positive and
+    finite, and on a grid at most ``_CFL * dx``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     if p.m == 2 and dt > _CFL * p.dx:
         raise ValueError(f"dt={dt} violates the CFL guard dt <= {_CFL}*dx = {_CFL * p.dx}")
     if p.m == 1:
-        return _step_point(p, st, dt)
+        new = p.rk4_point(st.t, dt, *st.arrays[:, 0])
+        return GridState(st.t + dt, np.array(new, dtype=float).reshape(p.n_vars, 1))
     # stage sums in the textbook order ((k1 + 2 k2) + 2 k3) + k4, built in
     # a fresh array (the returned state) from the problem's two stage buffers
     a, h = st.arrays, dt / 2
@@ -451,8 +484,7 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     computed from the per-step ``s^0`` history after the run.  A non-finite
     state aborts the run and the report keeps the last good state.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got dt={dt}")
+    _check_dt(dt)
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be non-negative and finite, got t_end={t_end}")
     if cadence < 1:

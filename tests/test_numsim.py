@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,15 @@ from mcfield.lagrangian import LagrangianSystem
 from mcfield.modelfile import SimulateConfig, load_model
 
 from conftest import model_path
+
+
+def _run_python(args):
+    """Run a Python process on the checkout's package; returns the finished process."""
+    src = str(pathlib.Path(numsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def _problem(L, m=1, n=1, params=(), config=None):
@@ -99,6 +109,24 @@ class TestStepLevel:
         with pytest.raises(ValueError, match="CFL"):
             numsim.step_rk4(p, st, p.dx)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("case", ["damped_oscillator", "damped_wave"])
+    def test_bad_step_rejected(self, case, dt):
+        # NaN passes both `dt <= 0` and the CFL guard; it must not step
+        p, _ = _bundled_problem(case, N=16 if case == "damped_wave" else None)
+        message = f"dt must be positive and finite, got dt={dt}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            numsim.step_rk4(p, p.initial_state(), dt)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("N", [1, 16])
+    def test_finite_flags_nan_and_inf(self, N, bad):
+        # one point takes the scalar test, a grid the ufunc
+        arrays = np.ones((3, N))
+        assert numsim.GridState(0.0, arrays).finite
+        arrays[1, N - 1] = bad
+        assert not numsim.GridState(0.0, arrays).finite
+
     def test_rk4_global_order(self):
         errors = []
         for dt in (1e-2, 5e-3, 2.5e-3):
@@ -151,11 +179,7 @@ class TestPointwisePrinter:
             "p.initial_state()\n"
             "assert numsim.run(p, dt=1e-2, t_end=0.1).termination == 'completed'\n"
             "assert 'numpy.f2py' not in sys.modules\n")
-        src = str(pathlib.Path(numsim.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = _run_python(["-c", code])
         assert done.returncode == 0, done.stderr
 
 
@@ -371,6 +395,35 @@ class TestBitIdentity:
         for name, want in series.items():
             assert np.array_equal(rep.series[name], np.asarray(want)), name
 
+    @pytest.mark.parametrize("case", ["time_forcing", "constant_acceleration",
+                                      "benchmark_shape"])
+    def test_compiled_point_step_matches_reference(self, case):
+        steps, cadence = 60, 3
+        if case == "time_forcing":
+            # the forcing pins the stage times t, t + dt/2 and t + dt
+            L = (ex.velocity(0, 0) ** 2 / 2 - ex.field(0) ** 2 / 2
+                 + sp.sin(ex.base(0)) * ex.field(0) / 5 - ex.action(0) / 10)
+            p, dt = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(1)})), 1e-1
+            assert ("t", 0) in p.rhs_slots
+        elif case == "constant_acceleration":
+            # the acceleration prints as the Python int 1
+            p, dt = _problem(ex.velocity(0, 0) ** 2 / 2 + ex.field(0)), 1e-1
+            acc, _ = p.rhs_func(*[np.float64(0.5)] * len(p.rhs_slots))
+            assert p.exprs[0] == 1 and type(acc) is int
+        else:
+            # oscillator_ode's run: the model's dt over 2,500 steps at cadence 10
+            p, dt = _bundled_problem("damped_oscillator")
+            steps, cadence = 2500, 10
+        p.monitors = ("action_balance", "energy", "action_balance_fd")
+        states, series = _reference_run(p, dt, steps, cadence)
+        rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence)
+        assert rep.termination == "completed"
+        assert len(rep.states) == len(states) == steps // cadence + 1
+        for got, want in zip(rep.states, states):
+            assert got.arrays.dtype == np.float64 and np.array_equal(got.arrays, want)
+        for name, want in series.items():
+            assert np.array_equal(rep.series[name], np.asarray(want)), name
+
     def test_step_returns_fresh_array(self):
         # the grid path and the one-point (numpy scalar) path
         for p, dt in (_bundled_problem("damped_wave", N=16), _bundled_problem("damped_oscillator")):
@@ -380,3 +433,15 @@ class TestBitIdentity:
             assert not np.shares_memory(st1.arrays, st2.arrays)
             assert not any(np.shares_memory(st.arrays, p.stages) for st in (st0, st1, st2))
             assert st2.arrays.shape == (p.n_vars, p.N) and st2.arrays.dtype == np.float64
+
+
+def test_wave_convergence_script():
+    # the script's grid study of action_balance_fd and its 10^4-step
+    # oscillator run against the closed form
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "wave_convergence.py"
+    done = _run_python([str(script), "--grids", "32,64"])
+    assert done.returncode == 0, done.stderr
+    order = float(re.search(r"observed convergence order: (\S+)", done.stdout).group(1))
+    error = float(re.search(r"oscillator max \|q - exact\| .*: (\S+)", done.stdout).group(1))
+    assert 1.8 <= order <= 2.2
+    assert error < 1e-9
