@@ -16,15 +16,16 @@ that ``compile_problem`` generates per problem: a whole RK4 step as straight
 Python code over the state's numpy float64 scalars, four calls of the same
 compiled right-hand side and the stage sums in the array path's order, so
 the results are bit for bit those of 1-element arrays at a fraction of the
-call overhead.  numpy scalars, not Python floats, keep the array semantics:
-overflow, division by zero and a negative base to a fractional power give
-inf/nan with a warning, and the run ends as ``"non-finite state"``.  For the
-same bits, the evaluators are printed with ``_PointwisePrinter``:
-``float64 ** e`` calls libm ``pow`` where ``ndarray ** e`` calls numpy's
-``square``/``power`` kernels, which differ in the last bit, so every power
-is printed as an explicit numpy kernel.
-Compiling binds ``numpy`` by name: lambdify's string module ``"numpy"``
-would run ``from numpy import *``, which imports ``numpy.f2py`` and more.
+call overhead; the monitors read the same scalars.  numpy scalars, not
+Python floats, keep the array semantics: overflow, division by zero and a
+negative base to a fractional power give inf/nan with a warning, and the run
+ends as ``"non-finite state"``.  For the same bits, the evaluators are
+printed with ``_PointwisePrinter``: ``float64 ** e`` calls libm ``pow``
+where ``ndarray ** e`` calls numpy's ``square``/``power`` kernels, which
+differ in the last bit, so every power is printed as an explicit numpy
+kernel.  Compiling binds ``numpy`` by name: lambdify's string module
+``"numpy"`` would run ``from numpy import *``, which imports ``numpy.f2py``
+and more.
 
 Action variables: the balance law constrains only the divergence of the
 ``s^mu`` fields.  We adopt the gauge ``s^1 == 0`` for ``m = 2`` (so the
