@@ -13,19 +13,25 @@ earlier per-expression, every-stencil integrator.
 
 One-point problems (``m = 1``, hence ``N = 1``) step through one function
 that ``compile_problem`` generates per problem: a whole RK4 step as straight
-Python code over the state's numpy float64 scalars, four calls of the same
-compiled right-hand side and the stage sums in the array path's order, so
-the results are bit for bit those of 1-element arrays at a fraction of the
-call overhead; the monitors read the same scalars.  numpy scalars, not
-Python floats, keep the array semantics: overflow, division by zero and a
-negative base to a fractional power give inf/nan with a warning, and the run
-ends as ``"non-finite state"``.  For the same bits, the evaluators are
-printed with ``_PointwisePrinter``: ``float64 ** e`` calls libm ``pow``
-where ``ndarray ** e`` calls numpy's ``square``/``power`` kernels, which
-differ in the last bit, so every power is printed as an explicit numpy
-kernel.  Compiling binds ``numpy`` by name: lambdify's string module
-``"numpy"`` would run ``from numpy import *``, which imports ``numpy.f2py``
-and more.
+Python code over the state's scalars, four calls of the same compiled
+right-hand side and the stage sums in the array path's order, so the results
+are bit for bit those of 1-element arrays at a fraction of the call
+overhead.  A step runs it first on Python floats, whose ``+ - * /`` give the
+same bits as numpy float64 and cost less than half as much; the evaluators
+are printed with ``_PointwisePrinter``, so every power and function is a
+numpy kernel and returns a numpy scalar, as on an array.  If that pass
+raises ``ArithmeticError`` (a Python float divided by zero) or ends
+non-finite, the step is recomputed from the same start on numpy float64
+scalars, whose array semantics give inf/nan with numpy's warning, and the
+run ends as ``"non-finite state"``.  The one difference from the array path:
+an intermediate overflow whose step still ends finite no longer warns.  The
+new state keeps the returned scalars (``_PointState``) and builds its
+``(n_vars, 1)`` array only when something reads it.  ``_PointwisePrinter``
+exists for the bits: ``float64 ** e`` calls libm ``pow`` where
+``ndarray ** e`` calls numpy's ``square``/``power`` kernels, which differ in
+the last bit, so every power is printed as an explicit numpy kernel.
+Compiling binds ``numpy`` by name: lambdify's string module ``"numpy"``
+would run ``from numpy import *``, which imports ``numpy.f2py`` and more.
 
 Action variables: the balance law constrains only the divergence of the
 ``s^mu`` fields.  We adopt the gauge ``s^1 == 0`` for ``m = 2`` (so the
@@ -47,6 +53,7 @@ Monitors:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
@@ -106,8 +113,8 @@ class EvolutionProblem:
     # one whole RK4 step of a one-point problem (see ``_compile_point_step``);
     # None for a grid
     rk4_point: Optional[Callable]
-    initial: dict[str, sp.Expr]
-    parameter_values: dict[str, float]
+    # the initial data: one evaluator of every state row at the points x^1
+    initial_func: Callable
     monitors: tuple[str, ...]
 
     x: np.ndarray = dc_field(init=False, repr=False, compare=False)
@@ -123,21 +130,10 @@ class EvolutionProblem:
         return 2 * self.n + 1
 
     def initial_state(self) -> "GridState":
-        x1 = self.x
-        arrays = []
-        for name in self.state_names:
-            e = self.initial.get(name, sp.Integer(0))
-            e = sp.sympify(e).xreplace(
-                {sp.Symbol(k): sp.Float(v) for k, v in self.parameter_values.items()})
-            free = e.free_symbols - {ex.base(1) if self.m == 2 else None}
-            free.discard(None)
-            if free:
-                raise CompileError(
-                    f"initial data for {name} has unresolved symbols {sorted(map(str, free))}")
-            f = _lambdify([ex.base(1)], e)
-            arrays.append(np.broadcast_to(np.asarray(f(x1), dtype=float),
-                                          (self.N,)).copy())
-        return GridState(t=0.0, arrays=np.stack(arrays))
+        """A fresh state at t = 0 from the compiled initial data."""
+        return GridState(t=0.0, arrays=np.stack([
+            np.broadcast_to(np.asarray(v, dtype=float), (self.N,))
+            for v in self.initial_func(self.x)]))
 
 
 @dataclass
@@ -152,10 +148,30 @@ class GridState:
 
     @property
     def finite(self) -> bool:
-        if self.arrays.shape[1] == 1:
-            # one point: a few scalars, cheaper in Python than through a ufunc
-            return all(map(math.isfinite, self.arrays.flat))
         return bool(np.isfinite(self.arrays).all())
+
+
+class _PointState(GridState):
+    """A one-point state as the scalars ``rk4_point`` returned, one per state
+    variable: Python floats from the float pass, numpy float64 where a numpy
+    kernel or the fallback made them.  Its ``(n_vars, 1)`` array is built on
+    the first read and is read-only, because ``step_rk4`` steps from the
+    scalars."""
+
+    def __init__(self, t: float, values: tuple):
+        self.t = t
+        self.values = values
+
+    @functools.cached_property
+    def arrays(self) -> np.ndarray:
+        a = np.array(self.values, dtype=float).reshape(-1, 1)
+        a.flags.writeable = False
+        return a
+
+    @property
+    def finite(self) -> bool:
+        # a few scalars: cheaper in Python than through a ufunc
+        return all(map(math.isfinite, self.values))
 
 
 @dataclass
@@ -298,8 +314,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
             slots[ex.second_jet(A, 1, 1)] = ("central2", A)
         slots[ex.action_grad(0, 1)] = ("central", 2 * n)
 
-    params = dict(config.parameters)
-    psubs = {sp.Symbol(k): sp.Float(v) for k, v in params.items()}
+    psubs = {sp.Symbol(k): sp.Float(v) for k, v in config.parameters.items()}
 
     def _compile(named: list, slot_of: dict) -> tuple:
         exprs = []
@@ -328,16 +343,25 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     (energy_expr,), energy_func, energy_slots = _compile(
         [("the energy density", e_density)], {**slots, **forward})
 
+    # initial data: functions of x^1 alone (m = 2) or constants (m = 1)
+    state_names = tuple(str(a) for a in rows + [ex.action(0)])
+    initial = []
+    for name in state_names:
+        e = sp.sympify(config.initial.get(name, sp.Integer(0))).xreplace(psubs)
+        free = e.free_symbols - ({ex.base(1)} if m == 2 else set())
+        if free:
+            raise CompileError(
+                f"initial data for {name} has unresolved symbols {sorted(map(str, free))}")
+        initial.append(e)
+
     N = int(config.N) if m == 2 else 1
     dx = (float(config.length) if m == 2 else 1.0) / N
-    state_names = tuple(str(a) for a in rows + [ex.action(0)])
     return EvolutionProblem(
         m=m, n=n, N=N, dx=dx, state_names=state_names, exprs=exprs,
         energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_slots,
         energy_func=energy_func, energy_slots=energy_slots,
         rk4_point=_compile_point_step(n, rhs_func, rhs_slots) if m == 1 else None,
-        initial=dict(config.initial), parameter_values=params,
-        monitors=tuple(config.monitors))
+        initial_func=_lambdify([ex.base(1)], initial), monitors=tuple(config.monitors))
 
 
 def _compile_point_step(n: int, rhs_func: Callable,
@@ -345,11 +369,12 @@ def _compile_point_step(n: int, rhs_func: Callable,
     """One classical RK4 step of a one-point problem as straight-line code.
 
     The function takes ``(t, dt, a0, ..., a{2n})``, the time, the step and
-    the state's numpy float64 scalars, and returns the new state as a tuple.
-    Each stage calls ``rhs_func`` with the arguments ``rhs_slots`` names; the
-    time is a numpy scalar too, so that a model dividing by t gives inf at
-    t = 0 rather than ZeroDivisionError.  The arithmetic is the grid path's:
-    stage states ``k*c + a`` and ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a``.
+    the state's scalars, and returns the new state as a tuple.  Each stage
+    calls ``rhs_func`` with the arguments ``rhs_slots`` names, the stage time
+    ``t + dt/2`` or ``t + dt`` of the type of ``t``: given Python floats the
+    step runs on Python floats, given numpy float64 scalars on numpy's (see
+    ``step_rk4``).  The arithmetic is the grid path's: stage states
+    ``k*c + a`` and ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a``.
     """
     a = [f"a{i}" for i in range(2 * n + 1)]
     lines = [f"def rk4_point(t, dt, {', '.join(a)}):", "    h = dt / 2"]
@@ -360,7 +385,7 @@ def _compile_point_step(n: int, rhs_func: Callable,
             y = [f"y{stage}_{i}" for i in range(len(a))]
             lines.append(f"    {', '.join(y)} = "
                          + ", ".join(f"{k}*{c} + {ai}" for k, ai in zip(ks[-1], a)))
-        args = ", ".join(f"float64({t_stage})" if kind == "t" else y[row]
+        args = ", ".join(t_stage if kind == "t" else y[row]
                          for kind, row in rhs_slots)
         # the state's derivative: the stage's velocities, then the
         # accelerations and L from the right-hand side
@@ -371,7 +396,7 @@ def _compile_point_step(n: int, rhs_func: Callable,
     lines.append("    return " + ", ".join(
         f"(((({k1} + 2*{k2}) + 2*{k3}) + {k4})*c + {ai})"
         for k1, k2, k3, k4, ai in zip(*ks, a)))
-    namespace = {"float64": np.float64, "rhs": rhs_func}
+    namespace = {"rhs": rhs_func}
     exec(compile("\n".join(lines), "<rk4_point>", "exec"), namespace)
     return namespace["rk4_point"]
 
@@ -417,17 +442,26 @@ def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
 
     The stage sums are ``(((k1 + 2 k2) + 2 k3) + k4) (dt/6) + a`` with stage
     states ``k c + a``.  A one-point problem (``m = 1``) runs its compiled
-    step ``p.rk4_point`` on the state's numpy float64 scalars, a grid problem
-    computes the stages on the stacked arrays; both return a fresh state
-    array and give the same bits on one point.  ``dt`` must be positive and
-    finite, and on a grid at most ``_CFL * dx``.
+    step ``p.rk4_point`` on the state's scalars as Python floats; if that
+    raises ``ArithmeticError`` or ends non-finite, it reruns the step from the
+    same start on numpy float64 scalars, which give inf/nan with numpy's
+    warnings as an array would.  It returns a ``_PointState`` holding the
+    scalars.  A grid problem computes the stages on the stacked arrays and
+    returns a fresh state array.  Both give the same bits on one point.
+    ``dt`` must be positive and finite, and on a grid at most ``_CFL * dx``.
     """
     _check_dt(dt)
     if p.m == 2 and dt > _CFL * p.dx:
         raise ValueError(f"dt={dt} violates the CFL guard dt <= {_CFL}*dx = {_CFL * p.dx}")
     if p.m == 1:
-        new = p.rk4_point(st.t, dt, *st.arrays[:, 0])
-        return GridState(st.t + dt, np.array(new, dtype=float).reshape(p.n_vars, 1))
+        a = st.values if isinstance(st, _PointState) else st.arrays[:, 0].tolist()
+        try:
+            new = _PointState(st.t + dt, p.rk4_point(st.t, dt, *a))
+            if new.finite:
+                return new
+        except ArithmeticError:
+            pass
+        return _PointState(st.t + dt, p.rk4_point(np.float64(st.t), dt, *map(np.float64, a)))
     # stage sums in the textbook order ((k1 + 2 k2) + 2 k3) + k4, built in
     # a fresh array (the returned state) from the problem's two stage buffers
     a, h = st.arrays, dt / 2
@@ -555,10 +589,9 @@ def write_csv(report: RunReport, p: EvolutionProblem, path: str) -> None:
         if small:
             header += [f"{name}@{i}" for name in p.state_names for i in range(p.N)]
         w.writerow(header)
-        for idx, t in enumerate(report.times):
-            row = [f"{t:.12g}"] + [f"{report.series[kk][idx]:.12g}" for kk in mon_names]
+        # Python floats format as numpy's do, at a fraction of an indexing's cost
+        columns = [report.times.tolist()] + [report.series[k].tolist() for k in mon_names]
+        for idx, row in enumerate(zip(*columns)):
             if small:
-                stt = report.states[idx]
-                row += [f"{stt.arrays[j, i]:.12g}"
-                        for j in range(p.n_vars) for i in range(p.N)]
-            w.writerow(row)
+                row += tuple(report.states[idx].arrays.ravel().tolist())
+            w.writerow([f"{v:.12g}" for v in row])

@@ -164,6 +164,29 @@ class TestSimulate:
         assert "simulate.initial['y[0]'] must be finite and real" in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_unbound_initial_symbol_is_model_error(self, tmp_path, capsys):
+        # `a` is a parameter of the model that the Lagrangian does not read
+        # and nothing binds, so only the initial data meets it
+        model = tmp_path / "unbound_initial.model"
+        model.write_text(textwrap.dedent("""
+            m: 1
+            n: 1
+            parameters:
+              k:
+              a:
+            lagrangian: 1/2*dy[0,0]^2 - k*y[0]^2
+            simulate:
+              parameters: {k: 1}
+              t_end: 0.1
+              initial:
+                y[0]: "a"
+        """))
+        code = run_cli("simulate", str(model), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert ("initial data for y0 has unresolved symbols ['a']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_writes_into_working_directory_without_out(self, tmp_path, monkeypatch,
                                                        capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,8 +1,10 @@
 """Byte-identity of the CLI on every bundled model.
 
 Each case runs one verb in-process and compares its stdout, byte for byte,
-and its exit code with ``tests/golden/cli``.  Regenerate the goldens (only
-on purpose, from a trusted tree) with
+and its exit code with ``tests/golden/cli``; ``simulate`` is compared by the
+CSV it writes, on the one-point models whose equations are polynomial, so
+that no libm function can differ between machines.  Regenerate the goldens
+(only on purpose, from a trusted tree) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -10,7 +12,9 @@ on purpose, from a trusted tree) with
 import contextlib
 import io
 import json
+import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -27,6 +31,10 @@ VERBS = {
     "unify": ("unify",),
 }
 CASES = [(path.stem, verb) for path in sorted(MODELS.glob("*.model")) for verb in VERBS]
+SIMULATE = {
+    "damped_oscillator": ("--t-end", "0.5"),
+    "coupled_two_field": ("--param", "gamma=0.3", "--t-end", "0.5"),
+}
 
 
 def run_case(model: str, verb: str) -> tuple[str, int]:
@@ -35,6 +43,12 @@ def run_case(model: str, verb: str) -> tuple[str, int]:
     with contextlib.redirect_stdout(out):
         code = main([head, model_path(model), *rest])
     return out.getvalue(), code
+
+
+def simulate_csv(model: str, out_dir: str) -> bytes:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", model_path(model), *SIMULATE[model], "--out", out_dir]) == 0
+    return (pathlib.Path(out_dir) / f"{model}.csv").read_bytes()
 
 
 def _exit_codes() -> dict:
@@ -48,6 +62,12 @@ def test_cli_output_is_byte_identical(model, verb):
     assert code == _exit_codes()[f"{model}.{verb}"]
 
 
+@pytest.mark.parametrize("model", sorted(SIMULATE))
+def test_simulate_csv_is_byte_identical(model, tmp_path):
+    golden = (CLI_GOLDEN / f"{model}.simulate.csv").read_bytes()
+    assert simulate_csv(model, str(tmp_path)) == golden
+
+
 def _regenerate() -> None:
     CLI_GOLDEN.mkdir(parents=True, exist_ok=True)
     codes = {}
@@ -55,6 +75,9 @@ def _regenerate() -> None:
         text, codes[f"{model}.{verb}"] = run_case(model, verb)
         (CLI_GOLDEN / f"{model}.{verb}.txt").write_text(text)
     (CLI_GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as out_dir:
+        for model in SIMULATE:
+            (CLI_GOLDEN / f"{model}.simulate.csv").write_bytes(simulate_csv(model, out_dir))
 
 
 if __name__ == "__main__":

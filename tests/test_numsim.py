@@ -52,6 +52,17 @@ class TestCompile:
         with pytest.raises(numsim.CompileError, match="gamma"):
             _problem(ex.velocity(0, 0) ** 2 / 2 - gam * ex.action(0), params=(gam,))
 
+    def test_unbound_initial_symbol_rejected_at_compile(self):
+        cfg = SimulateConfig(initial={"y0": sp.Symbol("a")})
+        with pytest.raises(numsim.CompileError, match=re.escape("unresolved symbols ['a']")):
+            _problem(ex.velocity(0, 0) ** 2 / 2 - ex.field(0) ** 2 / 2, config=cfg)
+
+    def test_initial_state_is_fresh(self):
+        p = _oscillator_problem()
+        st0, st1 = p.initial_state(), p.initial_state()
+        assert not np.shares_memory(st0.arrays, st1.arrays)
+        assert st0.arrays.tolist() == [[1.0], [0.0], [0.0]]
+
     def test_constraint_only_system_rejected(self):
         # L linear in the velocity: no isolable second time derivative
         with pytest.raises(numsim.CompileError, match="singular|evolution"):
@@ -121,11 +132,14 @@ class TestStepLevel:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("N", [1, 16])
     def test_finite_flags_nan_and_inf(self, N, bad):
-        # one point takes the scalar test, a grid the ufunc
+        # an array takes the ufunc, a one-point step's scalars math.isfinite
         arrays = np.ones((3, N))
         assert numsim.GridState(0.0, arrays).finite
         arrays[1, N - 1] = bad
         assert not numsim.GridState(0.0, arrays).finite
+        if N == 1:
+            assert numsim._PointState(0.0, (1.0, 1.0, 1.0)).finite
+            assert not numsim._PointState(0.0, (1.0, bad, 1.0)).finite
 
     def test_rk4_global_order(self):
         errors = []
@@ -357,9 +371,16 @@ def _pointwise_kernels_problem():
     return _problem(L, n=2, config=SimulateConfig(initial=initial)), 1e-2
 
 
-def _bundled_problem(name, N=None, parameters=None):
+# s0 starts small beside its increments, so a reordered stage sum shows in
+# its last bits
+_MOVING_VELOCITY_ACTION_CROSS = {"y0": sp.Rational(1, 2), "dy0_0": sp.Rational(3, 10),
+                                 "s0": sp.Rational(1, 1000)}
+
+
+def _bundled_problem(name, N=None, parameters=None, initial=None):
     spec, cfg = load_model(model_path(name))
-    cfg = dataclasses.replace(cfg, N=N or cfg.N, parameters=parameters or cfg.parameters)
+    cfg = dataclasses.replace(cfg, N=N or cfg.N, parameters=parameters or cfg.parameters,
+                              initial=initial or cfg.initial)
     eqs = LagrangianSystem(spec).herglotz_el_equations()
     p = numsim.compile_problem(eqs, cfg)
     return p, (cfg.length / p.N / 4 if p.m == 2 else 1e-3)
@@ -384,7 +405,11 @@ class TestBitIdentity:
         else:
             p, dt = _bundled_problem(case, N=64 if case == "damped_wave" else None,
                                      parameters={"gamma": 0.3} if case == "coupled_two_field"
-                                     else None)
+                                     else None,
+                                     # the model has no simulate block: all zeros, which
+                                     # stay zero and could not show a wrong step
+                                     initial=_MOVING_VELOCITY_ACTION_CROSS
+                                     if case == "velocity_action_cross" else None)
         p.monitors = ("action_balance", "energy", "action_balance_fd")
         steps, cadence = 60, 3
         states, series = _reference_run(p, dt, steps, cadence)
@@ -433,6 +458,87 @@ class TestBitIdentity:
             assert not np.shares_memory(st1.arrays, st2.arrays)
             assert not any(np.shares_memory(st.arrays, p.stages) for st in (st0, st1, st2))
             assert st2.arrays.shape == (p.n_vars, p.N) and st2.arrays.dtype == np.float64
+
+
+class TestPointFloatPath:
+    """A one-point step runs on Python floats and, where they raise or end
+    non-finite, again on numpy float64 scalars."""
+
+    def test_step_keeps_python_floats(self):
+        # from the initial (array) state, then from the scalars of a step
+        p, dt = _bundled_problem("damped_oscillator")
+        st = p.initial_state()
+        for _ in range(2):
+            st = numsim.step_rk4(p, st, dt)
+            assert len(st.values) == p.n_vars
+            assert all(type(v) is float for v in st.values)
+        # the next step reads the scalars, so the array must not take writes
+        assert st.arrays.tolist() == [[v] for v in st.values]
+        with pytest.raises(ValueError, match="read-only"):
+            st.arrays[0, 0] = 0.0
+
+    @pytest.mark.parametrize("case", ["pointwise_kernels", "benchmark_shape"])
+    def test_array_and_scalar_starts_step_alike(self, case):
+        # numpy kernels leave numpy scalars among the values; an array start
+        # hands the step Python floats only
+        p, dt = (_pointwise_kernels_problem() if case == "pointwise_kernels"
+                 else _bundled_problem("damped_oscillator"))
+        st = numsim.step_rk4(p, p.initial_state(), dt)
+        plain = numsim.GridState(st.t, st.arrays.copy())
+        from_values, from_arrays = numsim.step_rk4(p, st, dt), numsim.step_rk4(p, plain, dt)
+        assert from_values.t == from_arrays.t
+        assert from_values.arrays.tobytes() == from_arrays.arrays.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_overflow_warns_as_on_an_array(self):
+        # Python floats overflow to inf without a word; the rerun on numpy
+        # scalars gives numpy's warning before the run ends
+        lam = sp.Symbol("lam")
+        L = ex.velocity(0, 0) ** 2 / 2 + lam * ex.field(0) ** 2 / 2
+        cfg = SimulateConfig(initial={"y0": sp.Integer(1)}, parameters={"lam": 1e8})
+        p = _problem(L, params=(lam,), config=cfg)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rep = numsim.run(p, dt=10.0, t_end=10000.0)
+        assert rep.termination == "non-finite state"
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("case", ["state", "time"])
+    def test_fallback_mid_run_matches_reference(self, case):
+        if case == "state":
+            # y1 falls at speed 1 from 3 and v0 stays 0, both exactly, so the
+            # acceleration -dy0_0*dy1_0/y1 is 0.0/0.0 in step 4's last stage
+            L = ex.velocity(1, 0) ** 2 / 2 + ex.field(1) * ex.velocity(0, 0) ** 2 / 2
+            initial = {"y0": sp.Integer(1), "y1": sp.Integer(3), "dy1_0": sp.Integer(-1)}
+            p, dt, t_raise = _problem(L, n=2, config=SimulateConfig(initial=initial)), 0.75, 2.25
+        else:
+            # the acceleration y0/(t - 1) at the stage time 0.875 + dt = 1
+            L = ex.velocity(0, 0) ** 2 / 2 + ex.field(0) ** 2 / (2 * (ex.base(0) - 1))
+            p = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(1)}))
+            dt, t_raise = 0.125, 0.875
+        p.monitors = ("action_balance", "energy")
+        float_step, raised = p.rk4_point, []
+
+        def spy(t, *args):
+            try:
+                return float_step(t, *args)
+            except ZeroDivisionError:
+                raised.append(t)
+                raise
+
+        p.rk4_point = spy
+        steps = 12
+        states, series = _reference_run(p, dt, steps, 1)
+        rep = numsim.run(p, dt=dt, t_end=steps * dt)
+        assert raised == [t_raise] and type(raised[0]) is float
+        assert rep.termination == "non-finite state"
+        k = len(rep.states)
+        assert rep.states[-1].t == t_raise and 0 < k < steps
+        assert not np.isfinite(states[k]).all()
+        for got, want in zip(rep.states, states[:k]):
+            assert got.arrays.tobytes() == want.tobytes()
+        for name in p.monitors:
+            assert np.array_equal(rep.series[name], np.asarray(series[name][:k])), name
 
 
 def test_wave_convergence_script():
