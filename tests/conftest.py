@@ -13,6 +13,7 @@ from mcfield.modelfile import load_model
 ROOT = pathlib.Path(__file__).parent.parent
 MODELS = ROOT / "src" / "mcfield" / "models"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+TEST_MODELS = pathlib.Path(__file__).parent / "models"   # test-only, non-polynomial
 
 
 def model_path(name: str) -> str:

@@ -1,7 +1,9 @@
 """Byte-identity of the CLI on every bundled model.
 
 Each case runs one verb in-process and compares its stdout, byte for byte,
-and its exit code with ``tests/golden/cli``; ``simulate`` is compared by the
+and its exit code with ``tests/golden/cli``.  The cases cover the bundled
+models and the test-only models in ``tests/models``, whose Lagrangians use
+sin, cos, exp and log, which no bundled model does; ``simulate`` is compared by the
 CSV it writes, on the one-point models whose equations are polynomial, so
 that no libm function can differ between machines.  Regenerate the goldens
 (only on purpose, from a trusted tree) with
@@ -20,7 +22,7 @@ import pytest
 
 from mcfield.cli import main
 
-from conftest import MODELS, GOLDEN, model_path
+from conftest import MODELS, GOLDEN, TEST_MODELS, model_path
 
 CLI_GOLDEN = GOLDEN / "cli"
 VERBS = {
@@ -30,7 +32,9 @@ VERBS = {
     "check": ("check",),
     "unify": ("unify",),
 }
-CASES = [(path.stem, verb) for path in sorted(MODELS.glob("*.model")) for verb in VERBS]
+PATHS = {path.stem: str(path)
+         for path in sorted(MODELS.glob("*.model")) + sorted(TEST_MODELS.glob("*.model"))}
+CASES = [(model, verb) for model in PATHS for verb in VERBS]
 SIMULATE = {
     "damped_oscillator": ("--t-end", "0.5"),
     "coupled_two_field": ("--param", "gamma=0.3", "--t-end", "0.5"),
@@ -41,7 +45,7 @@ def run_case(model: str, verb: str) -> tuple[str, int]:
     head, *rest = VERBS[verb]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([head, model_path(model), *rest])
+        code = main([head, PATHS[model], *rest])
     return out.getvalue(), code
 
 
