@@ -53,28 +53,26 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
     """Invert the fiber Legendre map for velocity-quadratic Lagrangians.
 
     The assignments are affine in the velocities, p = W v + c, with W the
-    Hessian of the derivative table.  All linear algebra is exact over the
-    fraction field of the parameters (``expr.exact_*``).  There is one
-    inversion path: the minimum-norm solution v = W^+ (p - c), with W^+ from
-    a rank decomposition, and the linear conditions k^T (p - c) = 0, k in
-    the kernel of W^T, that characterize the image.  On an invertible W the
-    pseudo-inverse is W^-1 and the kernel is empty.
+    Hessian of the derivative table, so c is the momenta at rest (every
+    velocity set to 0) once W is checked to be free of velocities.  All
+    linear algebra is exact over the fraction field of the parameters
+    (``expr.exact_*``).  There is one inversion path: the minimum-norm
+    solution v = W^+ (p - c), with W^+ from a rank decomposition, and the
+    linear conditions k^T (p - c) = 0, k in the kernel of W^T, that
+    characterize the image.  On an invertible W the pseudo-inverse is W^-1
+    and the kernel is empty.
     """
-    vel = [ex.velocity(A, mu) for A in range(lag.n) for mu in range(lag.m)]
     pairs = [(A, mu) for A in range(lag.n) for mu in range(lag.m)]
+    vel = [ex.velocity(A, mu) for A, mu in pairs]
     W = lag.hessian()
-    for entry in W:
-        if entry.free_symbols & set(vel):
-            raise ex.ExprError("velocity elimination requires a Lagrangian "
-                               "quadratic in the velocities")
-    # affine fiber map p = W v + c
-    c = sp.Matrix([sp.expand(lag.momentum_assignment(A, mu)
-                             - sum(W[i, j] * vel[j] for j in range(len(vel))))
-                   for i, (A, mu) in enumerate(pairs)])
+    if any(entry.free_symbols & set(vel) for entry in W):
+        raise ex.ExprError("velocity elimination requires a Lagrangian "
+                           "quadratic in the velocities")
+    c = sp.Matrix([p.xreplace({v: sp.S.Zero for v in vel}) for p in lag.momenta])
     rhs = sp.Matrix([ex.momentum(A, mu) for A, mu in pairs]) - c
 
     v_min = ex.exact_cancel(ex.exact_pinv(W) * rhs)
-    rep = {vel[i]: v_min[i] for i in range(len(vel))}
+    rep = dict(zip(vel, v_min))
     resids = ex.exact_cancel(sp.Matrix([(kvec.T * rhs)[0, 0]
                                         for kvec in ex.exact_nullspace(W.T)]))
     constraints = [r for r in map(sp.expand, resids) if r != 0]

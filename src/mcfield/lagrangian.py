@@ -11,14 +11,14 @@ Herglotz--Euler--Lagrange field equations
 written out with formal jet-gradient symbols (second jets d2y[A,mu,nu],
 action gradients ds[nu,mu]).
 
-Every derivative of L is taken once per system, by ``expr.diff``, and kept
-in a derivative table: the momenta dL/dy^A_mu and their partials
-(``momentum_jet``), dL/dy^A (``field_partials``), dL/ds^mu
-(``action_partials``) and the energy's gradient (``energy_jet``, by the
-chain rule from the others).  The field equations, sigma_L and the unified
-side read it, and d(Theta_L) is assembled from it (``theta``) instead of
-differentiating Theta_L again.  The total derivatives of the field
-equations are taken by ``expr.diff`` too.
+L is expanded once per system, and each derivative of the expanded L is
+taken once, by ``expr.diff``, into a derivative table: the momenta
+dL/dy^A_mu and their partials (``momentum_jet``), dL/dy^A
+(``field_partials``), dL/ds^mu (``action_partials``) and the energy's
+gradient (``energy_jet``, by the chain rule).  The field equations, sigma_L
+and the unified side read it; d(Theta_L) is assembled from it (``theta``)
+instead of differentiating Theta_L again.  L as written stays as ``L``:
+the action-balance row prints it.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ class LagrangianSystem:
         self.spec = spec
         self.m = spec.m
         self.n = spec.n
-        self.L = sp.sympify(spec.lagrangian)
+        self.L = sp.sympify(spec.lagrangian)   # as written, for the action row
+        self._expanded = sp.expand(self.L)      # what the table differentiates
         self.chart = build_chart(ChartKind.P, spec.m, spec.n)
         self._vel_order = [(A, mu) for A in range(self.n) for mu in range(self.m)]
 
@@ -183,7 +184,7 @@ class LagrangianSystem:
     @cached_property
     def momenta(self) -> list[sp.Expr]:
         """dL/dy^A_mu for every velocity, in the (A-major, mu-minor) order."""
-        return [ex.diff(self.L, ex.velocity(A, mu)) for A, mu in self._vel_order]
+        return [ex.diff(self._expanded, ex.velocity(A, mu)) for A, mu in self._vel_order]
 
     @cached_property
     def momentum_jet(self) -> list[dict[sp.Symbol, sp.Expr]]:
@@ -194,12 +195,12 @@ class LagrangianSystem:
     @cached_property
     def field_partials(self) -> list[sp.Expr]:
         """dL/dy^A for every field."""
-        return [ex.diff(self.L, ex.field(A)) for A in range(self.n)]
+        return [ex.diff(self._expanded, ex.field(A)) for A in range(self.n)]
 
     @cached_property
     def action_partials(self) -> list[sp.Expr]:
         """dL/ds^mu for every action coordinate."""
-        return [ex.diff(self.L, ex.action(mu)) for mu in range(self.m)]
+        return [ex.diff(self._expanded, ex.action(mu)) for mu in range(self.m)]
 
     @cached_property
     def energy_jet(self) -> dict[sp.Symbol, sp.Expr]:
@@ -328,13 +329,9 @@ class LagrangianSystem:
         """Herglotz--Euler--Lagrange equations in jet-gradient symbols."""
         eqs = EquationSet("Herglotz-Euler-Lagrange equations", self.m, self.n)
         for B in range(self.n):
-            lhs = sp.Integer(0)
-            for mu in range(self.m):
-                lhs += total_derivative(self.momentum_assignment(B, mu),
-                                        mu, self.m, self.n)
-            rhs = self.field_partials[B]
-            for mu in range(self.m):
-                rhs += self.action_partials[mu] * self.momentum_assignment(B, mu)
+            p = [self.momentum_assignment(B, mu) for mu in range(self.m)]
+            lhs = sum(total_derivative(p[mu], mu, self.m, self.n) for mu in range(self.m))
+            rhs = self.field_partials[B] + sum(a * q for a, q in zip(self.action_partials, p))
             eqs.equations.append(Equation(f"el[{B}]", sp.expand(lhs), sp.expand(rhs),
                                           EquationRole.EVOLUTION))
         balance_lhs = sum(ex.action_grad(mu, mu) for mu in range(self.m))

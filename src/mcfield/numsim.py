@@ -156,22 +156,22 @@ class _PointState(GridState):
     variable: Python floats from the float pass, numpy float64 where a numpy
     kernel or the fallback made them.  Its ``(n_vars, 1)`` array is built on
     the first read and is read-only, because ``step_rk4`` steps from the
-    scalars."""
+    scalars.  ``finite`` is tested once, when the state is made: it shadows
+    ``GridState``'s property with a plain attribute, in Python rather than by
+    a ufunc, because ``step_rk4`` and ``run`` both read it."""
+
+    finite = True
 
     def __init__(self, t: float, values: tuple):
         self.t = t
         self.values = values
+        self.finite = all(map(math.isfinite, values))
 
     @functools.cached_property
     def arrays(self) -> np.ndarray:
         a = np.array(self.values, dtype=float).reshape(-1, 1)
         a.flags.writeable = False
         return a
-
-    @property
-    def finite(self) -> bool:
-        # a few scalars: cheaper in Python than through a ufunc
-        return all(map(math.isfinite, self.values))
 
 
 @dataclass

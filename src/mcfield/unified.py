@@ -133,17 +133,20 @@ class UnifiedSystem:
 
     # --------------------------------------------------------- field equations
     def primary_constraints(self) -> list[sp.Expr]:
-        """xi^mu_A = dL/dy^A_mu - p^mu_A."""
+        """xi^mu_A = dL/dy^A_mu - p^mu_A, built once per system (a new list each call)."""
+        return list(self._primary)
+
+    @cached_property
+    def _primary(self) -> list[sp.Expr]:
         return [sp.expand(p - ex.momentum(A, mu))
                 for (A, mu), p in zip(self._pairs, self.lag.momenta)]
 
     @cached_property
     def _momentum_sources(self) -> list[sp.Expr]:
-        """Right-hand sides of the momentum trace equations:
+        """Right-hand sides of the momentum trace equations, expanded:
         dL/dy^A + (dL/ds^mu) p^mu_A, one per field."""
-        lag = self.lag
-        return [lag.field_partials[A] + sum(lag.action_partials[mu] * ex.momentum(A, mu)
-                                            for mu in range(self.m))
+        fp, ap = self.lag.field_partials, self.lag.action_partials
+        return [sp.expand(fp[A] + sum(ap[mu] * ex.momentum(A, mu) for mu in range(self.m)))
                 for A in range(self.n)]
 
     def sr_field_equations(self) -> CoefficientSystem:
@@ -155,8 +158,7 @@ class UnifiedSystem:
                 ex.velocity(A, mu), EquationRole.SEMI_HOLONOMY))
         for A in range(self.n):
             lhs = sum(coefficient_symbol("Xp", A, mu, mu) for mu in range(self.m))
-            eqs.equations.append(Equation(f"momentum[{A}]", lhs,
-                                          sp.expand(self._momentum_sources[A]),
+            eqs.equations.append(Equation(f"momentum[{A}]", lhs, self._momentum_sources[A],
                                           EquationRole.EVOLUTION))
         xi = self.primary_constraints()
         for (A, mu), c in zip(self._pairs, xi):

@@ -6,6 +6,9 @@ from mcfield.calculus import contract, d, structure_diagnostics, wedge
 from mcfield.chart import ModelSpec
 from mcfield.lagrangian import (EquationRole, EquationSet, LagrangianSystem,
                                 Regularity, total_derivative)
+from mcfield.modelfile import load_model
+
+from conftest import TEST_MODELS
 
 
 def _system(L, m=1, n=1, params=()):
@@ -124,6 +127,52 @@ class TestExteriorFromTable:
             assert theta._exterior is not None and unseeded._exterior is None
             assert (structure_diagnostics(theta, lag.chart)
                     == structure_diagnostics(unseeded, lag.chart)), name
+
+
+def _table_mismatches(lag):
+    """Entries of the derivative table that differ, under ``expr.equal``,
+    from sympy's own ``diff`` of the Lagrangian as written in the model
+    (and of the energy built from it): one (table, coordinate) pair each.
+    Every chart coordinate is compared, so a partial missing from a jet
+    counts as well as a wrong one."""
+    L = sp.sympify(lag.spec.lagrangian)
+    vel = [ex.velocity(A, mu) for A in range(lag.n) for mu in range(lag.m)]
+    coords = lag.chart.coords
+    momenta = [sp.diff(L, v) for v in vel]
+    energy = sum(v * p for v, p in zip(vel, momenta)) - L
+    pairs = [(("momenta", v), lag.momenta[i], momenta[i]) for i, v in enumerate(vel)]
+    pairs += [(("field_partials", ex.field(A)), lag.field_partials[A],
+               sp.diff(L, ex.field(A))) for A in range(lag.n)]
+    pairs += [(("action_partials", ex.action(mu)), lag.action_partials[mu],
+               sp.diff(L, ex.action(mu))) for mu in range(lag.m)]
+    pairs += [((f"momentum_jet[{v}]", z), row.get(z, 0), sp.diff(momenta[i], z))
+              for i, (v, row) in enumerate(zip(vel, lag.momentum_jet)) for z in coords]
+    # base partials are left out of the energy jet: they wedge to zero with d^m x
+    pairs += [(("energy_jet", z), lag.energy_jet.get(z, 0), sp.diff(energy, z))
+              for z in coords[lag.m:]]
+    return [key for key, table, reference in pairs
+            if (table != 0 or reference != 0) and not ex.equal(table, reference)]
+
+
+class TestDerivativeTable:
+    """The table differentiates the expanded Lagrangian once per system;
+    each entry must still be the derivative of the Lagrangian as written."""
+
+    def test_matches_sympy_diff_of_the_written_lagrangian(self, models, seed1_corpus):
+        specs = ([spec for spec, _ in models.values()] + seed1_corpus
+                 + [load_model(path)[0] for path in sorted(TEST_MODELS.glob("*.model"))])
+        assert len(specs) == 46
+        bad = {spec.name: miss for spec in specs
+               if (miss := _table_mismatches(LagrangianSystem(spec)))}
+        assert not bad
+
+    def test_corrupted_entries_are_caught(self, models):
+        lag = LagrangianSystem(models["damped_oscillator"][0])
+        energy_jet = lag.energy_jet   # read off the jet before it is corrupted
+        energy_jet[ex.action(0)] = -energy_jet[ex.action(0)]
+        lag.momentum_jet[0][ex.field(0)] = ex.action(0)
+        assert _table_mismatches(lag) == [("momentum_jet[dy0_0]", ex.field(0)),
+                                          ("energy_jet", ex.action(0))]
 
 
 class TestHerglotzEquations:
