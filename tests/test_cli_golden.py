@@ -1,12 +1,11 @@
-"""Byte-identity of the CLI on every bundled model.
+"""Byte-identity of the CLI on every bundled model and every test model.
 
 Each case runs one verb in-process and compares its stdout, byte for byte,
-and its exit code with ``tests/golden/cli``.  The cases cover the bundled
-models and the test-only models in ``tests/models``, whose Lagrangians use
-sin, cos, exp and log, which no bundled model does; ``simulate`` is compared by the
-CSV it writes, on the one-point models whose equations are polynomial, so
-that no libm function can differ between machines.  Regenerate the goldens
-(only on purpose, from a trusted tree) with
+and its exit code with ``tests/golden/cli``.  The test-only models in
+``tests/models`` use sin, cos, exp and log, which no bundled model does.
+``simulate`` is compared by the CSV it writes, on the one-point models
+whose equations are polynomial, so that no libm function can differ between
+machines.  Regenerate the goldens (only on purpose, from a trusted tree) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
