@@ -14,8 +14,11 @@ the coefficients are evaluated at the package's seeded sample points
 sized there by the rank of a stacked contraction matrix under the one rank
 rule of ``expr.numeric_rank`` (``expr.singular_rank``), so every rank in
 the report is tagged probabilistic.  It reads d(theta) from
-``Form.exterior()``: ``d`` of the form unless its builder supplied the
-derivative, as ``LagrangianSystem.theta`` does from the derivative table.
+``Form.exterior``, which only ``canonical_form`` sets: the builder
+assembles d(theta) from the partials its caller passes (the derivative
+table for Theta_L, unit jets and a gradient for the coordinate momenta of
+Theta_H, Theta_W and Theta_W0), so no coefficient is differentiated twice.
+``d`` is the reference the tests compare that derivative with.
 Coefficients that cancel to zero are dropped through ``expr.exact_cancel``,
 the package's one cancellation path.
 """
@@ -33,7 +36,7 @@ from . import expr as ex
 from .chart import Chart
 
 __all__ = ["Form", "VectorField", "MultiVector", "d", "wedge", "contract",
-           "pullback", "volume_form", "coframe_volume_contraction",
+           "pullback", "one_form", "volume_form", "coframe_volume_contraction",
            "canonical_form", "StructureReport", "structure_diagnostics"]
 
 
@@ -57,7 +60,12 @@ def _sort_with_sign(idx: tuple[int, ...]) -> tuple[Optional[tuple[int, ...]], in
 
 
 class Form:
-    """A differential k-form on a chart, stored sparsely."""
+    """A differential k-form on a chart, stored sparsely.
+
+    ``exterior`` is d(self) when the form's builder supplied it
+    (``canonical_form``), and None otherwise: sums, copies and
+    simplifications of a form do not carry it.
+    """
 
     def __init__(self, chart: Chart, degree: int,
                  terms: Optional[Mapping[tuple[int, ...], sp.Expr]] = None):
@@ -66,7 +74,7 @@ class Form:
         self.chart = chart
         self.degree = degree
         self.terms: dict[tuple[int, ...], sp.Expr] = {}
-        self._exterior: Optional[Form] = None
+        self.exterior: Optional[Form] = None
         if terms:
             for idx, coeff in terms.items():
                 self._accumulate(tuple(idx), sp.sympify(coeff))
@@ -110,14 +118,6 @@ class Form:
             if c != 0:
                 out.terms[idx] = c
         return out
-
-    def exterior(self) -> "Form":
-        """The exterior derivative ``d(self)``, computed once per form.  A
-        builder that already holds the coefficients' partials supplies it
-        instead (``LagrangianSystem.theta``)."""
-        if self._exterior is None:
-            self._exterior = d(self)
-        return self._exterior
 
     def is_zero(self) -> bool:
         return not self.simplify().terms
@@ -280,6 +280,11 @@ def pullback(form: Form, source: Chart, coord_map: Mapping[sp.Symbol, sp.Expr]) 
     return out
 
 
+def one_form(chart: Chart, components: Mapping[sp.Symbol, sp.Expr]) -> Form:
+    """The 1-form sum_z components[z] dz; zero components are dropped."""
+    return Form(chart, 1, {(chart.index(z),): c for z, c in components.items()})
+
+
 def volume_form(chart: Chart) -> Form:
     """d^m x, the coordinate volume of the base."""
     return Form(chart, chart.m, {tuple(range(chart.m)): sp.Integer(1)})
@@ -291,25 +296,41 @@ def coframe_volume_contraction(chart: Chart, mu: int) -> Form:
 
 
 def canonical_form(chart: Chart, momenta: Sequence[sp.Expr],
-                   volume_coeff: sp.Expr) -> Form:
+                   momentum_jet: Sequence[Mapping[sp.Symbol, sp.Expr]],
+                   volume_coeff: sp.Expr,
+                   volume_jet: Mapping[sp.Symbol, sp.Expr]) -> Form:
     """Theta = -p^mu_A dy^A ^ d^{m-1}x_mu + volume_coeff d^m x
-    + ds^mu ^ d^{m-1}x_mu.
+    + ds^mu ^ d^{m-1}x_mu, with its exterior derivative
+
+        dTheta = -dp^mu_A ^ dy^A ^ d^{m-1}x_mu + d(volume_coeff) ^ d^m x
+
+    (the ds^mu terms are closed) in ``Theta.exterior``, assembled from the
+    partials given rather than by differentiating the coefficients again.
 
     ``momenta`` lists p^mu_A in the (A-major, mu-minor) order: the Legendre
     images dL/dy^A_mu on the velocity side, the momentum coordinates on the
-    momentum and unified sides.
+    momentum and unified sides.  ``momentum_jet`` holds the nonzero
+    partials of each of them in the same order (a coordinate momentum's is
+    {p^mu_A: 1}), and ``volume_jet`` those of ``volume_coeff``; base
+    partials may be left out, as they wedge to zero with d^m x.
     """
     out = Form(chart, chart.m)
+    dout = Form(chart, chart.m + 1)
     for A in range(chart.n):
-        dyA = Form(chart, 1, {(chart.index(ex.field(A)),): sp.Integer(1)})
+        dyA = one_form(chart, {ex.field(A): sp.Integer(1)})
         for mu in range(chart.m):
-            out = out + (-momenta[A * chart.m + mu]) * wedge(
-                dyA, coframe_volume_contraction(chart, mu))
+            i = A * chart.m + mu
+            dy_x = wedge(dyA, coframe_volume_contraction(chart, mu))
+            out = out + (-momenta[i]) * dy_x
+            dout = dout - wedge(one_form(chart, momentum_jet[i]), dy_x)
     out = out + volume_coeff * volume_form(chart)
+    dout = dout + wedge(one_form(chart, volume_jet), volume_form(chart))
     for mu in range(chart.m):
-        dsmu = Form(chart, 1, {(chart.index(ex.action(mu)),): sp.Integer(1)})
+        dsmu = one_form(chart, {ex.action(mu): sp.Integer(1)})
         out = out + wedge(dsmu, coframe_volume_contraction(chart, mu))
-    return out.expand()
+    out = out.expand()
+    out.exterior = dout.expand()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +350,8 @@ class StructureReport:
     rank_ker_omega: int
     rank_ker_theta: int
     rank_ker_dtheta: int
-    rank_core: int          # ker omega ∩ ker theta ∩ ker dtheta
     rank_reeb: int
-    k: int
+    k: int                  # the core: ker omega ∩ ker theta ∩ ker dtheta
     is_premulticontact: bool
     is_multicontact: bool
     is_special: bool
@@ -351,7 +371,7 @@ class StructureReport:
             kind = "neither multicontact nor premulticontact"
         return (f"{kind}; ranks: ker(omega)={self.rank_ker_omega}, "
                 f"ker(theta)={self.rank_ker_theta}, ker(dtheta)={self.rank_ker_dtheta}, "
-                f"core={self.rank_core}, reeb={self.rank_reeb} "
+                f"core={self.k}, reeb={self.rank_reeb} "
                 f"[probabilistic, {self.samples} samples]")
 
 
@@ -403,7 +423,8 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
                           ) -> StructureReport:
     """Classify (theta, omega=d^m x) numerically at random sample points.
 
-    The coefficients of theta and d(theta) (``theta.exterior()``) are
+    The coefficients of theta and d(theta) (``theta.exterior``, which
+    ``canonical_form`` builds; a form without it raises ``ExprError``) are
     evaluated by the shared seeded sampler (``expr.sampled``: their DAG is
     walked once and run on floats at ``samples`` points drawn from
     ``seed``); the contraction matrices of theta, d(theta) and the Reeb
@@ -423,7 +444,10 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
         raise ValueError(f"samples must be at least 1, got {samples}")
     m = chart.m
     dim = chart.dim
-    dtheta = theta.exterior()
+    dtheta = theta.exterior
+    if dtheta is None:
+        raise ex.ExprError("structure_diagnostics needs d(theta): build theta "
+                           "with canonical_form")
     coeffs = list(theta.terms.values()) + list(dtheta.terms.values())
     if point_map:
         coeffs = [sp.sympify(c).xreplace(point_map) for c in coeffs]
@@ -486,7 +510,6 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
         rank_ker_omega=dim - m,
         rank_ker_theta=r["ker_theta"],
         rank_ker_dtheta=r["ker_dtheta"],
-        rank_core=k,
         rank_reeb=r["reeb"],
         k=k,
         is_premulticontact=is_premulticontact,

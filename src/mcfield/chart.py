@@ -113,7 +113,6 @@ class ModelSpec:
     n: int
     lagrangian: sp.Expr
     parameters: dict[str, sp.Symbol] = dc_field(default_factory=dict)
-    parameter_values: dict[str, sp.Expr] = dc_field(default_factory=dict)
     metric: Optional[tuple[tuple[sp.Expr, ...], ...]] = None
     field_labels: tuple[str, ...] = ()
 

@@ -549,12 +549,13 @@ class EqualityResult:
         return self.verdict is not Verdict.NOT_EQUAL
 
 
-def random_rational_point(symbols: Iterable[sp.Symbol], rng: random.Random,
-                          lo: int = -3, hi: int = 3) -> dict:
-    """Random rational assignment, bounded away from zero denominators."""
+def random_rational_point(symbols: Iterable[sp.Symbol], rng: random.Random) -> dict:
+    """Random rational assignment num/den in [-6, 6], num drawn from
+    [-12, 12] (0 read as 1) and den from [2, 7]: bounded away from zero
+    denominators."""
     point = {}
     for s in symbols:
-        num = rng.randint(lo * 4, hi * 4)
+        num = rng.randint(-12, 12)
         if num == 0:
             num = 1
         den = rng.randint(2, 7)
@@ -562,16 +563,19 @@ def random_rational_point(symbols: Iterable[sp.Symbol], rng: random.Random,
     return point
 
 
-def equal(a: sp.Expr, b: sp.Expr, samples: int = 20, seed: int = 42,
-          tol: float = 1e-10) -> EqualityResult:
+_EQUAL_SAMPLES = 20     # admissible points of equal's numeric tier
+_EQUAL_TOL = 1e-10      # max |residual| there that still reads as equal
+
+
+def equal(a: sp.Expr, b: sp.Expr, seed: int = 42) -> EqualityResult:
     """Two-tier equality check.
 
     Tier 1: the difference cancelled by :func:`exact_cancel`, the package's
     one cancellation path; 0 reports EXACT-EQUAL.  That is exact for
     expressions rational in their kernels (opaque function applications
     count as independent kernels, so identities like sin^2 + cos^2 = 1 are
-    *not* detected there).  Tier 2: evaluation at ``samples`` random
-    rational points to 25 digits; max |residual| below ``tol`` reports
+    *not* detected there).  Tier 2: evaluation at ``_EQUAL_SAMPLES`` random
+    rational points to 25 digits; max |residual| below ``_EQUAL_TOL`` reports
     NUMERICALLY-EQUAL, otherwise NOT-EQUAL with a witness point.  Points
     where the difference fails to evaluate to a finite real are resampled.
     """
@@ -584,7 +588,7 @@ def equal(a: sp.Expr, b: sp.Expr, samples: int = 20, seed: int = 42,
     witness = None
     done = 0
     attempts = 0
-    while done < samples and attempts < samples * 10:
+    while done < _EQUAL_SAMPLES and attempts < _EQUAL_SAMPLES * 10:
         attempts += 1
         point = random_rational_point(syms, rng)
         try:
@@ -600,7 +604,7 @@ def equal(a: sp.Expr, b: sp.Expr, samples: int = 20, seed: int = 42,
         done += 1
     if done == 0:
         raise ExprError("equality check: no admissible sample points found")
-    if worst < tol:
+    if worst < _EQUAL_TOL:
         return EqualityResult(Verdict.NUMERICALLY_EQUAL, residual=worst)
     return EqualityResult(Verdict.NOT_EQUAL, residual=worst, witness=witness)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from . import expr as ex
-from .calculus import Form, canonical_form
+from .calculus import Form, canonical_form, one_form
 from .chart import ChartKind, build_chart
 from .lagrangian import Equation, EquationRole, EquationSet, LagrangianSystem
 
@@ -114,18 +114,16 @@ class HamiltonianSystem:
 
     # forms --------------------------------------------------------------
     def theta(self) -> Form:
-        """Theta_H = -p^mu_A dy^A ^ d^{m-1}x_mu + H d^m x + ds^mu ^ d^{m-1}x_mu."""
-        return canonical_form(self.chart, self.chart.momenta, self.H)
+        """Theta_H = -p^mu_A dy^A ^ d^{m-1}x_mu + H d^m x + ds^mu ^ d^{m-1}x_mu,
+        with dTheta_H from the coordinate momenta and the gradient of H."""
+        momenta = self.chart.momenta
+        return canonical_form(self.chart, momenta, [{p: sp.S.One} for p in momenta],
+                              self.H, ex.gradient(self.H, self.chart.coords))
 
     def sigma(self) -> Form:
         """Dissipation 1-form sigma_H = (dH/ds^mu) dx^mu."""
-        chart = self.chart
-        terms = {}
-        for mu in range(self.m):
-            coeff = ex.diff(self.H, ex.action(mu))
-            if coeff != 0:
-                terms[(chart.index(ex.base(mu)),)] = coeff
-        return Form(chart, 1, terms)
+        return one_form(self.chart, {ex.base(mu): ex.diff(self.H, ex.action(mu))
+                                     for mu in range(self.m)})
 
     # field equations ------------------------------------------------------
     def hhdw_equations(self) -> EquationSet:

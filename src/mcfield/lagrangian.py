@@ -16,7 +16,8 @@ taken once, by ``expr.diff``, into a derivative table: the momenta
 dL/dy^A_mu and their partials (``momentum_jet``), dL/dy^A
 (``field_partials``), dL/ds^mu (``action_partials``) and the energy's
 gradient (``energy_jet``, by the chain rule).  The field equations, sigma_L
-and the unified side read it; d(Theta_L) is assembled from it (``theta``)
+and the unified side read it, and ``theta`` passes the momentum and energy
+jets to ``calculus.canonical_form``, which assembles d(Theta_L) from them
 instead of differentiating Theta_L again.  L as written stays as ``L``:
 the action-balance row prints it.
 """
@@ -30,8 +31,7 @@ from functools import cached_property
 import sympy as sp
 
 from . import expr as ex
-from .calculus import (Form, VectorField, canonical_form, coframe_volume_contraction,
-                       volume_form, wedge)
+from .calculus import Form, VectorField, canonical_form, one_form
 from .chart import ChartKind, ModelSpec, build_chart, validate_model
 
 __all__ = ["EquationRole", "Equation", "EquationSet", "total_derivative",
@@ -138,11 +138,6 @@ def total_derivative(f: sp.Expr, mu: int, m: int, n: int) -> sp.Expr:
         if dsv != 0:
             out += ex.action_grad(nu, mu) * dsv
     return out
-
-
-def _one_form(chart, components: dict[sp.Symbol, sp.Expr]) -> Form:
-    """The 1-form sum_z components[z] dz."""
-    return Form(chart, 1, {(chart.index(z),): c for z, c in components.items()})
 
 
 class Regularity(Enum):
@@ -275,34 +270,18 @@ class LagrangianSystem:
     def theta(self) -> Form:
         """The Lagrangian m-form Theta_L on the velocity--action bundle.
 
-        Its exterior derivative comes with it, assembled from the table
-        rather than by differentiating the coefficients again:
-
-            dTheta_L = -dp^mu_A ^ dy^A ^ d^{m-1}x_mu + dE_L ^ d^m x ,
-
-        with dp^mu_A from :attr:`momentum_jet` and dE_L from
-        :attr:`energy_jet` (the ds^mu terms of Theta_L are closed).
+        Its exterior derivative comes with it, assembled by
+        ``canonical_form`` from the table rather than by differentiating
+        the coefficients again: dp^mu_A from :attr:`momentum_jet` and dE_L
+        from :attr:`energy_jet`.
         """
-        chart = self.chart
-        theta = canonical_form(chart, self.momenta, self.energy)
-        dtheta = Form(chart, chart.m + 1)
-        for (A, mu), jet in zip(self._vel_order, self.momentum_jet):
-            dy = _one_form(chart, {ex.field(A): sp.Integer(1)})
-            dtheta = dtheta - wedge(_one_form(chart, jet),
-                                    wedge(dy, coframe_volume_contraction(chart, mu)))
-        dtheta = dtheta + wedge(_one_form(chart, self.energy_jet), volume_form(chart))
-        theta._exterior = dtheta.expand()
-        return theta
+        return canonical_form(self.chart, self.momenta, self.momentum_jet,
+                              self.energy, self.energy_jet)
 
     def sigma(self) -> Form:
         """Dissipation 1-form sigma_L = -(dL/ds^mu) dx^mu."""
-        chart = self.chart
-        terms = {}
-        for mu in range(self.m):
-            c = -self.action_partials[mu]
-            if c != 0:
-                terms[(chart.index(ex.base(mu)),)] = c
-        return Form(chart, 1, terms)
+        return one_form(self.chart, {ex.base(mu): -a
+                                     for mu, a in enumerate(self.action_partials)})
 
     def reeb_fields(self) -> list[VectorField]:
         """The local Reeb basis (R_L)_mu, regular Lagrangians only."""

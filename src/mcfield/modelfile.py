@@ -135,7 +135,6 @@ def load_model(path: Union[str, Path]) -> tuple[ModelSpec, SimulateConfig]:
     metric = _metric_matrix(doc.get("metric"), m, path)
 
     parameters: dict[str, sp.Symbol] = {}
-    parameter_values: dict[str, sp.Expr] = {}
     raw_params = doc.get("parameters") or {}
     if not isinstance(raw_params, dict):
         raise ModelFileError("parameters must be a mapping", path)
@@ -150,7 +149,6 @@ def load_model(path: Union[str, Path]) -> tuple[ModelSpec, SimulateConfig]:
         else:
             value = _scalar_expr(pval, m, path, parameters=resolved,
                                  what=f"parameter {pname!r}")
-            parameter_values[pname] = value
             resolved[pname] = value
 
     try:
@@ -165,8 +163,7 @@ def load_model(path: Union[str, Path]) -> tuple[ModelSpec, SimulateConfig]:
         raise ModelFileError("labels must be a list of strings", path)
 
     spec = ModelSpec(name=name, m=m, n=n, lagrangian=lagrangian,
-                     parameters=parameters, parameter_values=parameter_values,
-                     metric=metric, field_labels=tuple(labels))
+                     parameters=parameters, metric=metric, field_labels=tuple(labels))
     report = validate_model(spec)
     if not report.ok:
         raise ModelFileError(str(report), path)

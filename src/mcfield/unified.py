@@ -10,6 +10,12 @@ Restricting by the coupling pext = L - y^A_mu p^mu_A gives W0 with
     Theta_0 = -p^mu_A dy^A ^ d^{m-1}x_mu - (L - y^A_mu p^mu_A) d^m x
               + ds^mu ^ d^{m-1}x_mu .
 
+Both come from ``calculus.canonical_form`` with their exterior derivatives,
+built from the coordinate momenta and the gradient of the volume
+coefficient.  The dissipation form induced on the Legendre graph is
+sigma_W1 = -(dL/ds^mu) dx^mu, which is sigma_L: with R_mu = d/ds^mu,
+i(R_mu) dTheta_0 = sigma_W1 ^ i(R_mu) Theta_0.
+
 The field equations for a transverse, locally decomposable multivector
 field X = X_0 ^ ... ^ X_{m-1}, with factors
 
@@ -34,9 +40,8 @@ import sympy as sp
 from sympy.solvers.solveset import NonlinearError
 
 from . import expr as ex
-from .calculus import Form, canonical_form
+from .calculus import Form, canonical_form, one_form
 from .chart import ChartKind, build_chart
-from .hamiltonian import HamiltonianSystem
 from .lagrangian import Equation, EquationRole, EquationSet, LagrangianSystem
 
 __all__ = ["coefficient_symbol", "CoefficientSystem", "LadderStatus",
@@ -57,11 +62,7 @@ def coefficient_symbol(kind: str, *indices: int) -> sp.Symbol:
 class CoefficientSystem:
     """The coordinate field equations for the unified multivector field."""
 
-    m: int
-    n: int
     equations: EquationSet
-    primary_constraints: list[sp.Expr]
-    xp_solution: dict[sp.Symbol, sp.Expr]   # tangency-solved momentum slots
 
 
 class LadderStatus(Enum):
@@ -108,24 +109,22 @@ class UnifiedSystem:
                                for A, mu in self._pairs) - self.L)
 
     def theta_w(self) -> Form:
-        return canonical_form(self.chart_w, self.chart_w.momenta,
-                              -ex.extended_momentum())
+        chart, pext = self.chart_w, ex.extended_momentum()
+        return canonical_form(chart, chart.momenta, [{p: sp.S.One} for p in chart.momenta],
+                              -pext, ex.gradient(-pext, chart.coords))
 
     def theta_w0(self) -> Form:
+        chart = self.chart_w0
         hw = sp.expand(self.L - sum(ex.velocity(A, mu) * ex.momentum(A, mu)
                                     for A, mu in self._pairs))
-        return canonical_form(self.chart_w0, self.chart_w0.momenta, -hw)
+        return canonical_form(chart, chart.momenta, [{p: sp.S.One} for p in chart.momenta],
+                              -hw, ex.gradient(-hw, chart.coords))
 
     def sigma_w1(self) -> Form:
         """Dissipation 1-form induced on the Legendre graph:
-        (dL/ds^mu) dx^mu."""
-        chart = self.chart_w0
-        terms = {}
-        for mu in range(self.m):
-            coeff = self.lag.action_partials[mu]
-            if coeff != 0:
-                terms[(chart.index(ex.base(mu)),)] = coeff
-        return Form(chart, 1, terms)
+        -(dL/ds^mu) dx^mu, which is sigma_L."""
+        return one_form(self.chart_w0, {ex.base(mu): -a
+                                        for mu, a in enumerate(self.lag.action_partials)})
 
     def legendre_graph(self) -> dict[sp.Symbol, sp.Expr]:
         """Substitution realizing W1 (the graph of the Legendre map) in W0."""
@@ -160,14 +159,13 @@ class UnifiedSystem:
             lhs = sum(coefficient_symbol("Xp", A, mu, mu) for mu in range(self.m))
             eqs.equations.append(Equation(f"momentum[{A}]", lhs, self._momentum_sources[A],
                                           EquationRole.EVOLUTION))
-        xi = self.primary_constraints()
-        for (A, mu), c in zip(self._pairs, xi):
+        for (A, mu), c in zip(self._pairs, self._primary):
             eqs.equations.append(Equation(f"xi[{A},{mu}]", c, sp.Integer(0),
                                           EquationRole.CONSTRAINT))
         eqs.equations.append(Equation(
             "action", sum(coefficient_symbol("Xs", mu, mu) for mu in range(self.m)),
             self.L, EquationRole.ACTION_BALANCE))
-        return CoefficientSystem(self.m, self.n, eqs, xi, self.tangency_solution())
+        return CoefficientSystem(eqs)
 
     def tangency_solution(self) -> dict[sp.Symbol, sp.Expr]:
         """Solve the tangency of the primary constraints for the momentum
@@ -180,9 +178,8 @@ class UnifiedSystem:
 
         The second derivatives are read from the Lagrangian's momentum jet
         and contracted with X_mu by the ladder's own operator (``_along``).
-        The solution is built once per system and shared by the field
-        equations, the ladder and the Lagrangian projection; callers must
-        not mutate it.
+        The solution is built once per system and shared by the ladder and
+        the Lagrangian projection; callers must not mutate it.
         """
         return self._tangency
 
@@ -358,7 +355,3 @@ class UnifiedSystem:
             "action", sum(ex.action_grad(mu, mu) for mu in range(self.m)),
             self.L, EquationRole.ACTION_BALANCE))
         return eqs
-
-    def project_to_hamiltonian(self) -> HamiltonianSystem:
-        """Push the unified data to the momentum--action chart."""
-        return HamiltonianSystem.from_legendre(self.lag)

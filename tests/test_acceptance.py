@@ -29,8 +29,8 @@ import sympy as sp
 
 from mcfield import expr as ex
 from mcfield import numsim
-from mcfield.calculus import (Form, contract, d, structure_diagnostics,
-                              wedge)
+from mcfield.calculus import (Form, VectorField, contract, d,
+                              structure_diagnostics, wedge)
 from mcfield.chart import ChartKind, ModelSpec, build_chart
 from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import (EquationRole, LagrangianSystem, Regularity,
@@ -59,7 +59,7 @@ def maxwell_run(models):
     lag = LagrangianSystem(spec)
     uni = UnifiedSystem(lag)
     el = uni.project_to_lagrangian()
-    ham = uni.project_to_hamiltonian()
+    ham = HamiltonianSystem.from_legendre(lag)
     hhdw = ham.hhdw_equations()
     elapsed = time.monotonic() - t0
     return spec, lag, uni, el, ham, hhdw, elapsed
@@ -246,7 +246,7 @@ class TestStructureClassification:
         assert rep.is_premulticontact and not rep.is_special
         assert rep.rank_ker_omega == m + n + 2 * n * m + 1
         assert rep.rank_ker_dtheta == n * m + m
-        assert rep.rank_core == n * m
+        assert rep.k == n * m
 
         # restricted unified phase space on the Legendre graph: special, k = nm
         rep0 = structure_diagnostics(uni.theta_w0(), uni.chart_w0, samples=4,
@@ -440,3 +440,18 @@ class TestCalculusProperties:
             for R in fields:
                 diff = contract(R, d(theta)) - wedge(sig, contract(R, theta))
                 assert diff.simplify().is_zero(), name
+
+    def test_unified_reeb_sigma_relation(self, models):
+        # R_mu = d/ds^mu are Reeb fields of Theta_0 on W0 for every model,
+        # singular ones included: i(R) dTheta_0 = sigma_W1 ^ i(R) Theta_0,
+        # and sigma_W1 is sigma_L
+        assert {spec.m for spec, _ in models.values()} == {1, 2, 4}
+        for name, (spec, _) in models.items():
+            lag = LagrangianSystem(spec)
+            uni = UnifiedSystem(lag)
+            theta, sig = uni.theta_w0(), uni.sigma_w1()
+            assert sig.terms == lag.sigma().terms, name
+            for mu in range(spec.m):
+                R = VectorField.basis(uni.chart_w0, ex.action(mu))
+                diff = contract(R, d(theta)) - wedge(sig, contract(R, theta))
+                assert diff.simplify().is_zero(), (name, mu)

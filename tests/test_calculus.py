@@ -121,8 +121,7 @@ class TestPullback:
 class TestStructureDiagnostics:
     def test_oscillator_theta_is_special_multicontact(self, oscillator):
         rep = structure_diagnostics(oscillator.theta(), oscillator.chart, samples=6)
-        assert rep.is_special and rep.k == 0
-        assert rep.rank_core == 0  # trivial core: the Def-1 nondegeneracy
+        assert rep.is_special and rep.k == 0  # trivial core: the Def-1 nondegeneracy
         assert "special multicontact" in rep.summary()
         assert rep.probabilistic
 
@@ -132,7 +131,9 @@ class TestStructureDiagnostics:
 
     def test_degenerate_form_is_neither(self):
         ch = build_chart(ChartKind.P, 1, 1)
-        rep = structure_diagnostics(volume_form(ch), ch, samples=4)
+        vol = volume_form(ch)
+        vol.exterior = d(vol)
+        rep = structure_diagnostics(vol, ch, samples=4)
         assert not rep.is_multicontact and not rep.is_special
 
     @pytest.mark.parametrize("M", [np.zeros((2, 3)), [[1, 2], [3, 4]], np.eye(3),
@@ -188,7 +189,7 @@ def _agrees_with_exact_ranks(lag, samples=8, seed=42):
     exact = _exact_ranks(lag.theta(), lag.chart, samples, seed)
     first = exact[0]
     name = lag.spec.name
-    assert (rep.rank_ker_theta, rep.rank_ker_dtheta, rep.rank_core) == (
+    assert (rep.rank_ker_theta, rep.rank_ker_dtheta, rep.k) == (
         first["ker_theta"], first["ker_dtheta"], first["core"]), name
     assert rep.is_premulticontact == (first["premult"] > 0), name
     assert rep.is_multicontact == (first["premult"] == 0 and first["ker_dtheta"] > 0), name
@@ -211,4 +212,4 @@ class TestStructureAgainstExactRanks:
         spec, = [s for s in seed1_corpus if s.name == "corpus_005"]
         rep, exact = _agrees_with_exact_ranks(LagrangianSystem(spec))
         assert [r["core"] for r in exact] == [3, 3, 4, 3, 3, 3, 3, 3]
-        assert rep.rank_core == 3 and rep.notes == [VARIED]
+        assert rep.k == 3 and rep.notes == [VARIED]

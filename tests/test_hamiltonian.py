@@ -81,10 +81,10 @@ class TestHamiltonianSystem:
         with pytest.raises(ValueError):
             HamiltonianSystem(1, 1, ex.velocity(0, 0) ** 2, [], {})
 
-    def test_sigma_sign_flips_relative_to_lagrangian(self, oscillator):
+    def test_sigma_equals_lagrangian_sigma(self, oscillator):
         gam = sp.Symbol("gamma")
         ham = HamiltonianSystem.from_legendre(oscillator)
-        assert ham.sigma().terms == {(0,): gam}
+        assert ham.sigma().terms == oscillator.sigma().terms == {(0,): gam}
 
     def test_hhdw_oscillator(self, oscillator):
         gam, om = sp.symbols("gamma omega")

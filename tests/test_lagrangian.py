@@ -1,12 +1,15 @@
 import pytest
 import sympy as sp
 
+from mcfield import calculus, hamiltonian, lagrangian, unified
 from mcfield import expr as ex
 from mcfield.calculus import contract, d, structure_diagnostics, wedge
 from mcfield.chart import ModelSpec
+from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import (EquationRole, EquationSet, LagrangianSystem,
                                 Regularity, total_derivative)
 from mcfield.modelfile import load_model
+from mcfield.unified import UnifiedSystem
 
 from conftest import TEST_MODELS
 
@@ -93,40 +96,65 @@ class TestStructures:
             assert (lhs - rhs).simplify().is_zero()
 
 
-def _exterior_mismatches(lag):
-    """Where Theta_L's exterior derivative, as assembled from the derivative
-    table, differs from calculus.d of Theta_L: a key-set difference, or the
-    keys whose coefficients do not cancel against each other."""
-    theta = lag.theta()
-    table, reference = theta.exterior(), d(theta)
-    if set(table.terms) != set(reference.terms):
-        return sorted(set(table.terms) ^ set(reference.terms))
-    return [k for k in table.terms
-            if sp.cancel(table.terms[k] - reference.terms[k]) != 0]
+def _exterior_mismatches(theta):
+    """Where the exterior derivative canonical_form built with theta differs
+    from calculus.d of theta: a key-set difference, or the keys whose
+    coefficients do not cancel against each other."""
+    built, reference = theta.exterior, d(theta)
+    if set(built.terms) != set(reference.terms):
+        return sorted(set(built.terms) ^ set(reference.terms))
+    return [k for k in built.terms
+            if sp.cancel(built.terms[k] - reference.terms[k]) != 0]
+
+
+def _canonical_forms(lag):
+    """Theta_L, Theta_H, Theta_W and Theta_W0 of one model, by chart.  Every
+    model below is quadratic in the velocities, so the Legendre elimination
+    that Theta_H needs applies to each."""
+    uni = UnifiedSystem(lag)
+    return {"L": lag.theta(), "H": HamiltonianSystem.from_legendre(lag).theta(),
+            "W": uni.theta_w(), "W0": uni.theta_w0()}
 
 
 class TestExteriorFromTable:
     def test_matches_d_on_bundled_and_corpus_models(self, models, seed1_corpus):
-        specs = [spec for spec, _ in models.values()] + seed1_corpus
-        assert len(specs) == 43
-        bad = {spec.name: miss for spec in specs
-               if (miss := _exterior_mismatches(LagrangianSystem(spec)))}
+        specs = ([spec for spec, _ in models.values()] + seed1_corpus
+                 + [load_model(path)[0] for path in sorted(TEST_MODELS.glob("*.model"))])
+        assert len(specs) == 46
+        forms = {(spec.name, chart): theta for spec in specs
+                 for chart, theta in _canonical_forms(LagrangianSystem(spec)).items()}
+        assert len(forms) == 4 * 46
+        bad = {key: miss for key, theta in forms.items()
+               if (miss := _exterior_mismatches(theta))}
         assert not bad
 
     def test_corrupted_energy_jet_is_caught(self, models):
         lag = LagrangianSystem(models["damped_oscillator"][0])
         z = next(iter(lag.energy_jet))
         lag.energy_jet[z] += ex.field(0)
-        assert _exterior_mismatches(lag)
+        assert _exterior_mismatches(lag.theta())
 
-    def test_structure_report_equals_the_d_fallback(self, models):
-        for name, (spec, _) in models.items():
-            lag = LagrangianSystem(spec)
-            theta = lag.theta()
-            unseeded = theta.copy()
-            assert theta._exterior is not None and unseeded._exterior is None
-            assert (structure_diagnostics(theta, lag.chart)
-                    == structure_diagnostics(unseeded, lag.chart)), name
+    @pytest.mark.parametrize("which", ["L", "H", "W", "W0"])
+    def test_dropped_momentum_jet_entry_is_caught(self, models, which, monkeypatch):
+        # the builder's dTheta misses one partial of one momentum
+        build = calculus.canonical_form
+
+        def drop_one(chart, momenta, momentum_jet, volume_coeff, volume_jet):
+            jets = [dict(jet) for jet in momentum_jet]
+            jets[-1].popitem()
+            return build(chart, momenta, jets, volume_coeff, volume_jet)
+
+        for module in (lagrangian, hamiltonian, unified):
+            monkeypatch.setattr(module, "canonical_form", drop_one)
+        theta = _canonical_forms(LagrangianSystem(models["damped_wave"][0]))[which]
+        assert _exterior_mismatches(theta)
+
+    def test_structure_report_needs_the_builder_exterior(self, models):
+        lag = LagrangianSystem(models["damped_oscillator"][0])
+        theta = lag.theta()
+        with pytest.raises(ex.ExprError, match=r"needs d\(theta\)"):
+            structure_diagnostics(theta.copy(), lag.chart)
+        assert structure_diagnostics(theta, lag.chart).is_special
 
 
 def _table_mismatches(lag):
