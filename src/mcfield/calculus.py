@@ -114,7 +114,7 @@ class Form:
         polynomial coefficients, and cheaper than :meth:`simplify`."""
         out = Form(self.chart, self.degree)
         for idx, coeff in self.terms.items():
-            c = sp.expand(coeff)
+            c = ex.expand(coeff)
             if c != 0:
                 out.terms[idx] = c
         return out

@@ -14,7 +14,9 @@ applies the sum, product and power rules that ``sympy.diff`` dispatches to
 ``Pow._eval_derivative``) itself, in their order, so it returns the very
 trees ``sympy.diff`` does; it skips ``Derivative``, whose per-node
 ``is_zero`` assumptions query changes no result but dominates the cost of
-differentiating a Lagrangian.
+differentiating a Lagrangian.  Every expansion is taken by :func:`expand`,
+which returns a tree that is already a sum of monomials as it is and hands
+any other to ``sympy.expand``.
 
 The text grammar
 ----------------
@@ -67,6 +69,7 @@ __all__ = [
     "to_grammar",
     "diff",
     "gradient",
+    "expand",
     "Verdict",
     "EqualityResult",
     "equal",
@@ -484,12 +487,16 @@ def diff(e: sp.Expr, z: sp.Symbol) -> sp.Expr:
     partial result ``is_zero`` before returning it unchanged; that
     assumptions query costs far more than the arithmetic.  Here the rules
     sympy dispatches to are applied directly, in their order, so the trees
-    are the same: a node free of ``z`` is 0 (``Derivative``'s quick exit);
-    a sum is the sum of its partials (``Add._eval_derivative``); a product
-    is the Leibniz sum ``Add(*[Mul(f0, .., df_i, .., fk)])`` of
+    are the same: a symbol is 1 if it is ``z`` and 0 otherwise, any other
+    leaf is 0; a sum is the sum of its partials (``Add._eval_derivative``);
+    a product is the Leibniz sum ``Add(*[Mul(f0, .., df_i, .., fk)])`` of
     ``Mul._eval_derivative_n_times``; a power with a ``z``-free exponent is
-    ``e * (d(base) * exp / base)`` (``Pow._eval_derivative``).  Any other
-    node (``sin``, ``exp``, ``log``, a ``z``-dependent exponent) goes to
+    ``e * (d(base) * exp / base)`` (``Pow._eval_derivative``).  A sum or
+    power whose partials are all 0 is 0 without any arithmetic, so a
+    ``z``-free subtree costs one walk and no ``free_symbols`` query, which
+    sympy would recompute over the whole subtree at every node.  Any other
+    node (``sin``, ``exp``, ``log``, a ``z``-dependent exponent) is 0 when
+    free of ``z`` (``Derivative``'s quick exit) and otherwise goes to
     ``sp.diff``.  The Leibniz terms whose factor has partial 0 are left out:
     they are 0, unless another factor is infinite (``0*zoo`` is ``nan``), so
     an expression holding an infinite or undefined number goes to
@@ -502,19 +509,27 @@ def diff(e: sp.Expr, z: sp.Symbol) -> sp.Expr:
 
 
 def _diff(e: sp.Expr, z: sp.Symbol) -> sp.Expr:
-    if z not in e.free_symbols:
-        return sp.S.Zero
     if e.is_Symbol:
-        return sp.S.One
+        return sp.S.One if e == z else sp.S.Zero
+    if not e.args:
+        return sp.S.Zero
     if e.is_Add:
-        return e.func(*[_diff(a, z) for a in e.args])
+        partials = [_diff(a, z) for a in e.args]
+        if all(d is sp.S.Zero for d in partials):
+            return sp.S.Zero
+        return e.func(*partials)
     if e.is_Mul:
         args = e.args
         partials = [_diff(a, z) for a in args]
         return sp.Add(*[sp.Mul(*args[:i], d, *args[i + 1:])
                         for i, d in enumerate(partials) if d is not sp.S.Zero])
     if e.is_Pow and z not in e.exp.free_symbols:
-        return e * (_diff(e.base, z) * e.exp / e.base)
+        d = _diff(e.base, z)
+        if d is sp.S.Zero:
+            return sp.S.Zero
+        return e * (d * e.exp / e.base)
+    if z not in e.free_symbols:
+        return sp.S.Zero
     return sp.diff(e, z)
 
 
@@ -527,6 +542,23 @@ def gradient(e: sp.Expr, coords: Sequence[sp.Symbol]) -> dict[sp.Symbol, sp.Expr
         if dz != 0:
             grad[z] = dz
     return grad
+
+
+def expand(e: sp.Expr) -> sp.Expr:
+    """What ``sympy.expand`` makes of ``e``: ``e`` itself when it is already
+    a sum of monomials (each term a number, a symbol, a symbol to an
+    integer power, or a product of those), else sympy's expansion.
+    ``sympy.expand`` returns such a tree unchanged too, but only after
+    running each of its hints over every node."""
+    e = sp.sympify(e)
+    if all(_is_monomial(t) for t in sp.Add.make_args(e)):
+        return e
+    return sp.expand(e)
+
+
+def _is_monomial(t: sp.Expr) -> bool:
+    return all(f.is_Symbol or f.is_Number or (f.is_Pow and f.base.is_Symbol and f.exp.is_Integer)
+               for f in (t.args if t.is_Mul else (t,)))
 
 
 # ---------------------------------------------------------------------------

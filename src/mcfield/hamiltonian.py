@@ -75,7 +75,7 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
     rep = dict(zip(vel, v_min))
     resids = ex.exact_cancel(sp.Matrix([(kvec.T * rhs)[0, 0]
                                         for kvec in ex.exact_nullspace(W.T)]))
-    constraints = [r for r in map(sp.expand, resids) if r != 0]
+    constraints = [r for r in map(ex.expand, resids) if r != 0]
     return VelocityElimination(rep, constraints)
 
 
@@ -109,7 +109,7 @@ class HamiltonianSystem:
         pv = sum(ex.momentum(A, mu) * ex.velocity(A, mu)
                  for A in range(lag.n) for mu in range(lag.m))
         H, = ex.exact_cancel(
-            sp.Matrix([sp.expand((pv - lag.L).xreplace(elim.representative))]))
+            sp.Matrix([ex.expand((pv - lag.L).xreplace(elim.representative))]))
         return cls(lag.m, lag.n, H, elim.image_constraints, elim.representative)
 
     # forms --------------------------------------------------------------
@@ -149,10 +149,10 @@ class HamiltonianSystem:
             rhs = -(ex.diff(self.H, ex.field(A))
                     + sum(ex.momentum(A, mu) * ex.diff(self.H, ex.action(mu))
                           for mu in range(self.m)))
-            eqs.equations.append(Equation(f"p[{A}]", lhs, sp.expand(rhs),
+            eqs.equations.append(Equation(f"p[{A}]", lhs, ex.expand(rhs),
                                           EquationRole.EVOLUTION))
         balance_lhs = sum(ex.action_grad(mu, mu) for mu in range(self.m))
-        balance_rhs = sp.expand(
+        balance_rhs = ex.expand(
             sum(ex.momentum(A, mu) * rep[ex.velocity(A, mu)]
                 for A in range(self.n) for mu in range(self.m)) - self.H)
         eqs.equations.append(Equation("action", balance_lhs, balance_rhs,

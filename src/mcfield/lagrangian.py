@@ -88,8 +88,8 @@ class EquationSet:
         lines = []
         for e in self.equations:
             lines.append("|".join([e.name, e.role.value,
-                                   ex.to_grammar(sp.expand(e.lhs)),
-                                   ex.to_grammar(sp.expand(e.rhs))]))
+                                   ex.to_grammar(ex.expand(e.lhs)),
+                                   ex.to_grammar(ex.expand(e.rhs))]))
         return "\n".join(lines)
 
     def to_latex(self) -> str:
@@ -171,7 +171,7 @@ class LagrangianSystem:
         self.m = spec.m
         self.n = spec.n
         self.L = sp.sympify(spec.lagrangian)   # as written, for the action row
-        self._expanded = sp.expand(self.L)      # what the table differentiates
+        self._expanded = ex.expand(self.L)      # what the table differentiates
         self.chart = build_chart(ChartKind.P, spec.m, spec.n)
         self._vel_order = [(A, mu) for A in range(self.n) for mu in range(self.m)]
 
@@ -212,7 +212,7 @@ class LagrangianSystem:
             dz = sum((ex.velocity(A, mu) * row[z]
                       for (A, mu), row in zip(self._vel_order, self.momentum_jet)
                       if z in row), -partials.get(z, sp.S.Zero))
-            dz = sp.expand(dz)
+            dz = ex.expand(dz)
             if dz != 0:
                 jet[z] = dz
         return jet
@@ -311,7 +311,7 @@ class LagrangianSystem:
             p = [self.momentum_assignment(B, mu) for mu in range(self.m)]
             lhs = sum(total_derivative(p[mu], mu, self.m, self.n) for mu in range(self.m))
             rhs = self.field_partials[B] + sum(a * q for a, q in zip(self.action_partials, p))
-            eqs.equations.append(Equation(f"el[{B}]", sp.expand(lhs), sp.expand(rhs),
+            eqs.equations.append(Equation(f"el[{B}]", ex.expand(lhs), ex.expand(rhs),
                                           EquationRole.EVOLUTION))
         balance_lhs = sum(ex.action_grad(mu, mu) for mu in range(self.m))
         eqs.equations.append(Equation("action", balance_lhs, self.L,

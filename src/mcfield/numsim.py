@@ -267,7 +267,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     balance = [e for e in eqs.equations if e.role is EquationRole.ACTION_BALANCE]
     if not balance:
         raise CompileError("equation set has no action-balance equation")
-    L_expr = sp.expand(balance[0].rhs - (balance[0].lhs
+    L_expr = ex.expand(balance[0].rhs - (balance[0].lhs
                                          - sum(ex.action_grad(mu, mu) for mu in range(m))))
     evolution = [e for e in eqs.equations if e.role is EquationRole.EVOLUTION]
     if len(evolution) < n:
@@ -286,7 +286,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     acc = [ex.second_jet(A, 0, 0) for A in range(n)]
     residuals = []
     for e in evolution[:n]:
-        r = sp.expand((e.lhs - e.rhs).xreplace(gauge))
+        r = ex.expand((e.lhs - e.rhs).xreplace(gauge))
         for a in acc:
             if ex.diff(ex.diff(r, a), a) != 0:
                 raise CompileError(f"equation {e.name!r} is not linear in {a}")
@@ -319,7 +319,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     def _compile(named: list, slot_of: dict) -> tuple:
         exprs = []
         for what, e in named:
-            e = sp.expand(sp.sympify(e).xreplace(gauge)).xreplace(psubs)
+            e = ex.expand(sp.sympify(e).xreplace(gauge)).xreplace(psubs)
             extra = e.free_symbols - set(slot_of)
             if extra:
                 raise CompileError(
@@ -337,7 +337,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     # mechanical energy density: sum_A v dL/dv - L with action variables at
     # zero; its spatial gradients are forward differences
     e_density = sum(ex.velocity(A, 0) * ex.diff(L_expr, ex.velocity(A, 0)) for A in range(n))
-    e_density = sp.expand(e_density - L_expr).xreplace(
+    e_density = ex.expand(e_density - L_expr).xreplace(
         {ex.action(mu): sp.Integer(0) for mu in range(m)})
     forward = {ex.velocity(A, 1): ("forward", A) for A in range(n)} if m == 2 else {}
     (energy_expr,), energy_func, energy_slots = _compile(

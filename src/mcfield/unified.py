@@ -83,7 +83,7 @@ class ConstraintLadder:
         lines = [f"status: {self.status.value}"]
         for g, gen in enumerate(self.generations):
             for i, c in enumerate(gen):
-                lines.append(f"gen{g}[{i}]: {ex.to_grammar(sp.expand(c))} = 0")
+                lines.append(f"gen{g}[{i}]: {ex.to_grammar(ex.expand(c))} = 0")
         lines.extend(f"note: {n}" for n in self.notes)
         return "\n".join(lines)
 
@@ -104,7 +104,7 @@ class UnifiedSystem:
     def coupling(self) -> sp.Expr:
         """The function whose zero level cuts W0 out of W:
         pext + y^A_mu p^mu_A - L."""
-        return sp.expand(ex.extended_momentum()
+        return ex.expand(ex.extended_momentum()
                          + sum(ex.velocity(A, mu) * ex.momentum(A, mu)
                                for A, mu in self._pairs) - self.L)
 
@@ -115,7 +115,7 @@ class UnifiedSystem:
 
     def theta_w0(self) -> Form:
         chart = self.chart_w0
-        hw = sp.expand(self.L - sum(ex.velocity(A, mu) * ex.momentum(A, mu)
+        hw = ex.expand(self.L - sum(ex.velocity(A, mu) * ex.momentum(A, mu)
                                     for A, mu in self._pairs))
         return canonical_form(chart, chart.momenta, [{p: sp.S.One} for p in chart.momenta],
                               -hw, ex.gradient(-hw, chart.coords))
@@ -137,7 +137,7 @@ class UnifiedSystem:
 
     @cached_property
     def _primary(self) -> list[sp.Expr]:
-        return [sp.expand(p - ex.momentum(A, mu))
+        return [ex.expand(p - ex.momentum(A, mu))
                 for (A, mu), p in zip(self._pairs, self.lag.momenta)]
 
     @cached_property
@@ -145,7 +145,7 @@ class UnifiedSystem:
         """Right-hand sides of the momentum trace equations, expanded:
         dL/dy^A + (dL/ds^mu) p^mu_A, one per field."""
         fp, ap = self.lag.field_partials, self.lag.action_partials
-        return [sp.expand(fp[A] + sum(ap[mu] * ex.momentum(A, mu) for mu in range(self.m)))
+        return [ex.expand(fp[A] + sum(ap[mu] * ex.momentum(A, mu) for mu in range(self.m)))
                 for A in range(self.n)]
 
     def sr_field_equations(self) -> CoefficientSystem:
@@ -210,7 +210,7 @@ class UnifiedSystem:
                 out += self._tangency[coefficient_symbol("Xp", idx[0], idx[1], mu)] * dz
             else:   # action
                 out += coefficient_symbol("Xs", idx[0], mu) * dz
-        return sp.expand(out)
+        return ex.expand(out)
 
     # --------------------------------------------------------------- ladder
     def _unknowns(self) -> list[sp.Symbol]:
@@ -224,10 +224,10 @@ class UnifiedSystem:
         """The momentum-trace equations with Xp substituted, and the action
         trace, as (expression == 0) rows linear in the unknowns."""
         xp_sol = self.tangency_solution()
-        rows = [sp.expand(sum(xp_sol[coefficient_symbol("Xp", A, mu, mu)]
+        rows = [ex.expand(sum(xp_sol[coefficient_symbol("Xp", A, mu, mu)]
                               for mu in range(self.m)) - self._momentum_sources[A])
                 for A in range(self.n)]
-        rows.append(sp.expand(sum(coefficient_symbol("Xs", mu, mu)
+        rows.append(ex.expand(sum(coefficient_symbol("Xs", mu, mu)
                                   for mu in range(self.m)) - self.L))
         return rows
 
@@ -277,7 +277,7 @@ class UnifiedSystem:
             new_gen: list[sp.Expr] = []
             new_rows = []
             cands = ex.exact_cancel(sp.Matrix([(kvec.T * b)[0, 0] for kvec in left_kernel]))
-            for cand in map(sp.expand, cands):
+            for cand in map(ex.expand, cands):
                 if cand == 0:
                     continue
                 if not (cand.free_symbols & coords):
@@ -347,8 +347,8 @@ class UnifiedSystem:
         for A in range(self.n):
             lhs = sum(xp_sol[coefficient_symbol("Xp", A, mu, mu)]
                       for mu in range(self.m))
-            lhs = sp.expand(sp.sympify(lhs).xreplace(jet_subs))
-            rhs = sp.expand(self._momentum_sources[A].xreplace(graph))
+            lhs = ex.expand(sp.sympify(lhs).xreplace(jet_subs))
+            rhs = ex.expand(self._momentum_sources[A].xreplace(graph))
             eqs.equations.append(Equation(f"el[{A}]", lhs, rhs,
                                           EquationRole.EVOLUTION))
         eqs.equations.append(Equation(

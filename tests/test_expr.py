@@ -169,11 +169,18 @@ class TestNormalFormAndEquality:
         assert r1.verdict == r2.verdict
 
     def test_random_rational_points_in_range(self):
+        # each draw is num/den with num in [-12, 12] \ {0} and den in [2, 7],
+        # so |v| <= 6
         rng = random.Random(0)
-        pts = ex.random_rational_point([ex.field(0), ex.base(0)], rng)
-        for v in pts.values():
-            assert v.is_Rational and v != 0
-            assert -3 <= float(v) <= 3
+        draws = [v for _ in range(1000)
+                 for v in ex.random_rational_point([ex.field(0)], rng).values()]
+        assert len(draws) == 1000
+        for v in draws:
+            assert v.is_Rational and abs(v) <= 6
+            assert any((v * den).is_Integer and 1 <= abs(v * den) <= 12
+                       for den in range(2, 8)), v
+        # the range check can fail: draws reach beyond [-3, 3]
+        assert any(abs(v) > 3 for v in draws)
 
 
 class TestSampling:
@@ -290,6 +297,11 @@ class TestDiff:
     @example("1/2*cos(1)*(1+x[0])^2")
     # 0*zoo is nan: the z-free factors' Leibniz terms are not all 0
     @example("k*y[0]*(1/(y[1]-y[1]))")
+    # z-free subtrees that are 0 by recursion: a power, a sum inside a
+    # product, a function node
+    @example("(y[1]+1)^3*y[0]")
+    @example("(y[1]+k)*y[0]^2")
+    @example("sin(y[1])*y[0]")
     @settings(max_examples=150, deadline=None)
     def test_grammar_expressions_match_sympy(self, text):
         e = ex.parse_expr(text, 1, 2, parameters={"k": sp.Symbol("k")})
@@ -352,6 +364,66 @@ class TestDiff:
                 for m in pattern.finditer(line) if m.group(1) != "ex"]
         assert hits == [("expr.py", "return sp.diff(e, z)")] * 2
         assert all("return sp.diff(e, z)" in inspect.getsource(f) for f in (ex.diff, ex._diff))
+
+
+# ---------------------------------------------------------------------------
+# expand against sp.expand
+
+
+class TestExpand:
+    @given(_grammar_text())
+    # shapes that are not sums of monomials: sympy.expand's fallback
+    @example("(y[0]+y[1])^-2")
+    @example("x[0]*(y[0]+1)")
+    @example("exp(y[0]+y[1])")
+    @example("(y[0]*y[1])^2")
+    @example("sqrt(y[0])")
+    @settings(max_examples=150, deadline=None)
+    def test_grammar_expressions_match_sympy(self, text):
+        e = _grammar(text)
+        assert _same_tree(ex.expand(e), sp.expand(e)), text
+
+    def test_expanded_polynomial_is_returned_as_is(self):
+        e = sp.expand(_grammar("k*(x[0]+y[0])^3 - 1/2*p[0,0]*y[1]^-2 + 3"))
+        assert ex.expand(e) is e
+
+    def test_pipeline_calls_match_sympy(self, models, monkeypatch, capsys):
+        # every expansion made while the bundled models go through derive
+        # (three formalisms), check, unify and compile_problem
+        calls, structural = [], ex.expand
+
+        def recording(e):
+            calls.append(e)
+            return structural(e)
+
+        monkeypatch.setattr(ex, "expand", recording)
+        for name, (spec, sim) in models.items():
+            path = model_path(name)
+            for formalism in ("lagrangian", "hamiltonian", "unified"):
+                cli.main(["derive", path, "--formalism", formalism, "--format", "machine"])
+            cli.main(["check", path])
+            cli.main(["unify", path])
+            try:
+                numsim.compile_problem(LagrangianSystem(spec).herglotz_el_equations(), sim)
+            except numsim.CompileError:
+                pass
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert len(calls) > 500
+        # both paths run: trees returned as they are, and sympy's expansion
+        assert any(ex.expand(e) is e for e in calls)
+        assert any(not _same_tree(ex.expand(e), e) for e in calls)
+        bad = [e for e in calls if not _same_tree(ex.expand(e), sp.expand(e))]
+        assert not bad
+
+    def test_one_expansion_path(self):
+        # sympy's expand is called only by expr.expand's fallback; the other
+        # .expand() calls are Form.expand
+        assert _source_hits(r"\bsp\.expand\b|(?<!\bex)\.expand\(") == [
+            ("calculus.py", "out = out.expand()"),
+            ("calculus.py", "out.exterior = dout.expand()"),
+            ("expr.py", "return sp.expand(e)")]
+        assert "return sp.expand(e)" in inspect.getsource(ex.expand)
 
 
 # ---------------------------------------------------------------------------
