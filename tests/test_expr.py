@@ -290,6 +290,21 @@ _GRAMMAR_COORDS = [ex.base(0), ex.field(0), ex.field(1), ex.velocity(0, 0),
                    ex.momentum(1, 0), sp.Symbol("k")]
 
 
+def _run_bundled_pipeline(models) -> None:
+    """What the CLI computes for each bundled model: derive (three
+    formalisms, machine format), check and unify; then compile_problem."""
+    for name, (spec, sim) in models.items():
+        path = model_path(name)
+        for formalism in ("lagrangian", "hamiltonian", "unified"):
+            cli.main(["derive", path, "--formalism", formalism, "--format", "machine"])
+        cli.main(["check", path])
+        cli.main(["unify", path])
+        try:
+            numsim.compile_problem(LagrangianSystem(spec).herglotz_el_equations(), sim)
+        except numsim.CompileError:
+            pass
+
+
 class TestDiff:
     @given(_grammar_text())
     # a product multiplied out pairwise, 1/2*(2*x0 + 2) -> x0 + 1, is not
@@ -324,16 +339,7 @@ class TestDiff:
             return structural(e, z)
 
         monkeypatch.setattr(ex, "diff", recording)
-        for name, (spec, sim) in models.items():
-            path = model_path(name)
-            for formalism in ("lagrangian", "hamiltonian", "unified"):
-                cli.main(["derive", path, "--formalism", formalism])
-            cli.main(["check", path])
-            cli.main(["unify", path])
-            try:
-                numsim.compile_problem(LagrangianSystem(spec).herglotz_el_equations(), sim)
-            except numsim.CompileError:
-                pass
+        _run_bundled_pipeline(models)
         capsys.readouterr()
         assert len(calls) > 1000
         bad = [(e, z) for e, z in calls if not _same_tree(structural(e, z), sp.diff(e, z))]
@@ -372,7 +378,8 @@ class TestDiff:
 
 class TestExpand:
     @given(_grammar_text())
-    # shapes that are not sums of monomials: sympy.expand's fallback
+    # shapes that are not sums of monomials go to sympy.expand; a power of
+    # a product is one once sympy has built it, y0^2*y1^2
     @example("(y[0]+y[1])^-2")
     @example("x[0]*(y[0]+1)")
     @example("exp(y[0]+y[1])")
@@ -397,16 +404,7 @@ class TestExpand:
             return structural(e)
 
         monkeypatch.setattr(ex, "expand", recording)
-        for name, (spec, sim) in models.items():
-            path = model_path(name)
-            for formalism in ("lagrangian", "hamiltonian", "unified"):
-                cli.main(["derive", path, "--formalism", formalism, "--format", "machine"])
-            cli.main(["check", path])
-            cli.main(["unify", path])
-            try:
-                numsim.compile_problem(LagrangianSystem(spec).herglotz_el_equations(), sim)
-            except numsim.CompileError:
-                pass
+        _run_bundled_pipeline(models)
         capsys.readouterr()
         monkeypatch.undo()
         assert len(calls) > 500
