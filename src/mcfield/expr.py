@@ -406,6 +406,11 @@ def to_grammar(e: sp.Expr) -> str:
     return _print(sp.sympify(e), 0)
 
 
+# the constants the parser builds from exp(1), sqrt(-1) and log(-1) = I*pi
+_CONSTANTS = {sp.S.Exp1: ("exp(1)", 4), sp.S.ImaginaryUnit: ("sqrt(-1)", 4),
+              sp.S.Pi: ("log(-1)/sqrt(-1)", 1)}
+
+
 # precedence levels: 0 add, 1 mul, 2 unary minus, 3 power, 4 atom
 def _print(e: sp.Expr, level: int) -> str:
     if e.is_Symbol:
@@ -429,7 +434,7 @@ def _print(e: sp.Expr, level: int) -> str:
             if a.is_Rational:
                 coeff *= a
                 continue
-            if a.is_Pow and a.exp.is_Integer and a.exp < 0:
+            if a.is_Pow and a.exp.is_Rational and a.exp < 0:
                 den.append(_print(a.base ** (-a.exp), 3))
             else:
                 num.append(_print(a, 3))
@@ -445,17 +450,21 @@ def _print(e: sp.Expr, level: int) -> str:
         for d in den:
             s += "/" + d
         return _wrap(s, 2 if sign else 1, level)
-    if e.is_Pow:
-        if not e.exp.is_Integer:
-            raise ExprError(f"cannot render non-integer exponent: {e}")
+    if e.is_Pow and e.exp.is_Rational and not e.exp.q & (e.exp.q - 1):
         if e.exp < 0:
             return _wrap("1/" + _print(e.base ** (-e.exp), 3), 1, level)
-        return _wrap(_print(e.base, 4) + "^" + str(e.exp), 3, level)
+        # b^(k/2^j), from j nested square roots: sqrt(..sqrt(b)..)^k
+        s = _print(e.base, 0 if e.exp.q > 1 else 4)
+        for _ in range(e.exp.q.bit_length() - 1):
+            s = f"sqrt({s})"
+        return s if e.exp.p == 1 else _wrap(f"{s}^{e.exp.p}", 3, level)
     if isinstance(e, sp.Function):
         name = type(e).__name__
         if name not in _FUNCS:
             raise ExprError(f"cannot render function {name!r} in the grammar")
         return f"{name}({_print(e.args[0], 0)})"
+    if e in _CONSTANTS:
+        return _wrap(*_CONSTANTS[e], level)
     raise ExprError(f"cannot render expression node {type(e).__name__}: {e}")
 
 

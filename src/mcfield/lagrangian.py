@@ -15,11 +15,11 @@ L is expanded once per system, and each derivative of the expanded L is
 taken once, by ``expr.diff``, into a derivative table: the momenta
 dL/dy^A_mu and their partials (``momentum_jet``), dL/dy^A
 (``field_partials``), dL/ds^mu (``action_partials``) and the energy's
-gradient (``energy_jet``, by the chain rule).  The field equations, sigma_L
-and the unified side read it, and ``theta`` passes the momentum and energy
-jets to ``calculus.canonical_form``, which assembles d(Theta_L) from them
-instead of differentiating Theta_L again.  L as written stays as ``L``:
-the action-balance row prints it.
+gradient (``energy_jet``, by the chain rule).  sigma_L reads it, and the
+field equations and the unified side read the momentum jet through
+:func:`along`, the one total derivative.  ``theta`` passes the momentum and
+energy jets to ``calculus.canonical_form``, which assembles d(Theta_L) from
+them.  L as written stays as ``L``: the action-balance row prints it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from . import expr as ex
 from .calculus import Form, VectorField, canonical_form, one_form
 from .chart import ChartKind, ModelSpec, build_chart, validate_model
 
-__all__ = ["EquationRole", "Equation", "EquationSet", "total_derivative",
+__all__ = ["EquationRole", "Equation", "EquationSet", "along",
            "Regularity", "RegularityReport", "LagrangianSystem"]
 
 
@@ -116,28 +116,29 @@ class EquationSet:
         return cls(title, m, n, eqs)
 
 
-def total_derivative(f: sp.Expr, mu: int, m: int, n: int) -> sp.Expr:
-    """Formal total derivative along x^mu on the velocity--action bundle.
-
-    First derivatives of fields become velocities, derivatives of velocities
-    become (symmetric) second-jet symbols, derivatives of the action
-    coordinates become action-gradient symbols.
-    """
-    f = sp.sympify(f)
-    out = ex.diff(f, ex.base(mu))
-    for A in range(n):
-        df = ex.diff(f, ex.field(A))
-        if df != 0:
-            out += ex.velocity(A, mu) * df
-        for nu in range(m):
-            dv = ex.diff(f, ex.velocity(A, nu))
-            if dv != 0:
-                out += ex.second_jet(A, mu, nu) * dv
-    for nu in range(m):
-        dsv = ex.diff(f, ex.action(nu))
-        if dsv != 0:
-            out += ex.action_grad(nu, mu) * dsv
-    return out
+def along(grad: dict[sp.Symbol, sp.Expr], mu: int, velocity=ex.second_jet,
+          action=ex.action_grad, momentum=None) -> sp.Expr:
+    """D_mu of a function given by its gradient (coordinate -> nonzero
+    partial), expanded: the gradient contracted with the prolongation of
+    d/dx^mu, whose components are delta^nu_mu on x^nu, y^A_mu on y^A,
+    ``velocity(A, mu, nu)`` on y^A_nu, ``action(nu, mu)`` on s^nu and
+    ``momentum(A, nu, mu)`` on p^nu_A.  The defaults write jet-gradient
+    symbols; the unified formalism passes its multivector coefficients."""
+    out = sp.S.Zero
+    for z, dz in grad.items():
+        role, idx = ex.role_of(z), ex.indices_of(z)
+        if role is ex.Role.BASE:
+            if idx[0] == mu:
+                out += dz
+        elif role is ex.Role.FIELD:
+            out += ex.velocity(idx[0], mu) * dz
+        elif role is ex.Role.VELOCITY:
+            out += velocity(idx[0], mu, idx[1]) * dz
+        elif role is ex.Role.MOMENTUM:
+            out += momentum(idx[0], idx[1], mu) * dz
+        else:   # action
+            out += action(idx[0], mu) * dz
+    return ex.expand(out)
 
 
 class Regularity(Enum):
@@ -305,11 +306,12 @@ class LagrangianSystem:
 
     # field equations ----------------------------------------------------------
     def herglotz_el_equations(self) -> EquationSet:
-        """Herglotz--Euler--Lagrange equations in jet-gradient symbols."""
+        """Herglotz--Euler--Lagrange equations in jet-gradient symbols; the
+        left sides are :func:`along` over the momentum jet."""
         eqs = EquationSet("Herglotz-Euler-Lagrange equations", self.m, self.n)
         for B in range(self.n):
             p = [self.momentum_assignment(B, mu) for mu in range(self.m)]
-            lhs = sum(total_derivative(p[mu], mu, self.m, self.n) for mu in range(self.m))
+            lhs = sum(along(self.momentum_jet[B * self.m + mu], mu) for mu in range(self.m))
             rhs = self.field_partials[B] + sum(a * q for a, q in zip(self.action_partials, p))
             eqs.equations.append(Equation(f"el[{B}]", ex.expand(lhs), ex.expand(rhs),
                                           EquationRole.EVOLUTION))

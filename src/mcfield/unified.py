@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import sympy as sp
 from sympy.solvers.solveset import NonlinearError
@@ -42,7 +42,7 @@ from sympy.solvers.solveset import NonlinearError
 from . import expr as ex
 from .calculus import Form, canonical_form, one_form
 from .chart import ChartKind, build_chart
-from .lagrangian import Equation, EquationRole, EquationSet, LagrangianSystem
+from .lagrangian import Equation, EquationRole, EquationSet, LagrangianSystem, along
 
 __all__ = ["coefficient_symbol", "CoefficientSystem", "LadderStatus",
            "ConstraintLadder", "UnifiedSystem"]
@@ -177,9 +177,10 @@ class UnifiedSystem:
                       + d2L/ds^lam ddy[B,nu] Xs[lam,mu] .
 
         The second derivatives are read from the Lagrangian's momentum jet
-        and contracted with X_mu by the ladder's own operator (``_along``).
-        The solution is built once per system and shared by the ladder and
-        the Lagrangian projection; callers must not mutate it.
+        and contracted with X_mu by ``_along``: ``lagrangian.along``, the
+        total derivative of the Euler--Lagrange left sides.  The solution is
+        built once per system and shared by the ladder and the Lagrangian
+        projection; callers must not mutate it.
         """
         return self._tangency
 
@@ -191,26 +192,13 @@ class UnifiedSystem:
 
     def _along(self, grad: dict[sp.Symbol, sp.Expr], mu: int) -> sp.Expr:
         """Derivative along the factor X_mu of a W0 function, given by its
-        gradient (coordinate -> nonzero partial): the gradient contracted
-        with X_mu's components (1, y^A_mu, Xv[A,mu,lam], Xp[A,nu,mu],
-        Xs[nu,mu]).  The momentum slots are read from the tangency
-        solution, which is itself this contraction of the momentum jet; the
-        jet lives on the velocity side and has no momentum components."""
-        out = sp.S.Zero
-        for z, dz in grad.items():
-            role, idx = ex.role_of(z), ex.indices_of(z)
-            if role is ex.Role.BASE:
-                if idx[0] == mu:
-                    out += dz
-            elif role is ex.Role.FIELD:
-                out += ex.velocity(idx[0], mu) * dz
-            elif role is ex.Role.VELOCITY:
-                out += coefficient_symbol("Xv", idx[0], mu, idx[1]) * dz
-            elif role is ex.Role.MOMENTUM:
-                out += self._tangency[coefficient_symbol("Xp", idx[0], idx[1], mu)] * dz
-            else:   # action
-                out += coefficient_symbol("Xs", idx[0], mu) * dz
-        return ex.expand(out)
+        gradient: ``lagrangian.along`` with X_mu's coefficients in the
+        velocity, action and momentum slots.  The momentum slots are read
+        from the tangency solution, which is this contraction of the
+        momentum jet (a jet with no momentum components)."""
+        return along(grad, mu, velocity=partial(coefficient_symbol, "Xv"),
+                     action=partial(coefficient_symbol, "Xs"),
+                     momentum=lambda *idx: self._tangency[coefficient_symbol("Xp", *idx)])
 
     # --------------------------------------------------------------- ladder
     def _unknowns(self) -> list[sp.Symbol]:

@@ -64,6 +64,19 @@ def toy_m1n1():
     return LagrangianSystem(ModelSpec("cross", 1, 1, L, {}))
 
 
+def total_derivative(f, mu: int, m: int, n: int):
+    """The formal total derivative D_mu f on the velocity--action bundle, by
+    sympy's own ``diff``: a reference that shares no code with
+    ``lagrangian.along`` or the derivative table it reads."""
+    f = sp.sympify(f)
+    out = sp.diff(f, ex.base(mu))
+    for A in range(n):
+        out += ex.velocity(A, mu) * sp.diff(f, ex.field(A))
+        out += sum(ex.second_jet(A, mu, nu) * sp.diff(f, ex.velocity(A, nu))
+                   for nu in range(m))
+    return out + sum(ex.action_grad(nu, mu) * sp.diff(f, ex.action(nu)) for nu in range(m))
+
+
 def hamiltonian_pullback_holds(uni, H) -> bool:
     """H pulled back to W1 by the Legendre graph is the Lagrangian energy,
     and it is -pext with pext solved from the unified coupling on the graph."""

@@ -314,6 +314,23 @@ class TestExportRoundTrip:
             assert bool(ex.equal(ea.residual, eb.residual))
 
 
+class TestSqrtModel:
+    def test_machine_format_renders_and_reads_back(self, tmp_path, capsys):
+        model = tmp_path / "sqrt_pendulum.model"
+        model.write_text(textwrap.dedent("""
+            m: 1
+            n: 1
+            lagrangian: 1/2*dy[0,0]^2 - sqrt(1 + y[0]^2) - s[0]/10
+        """))
+        assert run_cli("derive", str(model), "--format", "machine",
+                       "--out", str(tmp_path)) == 0
+        machine = tmp_path / "sqrt_pendulum.lagrangian.machine"
+        assert "sqrt(1+y[0]^2)" in machine.read_text()
+        assert run_cli("export", str(model), "--from", str(machine),
+                       "--format", "machine") == 0
+        assert capsys.readouterr().out == machine.read_text()
+
+
 class TestDeterminism:
     def test_check_output_reproducible(self, capsys):
         run_cli("check", model_path("damped_wave"), "--seed", "7")

@@ -285,6 +285,25 @@ def _grammar_text():
     return st.recursive(st.sampled_from(_GRAMMAR_LEAVES), grow, max_leaves=10)
 
 
+class TestPrinterRoundTrip:
+    @given(_grammar_text())
+    # square roots print as sqrt, e as exp(1)
+    @example("sqrt(2)*y[0]")
+    @example("1/sqrt(1+y[0]^2)")
+    @example("sqrt(y[0])^3")
+    @example("exp(1)*y[0]")
+    # nested roots, and the I and pi of sqrt and log of a negative number
+    @example("sqrt(sqrt(y[0]))^-3*y[1]")
+    @example("sqrt(1-3)*log(1-3)/y[0]")
+    @settings(max_examples=150, deadline=None)
+    def test_renders_every_tree_the_parser_builds(self, text):
+        params = {"k": sp.Symbol("k")}
+        e = ex.parse_expr(text, 1, 2, parameters=params)
+        if e.has(sp.zoo, sp.nan):
+            return
+        assert ex.equal(ex.parse_expr(ex.to_grammar(e), 1, 2, parameters=params), e), text
+
+
 _GRAMMAR_COORDS = [ex.base(0), ex.field(0), ex.field(1), ex.velocity(0, 0),
                    ex.velocity(1, 0), ex.action(0), ex.momentum(0, 0),
                    ex.momentum(1, 0), sp.Symbol("k")]
@@ -341,7 +360,9 @@ class TestDiff:
         monkeypatch.setattr(ex, "diff", recording)
         _run_bundled_pipeline(models)
         capsys.readouterr()
-        assert len(calls) > 1000
+        # 596 at the last count: the field equations read the derivative
+        # table instead of differentiating the momenta again
+        assert len(calls) > 500
         bad = [(e, z) for e, z in calls if not _same_tree(structural(e, z), sp.diff(e, z))]
         assert not bad
 

@@ -4,9 +4,10 @@ import sympy as sp
 from mcfield import expr as ex
 from mcfield.chart import ModelSpec
 from mcfield.hamiltonian import HamiltonianSystem, eliminate_velocities
-from mcfield.lagrangian import (EquationRole, LagrangianSystem,
-                                total_derivative)
+from mcfield.lagrangian import EquationRole, LagrangianSystem
 from mcfield.unified import UnifiedSystem
+
+from conftest import total_derivative
 
 
 def _system(L, m=1, n=1, params=()):

@@ -4,14 +4,14 @@ import sympy as sp
 from mcfield import calculus, hamiltonian, lagrangian, unified
 from mcfield import expr as ex
 from mcfield.calculus import contract, d, structure_diagnostics, wedge
-from mcfield.chart import ModelSpec
+from mcfield.chart import ChartKind, ModelSpec, build_chart
 from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import (EquationRole, EquationSet, LagrangianSystem,
-                                Regularity, total_derivative)
+                                Regularity, along)
 from mcfield.modelfile import load_model
 from mcfield.unified import UnifiedSystem
 
-from conftest import TEST_MODELS
+from conftest import TEST_MODELS, total_derivative
 
 
 def _system(L, m=1, n=1, params=()):
@@ -19,18 +19,22 @@ def _system(L, m=1, n=1, params=()):
     return LagrangianSystem(ModelSpec("t", m, n, L, p))
 
 
-class TestTotalDerivative:
+class TestAlong:
+    @staticmethod
+    def _along(f, mu, m, n):
+        return along(ex.gradient(f, build_chart(ChartKind.P, m, n).coords), mu)
+
     def test_chain_rule_over_jet_variables(self):
         f = ex.field(0) * ex.velocity(0, 0) + ex.action(0)
-        out = total_derivative(f, 0, 1, 1)
+        out = self._along(f, 0, 1, 1)
         expected = (ex.velocity(0, 0) ** 2 + ex.field(0) * ex.second_jet(0, 0, 0)
                     + ex.action_grad(0, 0))
         assert sp.expand(out - expected) == 0
 
     def test_mixed_partials_are_symmetric(self):
         f = ex.velocity(0, 1)
-        assert total_derivative(f, 0, 2, 1) == ex.second_jet(0, 0, 1)
-        assert total_derivative(ex.velocity(0, 0), 1, 2, 1) == ex.second_jet(0, 0, 1)
+        assert self._along(f, 0, 2, 1) == ex.second_jet(0, 0, 1)
+        assert self._along(ex.velocity(0, 0), 1, 2, 1) == ex.second_jet(0, 0, 1)
 
 
 class TestHessianRegularity:
@@ -182,15 +186,42 @@ def _table_mismatches(lag):
             if (table != 0 or reference != 0) and not ex.equal(table, reference)]
 
 
+def _el_mismatches(lag):
+    """The sides of the Euler--Lagrange rows that differ, under
+    ``expr.equal``, from a reference built by sympy's own ``diff`` of the
+    Lagrangian as written: sum_mu D_mu(dL/dy^A_mu) on the left, with D_mu
+    the conftest total derivative, and dL/dy^A + sum_mu dL/ds^mu dL/dy^A_mu
+    on the right.  One (row, side) pair each."""
+    L = sp.sympify(lag.spec.lagrangian)
+    m, n = lag.m, lag.n
+    rows = {e.name: e for e in lag.herglotz_el_equations()}
+    bad = []
+    for A in range(n):
+        p = [sp.diff(L, ex.velocity(A, mu)) for mu in range(m)]
+        lhs = sum(total_derivative(p[mu], mu, m, n) for mu in range(m))
+        rhs = sp.diff(L, ex.field(A)) + sum(sp.diff(L, ex.action(mu)) * p[mu]
+                                            for mu in range(m))
+        row = rows[f"el[{A}]"]
+        bad += [(row.name, side) for side, ours, reference
+                in (("lhs", row.lhs, lhs), ("rhs", row.rhs, rhs))
+                if not ex.equal(ours, reference)]
+    return bad
+
+
+def _table_specs(models, seed1_corpus):
+    """The 46 models the table checks run on: bundled, seed-1 corpus, test."""
+    specs = ([spec for spec, _ in models.values()] + seed1_corpus
+             + [load_model(path)[0] for path in sorted(TEST_MODELS.glob("*.model"))])
+    assert len(specs) == 46
+    return specs
+
+
 class TestDerivativeTable:
     """The table differentiates the expanded Lagrangian once per system;
     each entry must still be the derivative of the Lagrangian as written."""
 
     def test_matches_sympy_diff_of_the_written_lagrangian(self, models, seed1_corpus):
-        specs = ([spec for spec, _ in models.values()] + seed1_corpus
-                 + [load_model(path)[0] for path in sorted(TEST_MODELS.glob("*.model"))])
-        assert len(specs) == 46
-        bad = {spec.name: miss for spec in specs
+        bad = {spec.name: miss for spec in _table_specs(models, seed1_corpus)
                if (miss := _table_mismatches(LagrangianSystem(spec)))}
         assert not bad
 
@@ -201,6 +232,20 @@ class TestDerivativeTable:
         lag.momentum_jet[0][ex.field(0)] = ex.action(0)
         assert _table_mismatches(lag) == [("momentum_jet[dy0_0]", ex.field(0)),
                                           ("energy_jet", ex.action(0))]
+
+    def test_euler_lagrange_rows_match_the_reference(self, models, seed1_corpus):
+        # the rows read the table through lagrangian.along; the reference
+        # differentiates the written Lagrangian again, by sympy.diff
+        bad = {spec.name: miss for spec in _table_specs(models, seed1_corpus)
+               if (miss := _el_mismatches(LagrangianSystem(spec)))}
+        assert not bad
+
+    def test_corrupted_momentum_jet_is_caught(self, models):
+        lag = LagrangianSystem(models["damped_oscillator"][0])
+        assert _el_mismatches(lag) == []
+        jet = lag.momentum_jet[0]
+        jet[ex.velocity(0, 0)] = -jet[ex.velocity(0, 0)]
+        assert _el_mismatches(lag) == [("el[0]", "lhs")]
 
 
 class TestHerglotzEquations:

@@ -539,15 +539,3 @@ class TestPointFloatPath:
             assert got.arrays.tobytes() == want.tobytes()
         for name in p.monitors:
             assert np.array_equal(rep.series[name], np.asarray(series[name][:k])), name
-
-
-def test_wave_convergence_script():
-    # the script's grid study of action_balance_fd and its 10^4-step
-    # oscillator run against the closed form
-    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "wave_convergence.py"
-    done = _run_python([str(script), "--grids", "32,64"])
-    assert done.returncode == 0, done.stderr
-    order = float(re.search(r"observed convergence order: (\S+)", done.stdout).group(1))
-    error = float(re.search(r"oscillator max \|q - exact\| .*: (\S+)", done.stdout).group(1))
-    assert 1.8 <= order <= 2.2
-    assert error < 1e-9
