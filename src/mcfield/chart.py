@@ -151,6 +151,12 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
     if issues:
         return ValidationReport(issues)
 
+    for name, sym in spec.parameters.items():
+        if ex.role_of(sym) is not None:
+            issues.append(ValidationIssue(
+                "parameter-is-coordinate",
+                f"parameter {name!r} has the name of the coordinate {ex.to_grammar(sym)}"))
+
     chart = spec.chart
     allowed = set(chart.coords) | set(spec.parameters.values())
     for sym in sp.sympify(spec.lagrangian).free_symbols:

@@ -141,7 +141,11 @@ def _cmd_derive(args) -> int:
             return _fail(str(err))
     else:
         eqs = UnifiedSystem(lag).sr_field_equations().equations
-    _emit(_render(eqs, args.format), args.out, f"{spec.name}.{args.formalism}.{args.format}")
+    try:
+        text = _render(eqs, args.format)
+    except ex.ExprError as err:
+        return _fail(str(err))
+    _emit(text, args.out, f"{spec.name}.{args.formalism}.{args.format}")
     return EXIT_OK
 
 
@@ -173,7 +177,10 @@ def _cmd_unify(args) -> int:
                                           seed=args.seed)
     except ValueError as err:
         return _fail(str(err))
-    parts = [_render(system.equations, args.format), "", ladder.to_text()]
+    try:
+        parts = [_render(system.equations, args.format), "", ladder.to_text()]
+    except ex.ExprError as err:
+        return _fail(str(err))
 
     # internal consistency: the unified projection must reproduce the
     # Lagrangian equations on the Legendre graph

@@ -458,6 +458,10 @@ def _print(e: sp.Expr, level: int) -> str:
         for _ in range(e.exp.q.bit_length() - 1):
             s = f"sqrt({s})"
         return s if e.exp.p == 1 else _wrap(f"{s}^{e.exp.p}", 3, level)
+    if isinstance(e, (sp.cosh, sp.sinh)):
+        # what the parser builds from cos and sin of an imaginary argument
+        s = f"sqrt(-1)*({_print(e.args[0], 0)})"
+        return f"cos({s})" if isinstance(e, sp.cosh) else _wrap(f"-sqrt(-1)*sin({s})", 2, level)
     if isinstance(e, sp.Function):
         name = type(e).__name__
         if name not in _FUNCS:
@@ -665,11 +669,12 @@ def sampled(exprs, args: Sequence[sp.Symbol], samples: int, seed: int) -> list:
     once, and run at every point.  The operations are the ones sympy's
     lambdify prints with the ``math`` module (``x**(1/2)`` is
     ``math.sqrt``, ``x**(-1/2)`` is ``1/math.sqrt``, ``x**-1`` is ``1/x``,
-    other powers ``**``; ``math.sin``/``cos``/``exp``/``log``; ``zoo`` and
-    ``nan`` are ``nan``), so a point raises the same ``ZeroDivisionError``
-    or ``math`` ``ValueError`` and a negative base to a fractional power
-    gives the same complex value.  Sums and products run in argument order,
-    not in printed order, so values agree to rounding, not bit for bit.
+    other powers ``**``; ``math.sin``/``cos``/``sinh``/``cosh``/``exp``/
+    ``log``; ``zoo`` and ``nan`` are ``nan``), so a point raises the same
+    ``ZeroDivisionError`` or ``math`` ``ValueError`` and a negative base to
+    a fractional power gives the same complex value.  Sums and products run
+    in argument order, not in printed order, so values agree to rounding,
+    not bit for bit.
     """
     if isinstance(exprs, sp.MatrixBase):
         exprs = exprs.tolist()
@@ -708,7 +713,8 @@ def _reciprocal_sqrt(x):
     return 1 / math.sqrt(x)
 
 
-_MATH = {sp.sin: math.sin, sp.cos: math.cos, sp.exp: math.exp, sp.log: math.log}
+_MATH = {sp.sin: math.sin, sp.cos: math.cos, sp.exp: math.exp, sp.log: math.log,
+         sp.cosh: math.cosh, sp.sinh: math.sinh}
 
 
 def _flatten(e, slots: dict, memo: dict, program: list):

@@ -215,6 +215,8 @@ def _simulate_config(block, m: int, n: int, parameters, path: str) -> SimulateCo
         raise ModelFileError("simulate.parameters must be a mapping", path)
     for pname, pval in raw_vals.items():
         what = f"simulate.parameters[{pname!r}]"
+        if str(pname) not in parameters:
+            raise ModelFileError(f"{what}: unknown parameter", path)
         value = _scalar_expr(pval, m, path, what=what)
         try:
             cfg.parameters[str(pname)] = float(value)

@@ -24,10 +24,12 @@ field X = X_0 ^ ... ^ X_{m-1}, with factors
 
 reduce in coordinates to: semi-holonomy F^A_mu = y^A_mu, the momentum trace
 equations, the primary constraints p^mu_A = dL/dy^A_mu (which cut out the
-Legendre graph W1), and the action trace equation.  Demanding tangency of
-the solutions to W1 determines the Xp coefficients and yields the
-compatibility system whose left-kernel contractions drive the constraint
-ladder in the singular case.
+Legendre graph W1), and the action trace equation.  ``sr_field_equations``
+states them once per system and everything else reads that statement: the
+ladder starts from its constraint rows, and tangency to W1, which fixes
+the Xp coefficients, turns its trace rows into the compatibility system
+whose left-kernel contractions drive the ladder in the singular case, and
+(unknowns read as jet symbols) into the Lagrangian projection.
 """
 
 from __future__ import annotations
@@ -131,41 +133,55 @@ class UnifiedSystem:
         return {ex.momentum(A, mu): p for (A, mu), p in zip(self._pairs, self.lag.momenta)}
 
     # --------------------------------------------------------- field equations
-    def primary_constraints(self) -> list[sp.Expr]:
-        """xi^mu_A = dL/dy^A_mu - p^mu_A, built once per system (a new list each call)."""
-        return list(self._primary)
-
-    @cached_property
-    def _primary(self) -> list[sp.Expr]:
-        return [ex.expand(p - ex.momentum(A, mu))
-                for (A, mu), p in zip(self._pairs, self.lag.momenta)]
-
-    @cached_property
-    def _momentum_sources(self) -> list[sp.Expr]:
-        """Right-hand sides of the momentum trace equations, expanded:
-        dL/dy^A + (dL/ds^mu) p^mu_A, one per field."""
-        fp, ap = self.lag.field_partials, self.lag.action_partials
-        return [ex.expand(fp[A] + sum(ap[mu] * ex.momentum(A, mu) for mu in range(self.m)))
-                for A in range(self.n)]
-
     def sr_field_equations(self) -> CoefficientSystem:
-        """Coordinate equations for the unified multivector field."""
+        """Coordinate equations for the unified multivector field: the one
+        statement of them.  It is built once per system; each call returns a
+        new CoefficientSystem over a new list of the same Equations, which
+        callers must not mutate.  The ladder (``primary_constraints``,
+        ``_compatibility_rows``) and ``project_to_lagrangian`` read it."""
+        eqs = self._statement
+        return CoefficientSystem(EquationSet(eqs.title, eqs.m, eqs.n, list(eqs.equations)))
+
+    @cached_property
+    def _statement(self) -> EquationSet:
+        fp, ap = self.lag.field_partials, self.lag.action_partials
         eqs = EquationSet("Unified field equations", self.m, self.n)
         for A, mu in self._pairs:
-            eqs.equations.append(Equation(
-                f"holonomy[{A},{mu}]", sp.Symbol(f"F{A}_{mu}"),
-                ex.velocity(A, mu), EquationRole.SEMI_HOLONOMY))
+            eqs.equations.append(Equation(f"holonomy[{A},{mu}]", sp.Symbol(f"F{A}_{mu}"),
+                                          ex.velocity(A, mu), EquationRole.SEMI_HOLONOMY))
         for A in range(self.n):
             lhs = sum(coefficient_symbol("Xp", A, mu, mu) for mu in range(self.m))
-            eqs.equations.append(Equation(f"momentum[{A}]", lhs, self._momentum_sources[A],
-                                          EquationRole.EVOLUTION))
-        for (A, mu), c in zip(self._pairs, self._primary):
-            eqs.equations.append(Equation(f"xi[{A},{mu}]", c, sp.Integer(0),
-                                          EquationRole.CONSTRAINT))
+            rhs = ex.expand(fp[A] + sum(ap[mu] * ex.momentum(A, mu) for mu in range(self.m)))
+            eqs.equations.append(Equation(f"momentum[{A}]", lhs, rhs, EquationRole.EVOLUTION))
+        for (A, mu), p in zip(self._pairs, self.lag.momenta):
+            eqs.equations.append(Equation(f"xi[{A},{mu}]", ex.expand(p - ex.momentum(A, mu)),
+                                          sp.Integer(0), EquationRole.CONSTRAINT))
         eqs.equations.append(Equation(
             "action", sum(coefficient_symbol("Xs", mu, mu) for mu in range(self.m)),
             self.L, EquationRole.ACTION_BALANCE))
-        return CoefficientSystem(eqs)
+        return eqs
+
+    def _traces(self) -> list[Equation]:
+        """The statement's momentum-trace rows, one per field, and its action-trace row."""
+        return [e for e in self.sr_field_equations().equations
+                if e.role in (EquationRole.EVOLUTION, EquationRole.ACTION_BALANCE)]
+
+    def primary_constraints(self) -> list[sp.Expr]:
+        """xi^mu_A = dL/dy^A_mu - p^mu_A: the left sides of the statement's
+        constraint rows (a new list each call)."""
+        eqs = self.sr_field_equations().equations
+        return [e.lhs for e in eqs.of_role(EquationRole.CONSTRAINT)]
+
+    @cached_property
+    def _unknown_jets(self) -> dict[sp.Symbol, sp.Symbol]:
+        """The ladder's unknowns Xv[A,mu,lam] and Xs[lam,mu] in column
+        order, each with the jet-gradient symbol it becomes in the
+        Lagrangian projection."""
+        jets = {coefficient_symbol("Xv", A, mu, lam): ex.second_jet(A, mu, lam)
+                for A in range(self.n) for mu in range(self.m) for lam in range(self.m)}
+        jets.update({coefficient_symbol("Xs", lam, mu): ex.action_grad(lam, mu)
+                     for lam in range(self.m) for mu in range(self.m)})
+        return jets
 
     def tangency_solution(self) -> dict[sp.Symbol, sp.Expr]:
         """Solve the tangency of the primary constraints for the momentum
@@ -201,23 +217,11 @@ class UnifiedSystem:
                      momentum=lambda *idx: self._tangency[coefficient_symbol("Xp", *idx)])
 
     # --------------------------------------------------------------- ladder
-    def _unknowns(self) -> list[sp.Symbol]:
-        u = [coefficient_symbol("Xv", A, mu, lam)
-             for A in range(self.n) for mu in range(self.m) for lam in range(self.m)]
-        u += [coefficient_symbol("Xs", lam, mu)
-              for lam in range(self.m) for mu in range(self.m)]
-        return u
-
     def _compatibility_rows(self) -> list[sp.Expr]:
-        """The momentum-trace equations with Xp substituted, and the action
-        trace, as (expression == 0) rows linear in the unknowns."""
+        """The statement's trace rows with the tangency solution substituted:
+        (expression == 0) rows linear in the unknowns."""
         xp_sol = self.tangency_solution()
-        rows = [ex.expand(sum(xp_sol[coefficient_symbol("Xp", A, mu, mu)]
-                              for mu in range(self.m)) - self._momentum_sources[A])
-                for A in range(self.n)]
-        rows.append(ex.expand(sum(coefficient_symbol("Xs", mu, mu)
-                                  for mu in range(self.m)) - self.L))
-        return rows
+        return [ex.expand(e.residual.xreplace(xp_sol)) for e in self._traces()]
 
     def _jacobian_row(self, phi: sp.Expr, graph: dict) -> tuple[dict, set, list[sp.Expr]]:
         """The W0 gradient of a constraint, the free symbols of that
@@ -243,7 +247,7 @@ class UnifiedSystem:
         """
         if max_generations < 0:
             raise ValueError(f"max_generations must be non-negative, got {max_generations}")
-        unknowns = self._unknowns()
+        unknowns = list(self._unknown_jets)
         graph = self.legendre_graph()
         coords = set(self.chart_w0.coords)
         notes: list[str] = []
@@ -314,32 +318,13 @@ class UnifiedSystem:
 
     # ------------------------------------------------------------ projections
     def project_to_lagrangian(self) -> EquationSet:
-        """Recover the Herglotz-Euler-Lagrange equations: substitute the
-        tangency-solved momentum slots into the momentum trace equations,
-        replace the coefficient unknowns by jet-gradient symbols, and
-        restrict to the Legendre graph."""
-        xp_sol = self.tangency_solution()
-        graph = self.legendre_graph()
-        jet_subs: dict[sp.Symbol, sp.Expr] = {}
-        for A in range(self.n):
-            for mu in range(self.m):
-                for lam in range(self.m):
-                    jet_subs[coefficient_symbol("Xv", A, mu, lam)] = \
-                        ex.second_jet(A, mu, lam)
-        for lam in range(self.m):
-            for mu in range(self.m):
-                jet_subs[coefficient_symbol("Xs", lam, mu)] = ex.action_grad(lam, mu)
-
-        eqs = EquationSet("Unified projection: Lagrangian equations",
-                          self.m, self.n)
-        for A in range(self.n):
-            lhs = sum(xp_sol[coefficient_symbol("Xp", A, mu, mu)]
-                      for mu in range(self.m))
-            lhs = ex.expand(sp.sympify(lhs).xreplace(jet_subs))
-            rhs = ex.expand(self._momentum_sources[A].xreplace(graph))
-            eqs.equations.append(Equation(f"el[{A}]", lhs, rhs,
-                                          EquationRole.EVOLUTION))
-        eqs.equations.append(Equation(
-            "action", sum(ex.action_grad(mu, mu) for mu in range(self.m)),
-            self.L, EquationRole.ACTION_BALANCE))
-        return eqs
+        """Recover the Herglotz-Euler-Lagrange equations from the statement's
+        trace rows: substitute the tangency solution into the left sides,
+        replace each unknown by its jet-gradient symbol, and restrict the
+        right sides to the Legendre graph."""
+        xp_sol, graph = self.tangency_solution(), self.legendre_graph()
+        names = [f"el[{A}]" for A in range(self.n)] + ["action"]
+        return EquationSet("Unified projection: Lagrangian equations", self.m, self.n, [
+            Equation(name, ex.expand(e.lhs.xreplace(xp_sol).xreplace(self._unknown_jets)),
+                     ex.expand(e.rhs.xreplace(graph)), e.role)
+            for name, e in zip(names, self._traces())])

@@ -9,6 +9,7 @@ from mcfield import expr as ex
 from mcfield.chart import ModelSpec
 from mcfield.lagrangian import LagrangianSystem
 from mcfield.modelfile import load_model
+from mcfield.unified import UnifiedSystem
 
 ROOT = pathlib.Path(__file__).parent.parent
 MODELS = ROOT / "src" / "mcfield" / "models"
@@ -45,6 +46,27 @@ def seed1_corpus(tmp_path_factory):
         path.write_text(cm.text)
         specs.append(load_model(path)[0])
     return specs
+
+
+def table_specs(models, seed1_corpus):
+    """The 46 models the table checks run on: bundled, seed-1 corpus, test."""
+    specs = ([spec for spec, _ in models.values()] + seed1_corpus
+             + [load_model(path)[0] for path in sorted(TEST_MODELS.glob("*.model"))])
+    assert len(specs) == 46
+    return specs
+
+
+def patch_statement(monkeypatch, change) -> None:
+    """Make ``UnifiedSystem.sr_field_equations`` return every row of the
+    printed unified statement as ``change(uni, row)`` gives it."""
+    state = UnifiedSystem.sr_field_equations
+
+    def patched(uni):
+        system = state(uni)
+        system.equations.equations = [change(uni, e) for e in system.equations]
+        return system
+
+    monkeypatch.setattr(UnifiedSystem, "sr_field_equations", patched)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import functools
 import pathlib
 import re
 import textwrap
@@ -8,9 +10,9 @@ import pytest
 from mcfield import expr as ex
 from mcfield.cli import _build_parser, main
 from mcfield.lagrangian import EquationSet
-from mcfield.unified import UnifiedSystem
+from mcfield.unified import UnifiedSystem, coefficient_symbol
 
-from conftest import model_path
+from conftest import model_path, patch_statement
 
 
 def run_cli(*argv):
@@ -76,6 +78,30 @@ class TestUnify:
         monkeypatch.setattr(UnifiedSystem, "project_to_lagrangian", drop_last)
         assert run_cli("unify", model_path("damped_oscillator")) == 2
         assert "INCONSISTENT: 2 Euler-Lagrange equations vs 1 projected" in capsys.readouterr().out
+
+
+def _mutate(mutation: str, uni, e):
+    """One row of the printed unified statement, altered by ``mutation``."""
+    if mutation == "flip-momentum" and e.name == "momentum[0]":
+        return dataclasses.replace(e, rhs=-e.rhs)
+    if mutation == "trace-first-slot" and e.name == "momentum[0]":
+        return dataclasses.replace(e, lhs=sum(coefficient_symbol("Xp", 0, mu, 0)
+                                              for mu in range(uni.m)))
+    if mutation == "double-action" and e.name == "action":
+        return dataclasses.replace(e, rhs=2 * e.rhs)
+    return e
+
+
+class TestUnifyReadsTheStatement:
+    """The ladder and the projection read the printed unified equations, so
+    a wrong row there must reach the Euler-Lagrange cross-check."""
+
+    @pytest.mark.parametrize("name", ["damped_wave", "maxwell"])
+    @pytest.mark.parametrize("mutation", ["flip-momentum", "trace-first-slot", "double-action"])
+    def test_mutated_statement_exits_two(self, capsys, monkeypatch, name, mutation):
+        patch_statement(monkeypatch, functools.partial(_mutate, mutation))
+        assert run_cli("unify", model_path(name)) == 2
+        assert "\nINCONSISTENT: " in capsys.readouterr().out
 
 
 class TestSimulate:
@@ -220,6 +246,14 @@ class TestExitCodesAndErrors:
         assert message in captured.err
         assert "status:" not in captured.out
 
+    @pytest.mark.parametrize("verb", ["derive", "unify"])
+    def test_unrenderable_equation_is_an_error_line(self, tmp_path, capsys, verb):
+        # 1/(1-1) is zoo, which the grammar has no text for
+        model = tmp_path / "zoo.model"
+        model.write_text("m: 1\nn: 1\nlagrangian: 1/2*dy[0,0]^2 - y[0]/(1-1)\n")
+        assert run_cli(verb, str(model), "--format", "machine") == 1
+        assert "error: cannot render expression node" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli("derive", model_path("damped_oscillator"),
                        "--frobnicate") == 1
@@ -326,6 +360,25 @@ class TestSqrtModel:
                        "--out", str(tmp_path)) == 0
         machine = tmp_path / "sqrt_pendulum.lagrangian.machine"
         assert "sqrt(1+y[0]^2)" in machine.read_text()
+        assert run_cli("export", str(model), "--from", str(machine),
+                       "--format", "machine") == 0
+        assert capsys.readouterr().out == machine.read_text()
+
+
+class TestImaginaryArgumentModel:
+    # the parser turns cos and sin of an imaginary argument into cosh and
+    # sinh, which print back as cos and sin and sample through math
+    @pytest.mark.parametrize("lagrangian", ["1/2*dy[0,0]^2 - cos(sqrt(0-2))*y[0]^2",
+                                            "1/2*dy[0,0]^2 - cos(sqrt(0-1)*y[0])"])
+    def test_machine_format_checks_and_reads_back(self, tmp_path, capsys, lagrangian):
+        model = tmp_path / "hyperbolic.model"
+        model.write_text(f"m: 1\nn: 1\nlagrangian: {lagrangian}\n")
+        assert run_cli("derive", str(model), "--format", "machine",
+                       "--out", str(tmp_path)) == 0
+        assert run_cli("check", str(model)) == 0
+        machine = tmp_path / "hyperbolic.lagrangian.machine"
+        assert "cos(sqrt(-1)*(" in machine.read_text()
+        capsys.readouterr()
         assert run_cli("export", str(model), "--from", str(machine),
                        "--format", "machine") == 0
         assert capsys.readouterr().out == machine.read_text()

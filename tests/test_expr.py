@@ -295,6 +295,9 @@ class TestPrinterRoundTrip:
     # nested roots, and the I and pi of sqrt and log of a negative number
     @example("sqrt(sqrt(y[0]))^-3*y[1]")
     @example("sqrt(1-3)*log(1-3)/y[0]")
+    # cos and sin of an imaginary argument are cosh and sinh
+    @example("cos(sqrt(0-2))*y[0]^2")
+    @example("y[1]-sin(sqrt(0-1)*y[0]/2)^3")
     @settings(max_examples=150, deadline=None)
     def test_renders_every_tree_the_parser_builds(self, text):
         params = {"k": sp.Symbol("k")}
@@ -555,6 +558,8 @@ class TestSampledAgainstLambdify:
         sp.sqrt(ex.field(0) - 4), 1 / sp.sqrt(ex.field(0) - 4),
         sp.log(ex.field(0) - 4), 1 / (ex.field(0) - 1),
         ex.field(0) ** -3 * sp.exp(ex.field(0)) * sp.E + sp.cos(ex.base(0)),
+        # what the parser builds from cos and sin of an imaginary argument
+        sp.cosh(ex.field(0)) / 7, sp.I * sp.sinh(ex.field(0) - ex.base(0)),
     ], ids=str)
     def test_special_nodes(self, e):
         args = [ex.field(0), ex.base(0)]

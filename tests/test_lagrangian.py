@@ -8,10 +8,9 @@ from mcfield.chart import ChartKind, ModelSpec, build_chart
 from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import (EquationRole, EquationSet, LagrangianSystem,
                                 Regularity, along)
-from mcfield.modelfile import load_model
 from mcfield.unified import UnifiedSystem
 
-from conftest import TEST_MODELS, total_derivative
+from conftest import table_specs, total_derivative
 
 
 def _system(L, m=1, n=1, params=()):
@@ -122,10 +121,7 @@ def _canonical_forms(lag):
 
 class TestExteriorFromTable:
     def test_matches_d_on_bundled_and_corpus_models(self, models, seed1_corpus):
-        specs = ([spec for spec, _ in models.values()] + seed1_corpus
-                 + [load_model(path)[0] for path in sorted(TEST_MODELS.glob("*.model"))])
-        assert len(specs) == 46
-        forms = {(spec.name, chart): theta for spec in specs
+        forms = {(spec.name, chart): theta for spec in table_specs(models, seed1_corpus)
                  for chart, theta in _canonical_forms(LagrangianSystem(spec)).items()}
         assert len(forms) == 4 * 46
         bad = {key: miss for key, theta in forms.items()
@@ -208,20 +204,12 @@ def _el_mismatches(lag):
     return bad
 
 
-def _table_specs(models, seed1_corpus):
-    """The 46 models the table checks run on: bundled, seed-1 corpus, test."""
-    specs = ([spec for spec, _ in models.values()] + seed1_corpus
-             + [load_model(path)[0] for path in sorted(TEST_MODELS.glob("*.model"))])
-    assert len(specs) == 46
-    return specs
-
-
 class TestDerivativeTable:
     """The table differentiates the expanded Lagrangian once per system;
     each entry must still be the derivative of the Lagrangian as written."""
 
     def test_matches_sympy_diff_of_the_written_lagrangian(self, models, seed1_corpus):
-        bad = {spec.name: miss for spec in _table_specs(models, seed1_corpus)
+        bad = {spec.name: miss for spec in table_specs(models, seed1_corpus)
                if (miss := _table_mismatches(LagrangianSystem(spec)))}
         assert not bad
 
@@ -236,7 +224,7 @@ class TestDerivativeTable:
     def test_euler_lagrange_rows_match_the_reference(self, models, seed1_corpus):
         # the rows read the table through lagrangian.along; the reference
         # differentiates the written Lagrangian again, by sympy.diff
-        bad = {spec.name: miss for spec in _table_specs(models, seed1_corpus)
+        bad = {spec.name: miss for spec in table_specs(models, seed1_corpus)
                if (miss := _el_mismatches(LagrangianSystem(spec)))}
         assert not bad
 

@@ -4,6 +4,7 @@ import pytest
 import sympy as sp
 
 from mcfield import expr as ex
+from mcfield.chart import ModelSpec, validate_model
 from mcfield.modelfile import ModelFileError, load_model, parse_model_file
 
 
@@ -112,4 +113,31 @@ class TestErrors:
                 "y[0]+1": "0"
         """)
         with pytest.raises(ModelFileError, match="single"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["y0", "dy0_0", "s0", "pext"])
+    def test_parameter_named_like_a_coordinate(self, tmp_path, name):
+        path = _write(tmp_path, f"""
+            m: 1
+            n: 1
+            parameters: {{{name}: }}
+            lagrangian: 1/2*dy[0,0]^2 - {name}*y[0]
+        """)
+        with pytest.raises(ModelFileError, match=f"parameter '{name}' has the name of the "
+                                                 "coordinate"):
+            load_model(path)
+        # a spec built in code is held to the same rule
+        sym = sp.Symbol(name)
+        spec = ModelSpec("t", 1, 1, ex.velocity(0, 0) ** 2 / 2 - sym * ex.field(0), {name: sym})
+        assert [i.code for i in validate_model(spec).issues] == ["parameter-is-coordinate"]
+
+    def test_simulate_parameter_must_be_declared(self, tmp_path):
+        path = _write(tmp_path, """
+            m: 1
+            n: 1
+            lagrangian: 1/2*dy[0,0]^2 - 1/2*y[0]^2
+            simulate:
+              parameters: {y0: 5}
+        """)
+        with pytest.raises(ModelFileError, match=r"simulate.parameters\['y0'\]: unknown parameter"):
             load_model(path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 import sympy as sp
 
@@ -7,7 +9,7 @@ from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import EquationRole, LagrangianSystem
 from mcfield.unified import (LadderStatus, UnifiedSystem, coefficient_symbol)
 
-from conftest import hamiltonian_pullback_holds
+from conftest import hamiltonian_pullback_holds, patch_statement, table_specs
 
 
 def _unified(L, m=1, n=1, params=()):
@@ -86,6 +88,15 @@ class TestFieldEquations:
         xi = osc_unified.primary_constraints()
         assert len(xi) == 1
         assert sp.expand(xi[0] - (ex.velocity(0, 0) - ex.momentum(0, 0))) == 0
+
+    def test_ladder_reads_the_printed_constraint_rows(self, models, monkeypatch):
+        uni = UnifiedSystem(LagrangianSystem(models["damped_wave"][0]))
+        patch_statement(monkeypatch, lambda _, e: dataclasses.replace(e, lhs=e.lhs + 1)
+                        if e.name == "xi[0,1]" else e)
+        printed = [e.lhs for e in uni.sr_field_equations().equations if e.name.startswith("xi[")]
+        assert printed[1] == 1 - ex.velocity(0, 1) - ex.momentum(0, 1)
+        assert uni.primary_constraints() == printed
+        assert uni.constraint_algorithm().generations[0] == printed
 
     def test_equation_roles(self, osc_unified):
         eqs = osc_unified.sr_field_equations().equations
@@ -169,16 +180,15 @@ class TestConstraintLadder:
 
 
 class TestProjections:
-    def test_lagrangian_projection_matches_herglotz(self, oscillator, osc_unified):
-        el = oscillator.herglotz_el_equations()
-        proj = osc_unified.project_to_lagrangian()
-        el_sorted = sorted(el, key=lambda e: e.role.value)
-        pr_sorted = sorted(proj, key=lambda e: e.role.value)
-        assert len(el_sorted) == len(pr_sorted)
-        for a, b in zip(el_sorted, pr_sorted):
-            r = ex.equal(a.residual, b.residual)
-            assert r.verdict is ex.Verdict.EXACT_EQUAL or bool(
-                ex.equal(a.residual, -b.residual))
+    def test_lagrangian_projection_matches_herglotz(self, models, seed1_corpus):
+        bad = []
+        for spec in table_specs(models, seed1_corpus):
+            lag = LagrangianSystem(spec)
+            el, proj = lag.herglotz_el_equations(), UnifiedSystem(lag).project_to_lagrangian()
+            assert [e.name for e in el] == [e.name for e in proj], spec.name
+            bad += [(spec.name, a.name) for a, b in zip(el, proj)
+                    if ex.equal(a.residual, b.residual).verdict is not ex.Verdict.EXACT_EQUAL]
+        assert not bad
 
     def test_hamiltonian_projection_matches_legendre(self, osc_unified):
         projected = HamiltonianSystem.from_legendre(osc_unified.lag)
