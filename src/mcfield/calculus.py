@@ -12,9 +12,9 @@ degree < k gives zero.
 the coefficients are evaluated at the package's seeded sample points
 (``expr.sampled``), and every kernel and every intersection of kernels is
 sized there by the rank of a stacked contraction matrix under the one rank
-rule of ``expr.numeric_rank`` (``expr.singular_rank``), so every rank in
-the report is tagged probabilistic.  It reads d(theta) from
-``Form.exterior``, which only ``canonical_form`` sets: the builder
+rule of ``expr.numeric_rank`` (``expr.singular_rank``); the report holds
+the generic ranks (``expr.generic``), tagged probabilistic.  It reads
+d(theta) from ``Form.exterior``, which only ``canonical_form`` sets: the builder
 assembles d(theta) from the partials its caller passes (the derivative
 table for Theta_L, unit jets and a gradient for the coordinate momenta of
 Theta_H, Theta_W and Theta_W0), so no coefficient is differentiated twice.
@@ -343,7 +343,7 @@ class StructureReport:
 
     All ranks come from SVD at randomly drawn points, so the verdict is
     probabilistic rather than certified; ``samples`` records how many points
-    agreed.
+    were drawn, and ``notes`` says when their ranks disagreed.
     """
 
     chart_dim: int
@@ -418,9 +418,7 @@ def _nullspace(M: np.ndarray) -> np.ndarray:
 
 
 def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
-                          seed: int = 42,
-                          point_map: Optional[Mapping[sp.Symbol, sp.Expr]] = None
-                          ) -> StructureReport:
+                          seed: int = 42) -> StructureReport:
     """Classify (theta, omega=d^m x) numerically at random sample points.
 
     The coefficients of theta and d(theta) (``theta.exterior``, which
@@ -431,14 +429,11 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     condition are assembled from their values at each point.  A kernel of
     a stack of these matrices is an intersection of kernels.  omega = d^m x
     kills exactly the non-base directions: its kernel is the constant
-    ``dim - m``, and restricting to it keeps the non-base columns.  When the
-    ranks differ between points, the first point's are reported and a note
-    says so.
-
-    ``point_map`` optionally constrains the sample points to a submanifold:
-    it sends chart coordinates to expressions in the remaining coordinates
-    (e.g. momenta to a Legendre image), substituted into the coefficients
-    before they are sampled.
+    ``dim - m``, and restricting to it keeps the non-base columns.  Each
+    point gives one tuple of ranks (theta, d(theta), their stack, the stack
+    on the non-base columns, the Reeb operator) and whether the Reeb images
+    span; the report is read from the generic tuple (``expr.generic``),
+    with a note when the points disagree.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -449,8 +444,6 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
         raise ex.ExprError("structure_diagnostics needs d(theta): build theta "
                            "with canonical_form")
     coeffs = list(theta.terms.values()) + list(dtheta.terms.values())
-    if point_map:
-        coeffs = [sp.sympify(c).xreplace(point_map) for c in coeffs]
     # free parameters appearing in the coefficients get sampled alongside the
     # chart coordinates
     params: set[sp.Symbol] = set()
@@ -474,7 +467,7 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     other_rows = [r for key, r in op_theta.row_index.items()
                   if key not in semibasic_keys]
 
-    results = []
+    points = []
     for vals in ex.sampled(coeffs, args, samples, seed):
         theta_vals, dtheta_vals = vals[:len(theta_keys)], vals[len(theta_keys):]
         Mth, Mdth = op_theta.at(theta_vals), op_dtheta.at(dtheta_vals)
@@ -482,39 +475,31 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
         # the Reeb fields in ker(omega) coordinates, and their images under Theta
         reeb = _nullspace(op_reeb.at(dtheta_vals)[:, m:])
         images = Mth[:, m:] @ reeb
-        results.append(dict(
-            ker_theta=dim - ex.numeric_rank(Mth),
-            ker_dtheta=dim - ex.numeric_rank(Mdth),
-            premult=dim - ex.numeric_rank(stacked),
-            core=dim - m - ex.numeric_rank(stacked[:, m:]),
-            reeb=reeb.shape[1],
-            span_ok=(ex.numeric_rank(images[other_rows]) == 0
-                     and ex.numeric_rank(images[sb_rows]) == m)))
+        points.append((ex.numeric_rank(Mth), ex.numeric_rank(Mdth),
+                       ex.numeric_rank(stacked), ex.numeric_rank(stacked[:, m:]),
+                       dim - m - reeb.shape[1],
+                       ex.numeric_rank(images[other_rows]) == 0
+                       and ex.numeric_rank(images[sb_rows]) == m))
 
-    notes = []
-    first = results[0]
-    if not all(r == first for r in results):
-        notes.append("ranks varied across sample points; reporting the first sample")
-
-    r = first
-    is_multicontact = r["premult"] == 0 and r["ker_dtheta"] > 0
-    is_premulticontact = r["premult"] > 0
-    k = r["core"]
-    # Definition of a *special* structure: rank Reeb = m + k with k the
-    # characteristic rank, and the Reeb contractions exhaust the semibasic
-    # (m-1)-forms (rank ker(omega) = dim - m holds for omega = d^m x).  It
-    # does not require ker(dtheta) to be nontrivial.
-    special = r["reeb"] == m + k and r["span_ok"]
+    notes: list[str] = []
+    r_theta, r_dtheta, r_stack, r_core, r_reeb, span_ok = ex.generic(
+        points, "structure ranks", notes)
+    k, reeb_dim = dim - m - r_core, dim - m - r_reeb
+    # Premulticontact: ker(theta) ∩ ker(dtheta) is nontrivial.  Special:
+    # rank Reeb = m + k with k the characteristic rank, and the Reeb
+    # contractions exhaust the semibasic (m-1)-forms (rank ker(omega) =
+    # dim - m holds for omega = d^m x); it does not require ker(dtheta) to
+    # be nontrivial.
     return StructureReport(
         chart_dim=dim,
         rank_ker_omega=dim - m,
-        rank_ker_theta=r["ker_theta"],
-        rank_ker_dtheta=r["ker_dtheta"],
-        rank_reeb=r["reeb"],
+        rank_ker_theta=dim - r_theta,
+        rank_ker_dtheta=dim - r_dtheta,
+        rank_reeb=reeb_dim,
         k=k,
-        is_premulticontact=is_premulticontact,
-        is_multicontact=is_multicontact,
-        is_special=special,
+        is_premulticontact=r_stack < dim,
+        is_multicontact=r_stack == dim and r_dtheta < dim,
+        is_special=reeb_dim == m + k and span_ok,
         samples=samples,
         notes=notes,
     )

@@ -157,9 +157,12 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
                 "parameter-is-coordinate",
                 f"parameter {name!r} has the name of the coordinate {ex.to_grammar(sym)}"))
 
+    lagrangian = sp.sympify(spec.lagrangian)
+    if lagrangian.has(sp.nan, sp.zoo, sp.oo, -sp.oo):
+        issues.append(ValidationIssue("non-finite", f"Lagrangian is not finite: {lagrangian}"))
     chart = spec.chart
     allowed = set(chart.coords) | set(spec.parameters.values())
-    for sym in sp.sympify(spec.lagrangian).free_symbols:
+    for sym in lagrangian.free_symbols:
         if sym not in allowed:
             role = ex.role_of(sym)
             if role is not None:

@@ -78,6 +78,7 @@ __all__ = [
     "RANK_TOL",
     "singular_rank",
     "numeric_rank",
+    "generic",
     "exact_rank",
     "exact_nullspace",
     "exact_pinv",
@@ -783,6 +784,18 @@ def numeric_rank(M) -> int:
     if M.size == 0:
         return 0
     return singular_rank(np.linalg.svd(M, compute_uv=False))
+
+
+def generic(values: Sequence, what: str, notes: list[str]):
+    """The one sampling policy: a sampled rank (or tuple of ranks, compared
+    in order) is the largest over its points, the first on a tie, since a
+    point can only lose rank.  Disagreeing points add the note "<what>
+    varied across samples: [sorted distinct values]" once."""
+    distinct = sorted(set(values))
+    note = f"{what} varied across samples: {distinct}"
+    if len(distinct) > 1 and note not in notes:
+        notes.append(note)
+    return max(values)
 
 
 # ---------------------------------------------------------------------------

@@ -259,10 +259,8 @@ class LagrangianSystem:
             args = list(self.chart.coords) + sorted(hess_syms - coords,
                                                     key=lambda s: s.name)
             ranks = [ex.numeric_rank(M) for M in ex.sampled(H, args, samples, seed)]
-            rank = max(ranks)
+            rank = ex.generic(ranks, "Hessian rank", notes)
             probabilistic = True
-            if len(set(ranks)) > 1:
-                notes.append(f"Hessian rank varied across samples: {sorted(set(ranks))}")
         status = Regularity.REGULAR if rank == size else Regularity.SINGULAR
         hyper = status is Regularity.REGULAR and constant
         return RegularityReport(status, rank, size, hyper, probabilistic, notes)

@@ -130,7 +130,9 @@ def load_model(path: Union[str, Path]) -> tuple[ModelSpec, SimulateConfig]:
     m, n = doc["m"], doc["n"]
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
         raise ModelFileError("m and n must be positive integers", path)
-    name = doc.get("name") or Path(path).stem
+    name = str(doc.get("name") or Path(path).stem)
+    if "/" in name or "\\" in name or name in (".", ".."):
+        raise ModelFileError(f"name must be a plain file name, got {name!r}", path)
 
     metric = _metric_matrix(doc.get("metric"), m, path)
 

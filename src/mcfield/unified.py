@@ -49,7 +49,7 @@ from .lagrangian import Equation, EquationRole, EquationSet, LagrangianSystem, a
 __all__ = ["coefficient_symbol", "CoefficientSystem", "LadderStatus",
            "ConstraintLadder", "UnifiedSystem"]
 
-_NOVELTY_SAMPLES = 5  # graph points at which a novel candidate raises the Jacobian rank
+_NOVELTY_SAMPLES = 5  # graph points at which the novelty test samples the Jacobian rank
 
 
 def coefficient_symbol(kind: str, *indices: int) -> sp.Symbol:
@@ -278,7 +278,7 @@ class UnifiedSystem:
                     return ConstraintLadder(generations, LadderStatus.EMPTY_INTERSECTION,
                                             notes)
                 row = self._jacobian_row(cand, graph)
-                if self._is_novel(cand, row, jacobian, graph, seed):
+                if self._is_novel(cand, row, jacobian, graph, seed, notes):
                     new_gen.append(cand)
                     new_rows.append(row)
             if not new_gen:
@@ -295,26 +295,29 @@ class UnifiedSystem:
         syms = sorted(A_on.free_symbols, key=lambda s: s.name)
         if not syms:
             return
-        dims = [A_on.rows - ex.numeric_rank(M) for M in ex.sampled(A_on, syms, 3, seed)]
-        if any(d != symbolic_dim for d in dims):
-            notes.append(f"left-kernel dimension sampled as {dims}, symbolic "
+        ranks = [ex.numeric_rank(M) for M in ex.sampled(A_on, syms, 3, seed)]
+        dim = A_on.rows - ex.generic(ranks, "coefficient matrix rank", notes)
+        if dim != symbolic_dim:
+            notes.append(f"left-kernel dimension sampled as {dim}, symbolic "
                          f"computation gave {symbolic_dim}")
 
     def _is_novel(self, cand: sp.Expr, row: tuple[dict, set, list[sp.Expr]],
                   jacobian: list[tuple[dict, set, list[sp.Expr]]], graph: dict,
-                  seed: int) -> bool:
-        """Does the candidate raise the Jacobian rank of the constraint set
-        at each of ``_NOVELTY_SAMPLES`` points of the Legendre graph?  One
-        sampled matrix: the constraint set's Jacobian rows with the
-        candidate's row stacked last."""
+                  seed: int, notes: list[str]) -> bool:
+        """Does the candidate raise the generic (``expr.generic``) Jacobian
+        rank of the constraint set on the Legendre graph?  One matrix, the
+        set's Jacobian rows with the candidate's row stacked last, sampled
+        at ``_NOVELTY_SAMPLES`` graph points, ranked with and without it."""
         syms = sorted(set().union(*(free for _, free, _ in jacobian), row[1],
                                   cand.free_symbols,
                                   *(sp.sympify(v).free_symbols for v in graph.values())),
                       key=lambda s: s.name)
         syms = [s for s in syms if s not in graph]
         stacked = [r for _, _, r in jacobian] + [row[2]]
-        return all(ex.numeric_rank(M) > ex.numeric_rank(M[:-1])
-                   for M in ex.sampled(stacked, syms, _NOVELTY_SAMPLES, seed))
+        points = ex.sampled(stacked, syms, _NOVELTY_SAMPLES, seed)
+        with_it = ex.generic([ex.numeric_rank(M) for M in points], "Jacobian rank", notes)
+        without = ex.generic([ex.numeric_rank(M[:-1]) for M in points], "Jacobian rank", notes)
+        return with_it > without
 
     # ------------------------------------------------------------ projections
     def project_to_lagrangian(self) -> EquationSet:

@@ -31,21 +31,25 @@ def models():
     return out
 
 
-@pytest.fixture(scope="session")
-def seed1_corpus(tmp_path_factory):
-    """The benchmark's seed-1 corpus of small singular models (36 specs),
-    drawn by ``perfbench/corpus.py``."""
+def corpus_specs(seed: int, out: pathlib.Path) -> list[ModelSpec]:
+    """The benchmark's corpus of small singular models for ``seed`` (36
+    specs), drawn by ``perfbench/corpus.py`` and loaded from files in ``out``."""
     src = importlib.util.spec_from_file_location("perfbench_corpus",
                                                   ROOT / "perfbench" / "corpus.py")
     corpus = sys.modules[src.name] = importlib.util.module_from_spec(src)
     src.loader.exec_module(corpus)
-    out = tmp_path_factory.mktemp("corpus")
     specs = []
-    for cm in corpus.generate_corpus(1):
+    for cm in corpus.generate_corpus(seed):
         path = out / f"{cm.name}.model"
         path.write_text(cm.text)
         specs.append(load_model(path)[0])
     return specs
+
+
+@pytest.fixture(scope="session")
+def seed1_corpus(tmp_path_factory):
+    """The benchmark's seed-1 corpus."""
+    return corpus_specs(1, tmp_path_factory.mktemp("corpus"))
 
 
 def table_specs(models, seed1_corpus):

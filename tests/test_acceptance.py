@@ -229,6 +229,17 @@ def _quad_spec(m, n):
     return ModelSpec(f"quad{m}{n}", m, n, L)
 
 
+def _on_graph(theta, graph):
+    """theta and its d(theta) with ``graph`` substituted into every
+    coefficient, so that they are sampled at points of the graph."""
+    def restrict(form):
+        return Form(form.chart, form.degree,
+                    {k: c.xreplace(graph) for k, c in form.terms.items()})
+    out = restrict(theta)
+    out.exterior = restrict(theta.exterior)
+    return out
+
+
 class TestStructureClassification:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_quadratic_models(self, m, n):
@@ -248,8 +259,8 @@ class TestStructureClassification:
         assert rep.k == n * m
 
         # restricted unified phase space on the Legendre graph: special, k = nm
-        rep0 = structure_diagnostics(uni.theta_w0(), uni.chart_w0, samples=4,
-                                     point_map=uni.legendre_graph())
+        rep0 = structure_diagnostics(_on_graph(uni.theta_w0(), uni.legendre_graph()),
+                                     uni.chart_w0, samples=4)
         assert rep0.is_premulticontact and rep0.is_special
         assert rep0.k == n * m
         assert rep0.rank_reeb == n * m + m

@@ -248,9 +248,9 @@ class TestExitCodesAndErrors:
 
     @pytest.mark.parametrize("verb", ["derive", "unify"])
     def test_unrenderable_equation_is_an_error_line(self, tmp_path, capsys, verb):
-        # 1/(1-1) is zoo, which the grammar has no text for
-        model = tmp_path / "zoo.model"
-        model.write_text("m: 1\nn: 1\nlagrangian: 1/2*dy[0,0]^2 - y[0]/(1-1)\n")
+        # exp(log(y)/3) is y^(1/3); the grammar writes only square roots, nested
+        model = tmp_path / "cube_root.model"
+        model.write_text("m: 1\nn: 1\nlagrangian: 1/2*dy[0,0]^2 - exp(log(y[0])/3)\n")
         assert run_cli(verb, str(model), "--format", "machine") == 1
         assert "error: cannot render expression node" in capsys.readouterr().err
 

@@ -202,6 +202,32 @@ class TestSampling:
         assert ex.numeric_rank(M) == rank
 
 
+class TestGeneric:
+    def test_largest_value_without_note_when_points_agree(self):
+        notes = []
+        assert ex.generic([2, 3, 1], "rank", notes) == 3
+        assert notes == ["rank varied across samples: [1, 2, 3]"]
+        notes = []
+        assert ex.generic([2, 2, 2], "rank", notes) == 2 and notes == []
+
+    def test_first_of_equals(self):
+        first, second = (3, True), (3, True)
+        assert ex.generic([(1, False), first, second], "ranks", []) is first
+
+    def test_tuples_compare_in_order(self):
+        notes = []
+        assert ex.generic([(2, 5), (3, 0), (3, 1), (1, 9)], "ranks", notes) == (3, 1)
+        assert notes == ["ranks varied across samples: [(1, 9), (2, 5), (3, 0), (3, 1)]"]
+
+    def test_identical_note_is_not_repeated(self):
+        notes = ["earlier note"]
+        ex.generic([1, 2], "rank", notes)
+        ex.generic([2, 1, 2], "rank", notes)
+        ex.generic([2, 3], "rank", notes)
+        assert notes == ["earlier note", "rank varied across samples: [1, 2]",
+                         "rank varied across samples: [2, 3]"]
+
+
 _PARAM = sp.Symbol("a", real=True)   # real, so Matrix.pinv has no conjugates
 
 

@@ -5,6 +5,7 @@ import sympy as sp
 
 from mcfield import expr as ex
 from mcfield.chart import ModelSpec, validate_model
+from mcfield.cli import main
 from mcfield.modelfile import ModelFileError, load_model, parse_model_file
 
 
@@ -141,3 +142,59 @@ class TestErrors:
         """)
         with pytest.raises(ModelFileError, match=r"simulate.parameters\['y0'\]: unknown parameter"):
             load_model(path)
+
+    @pytest.mark.parametrize("verb", ["derive", "check", "unify"])
+    def test_non_finite_lagrangian_is_an_error_line(self, tmp_path, capsys, verb):
+        # 1/(1-1) is zoo: derive used to print it, check to fail in the SVD
+        # and unify to raise
+        path = _write(tmp_path, """
+            m: 1
+            n: 1
+            lagrangian: 1/2*dy[0,0]^2 - y[0]/(1-1)
+        """)
+        assert main([verb, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "[non-finite]" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", [sp.nan, sp.zoo, sp.oo, -sp.oo],
+                             ids=["nan", "zoo", "oo", "-oo"])
+    def test_non_finite_spec_is_rejected(self, value):
+        spec = ModelSpec("t", 1, 1, ex.velocity(0, 0) ** 2 / 2 + value * ex.field(0))
+        assert [i.code for i in validate_model(spec).issues] == ["non-finite"]
+
+    def test_imaginary_unit_is_finite(self):
+        # the grammar renders I as sqrt(-1)
+        spec = ModelSpec("t", 1, 1, ex.velocity(0, 0) ** 2 / 2 + sp.I * ex.field(0))
+        assert validate_model(spec).ok
+
+    @pytest.mark.parametrize("name", ["sub/dir", "../escaped", "back\\slash", ".", ".."])
+    def test_name_must_be_a_plain_file_name(self, tmp_path, name):
+        path = _write(tmp_path, f"""
+            name: '{name}'
+            m: 1
+            n: 1
+            lagrangian: 1/2*dy[0,0]^2
+        """)
+        with pytest.raises(ModelFileError, match="name must be a plain file name"):
+            load_model(path)
+
+    def test_escaping_name_writes_nothing(self, tmp_path, capsys):
+        path = _write(tmp_path, """
+            name: ../escaped
+            m: 1
+            n: 1
+            lagrangian: 1/2*dy[0,0]^2
+        """)
+        assert main(["derive", path, "--out", str(tmp_path / "D")]) == 1
+        assert "plain file name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
+
+    def test_name_is_read_as_text(self, tmp_path):
+        path = _write(tmp_path, """
+            name: 42
+            m: 1
+            n: 1
+            lagrangian: 1/2*dy[0,0]^2
+        """)
+        assert load_model(path)[0].name == "42"
