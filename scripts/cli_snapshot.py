@@ -4,8 +4,11 @@
 
 Runs ``mcfield.cli.main`` in-process on the 7 bundled models, the 3 test
 models and the benchmark corpora of seeds 0-3 and 42 (written to a temporary
-directory) under eight settings, and writes ``{"model setting": [exit,
-stdout, stderr]}`` as JSON.  An escaping exception is recorded as exit
+directory) under ten settings, and writes ``{"model setting": [exit,
+stdout, stderr]}`` as JSON.  The runs share a temporary working directory:
+``simulate`` writes into ``sim`` there, so its printed ``csv:`` path is
+relative, and ``export`` reads the file that ``derive --format machine
+--out`` wrote there just before it.  An escaping exception is recorded as exit
 ``"raised"`` with its last line as stderr.  With ``--against`` it lists the
 keys whose entry differs and exits 1 if any does.  It imports ``mcfield``
 from this checkout's ``src``; to snapshot another commit, run that
@@ -17,6 +20,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import sys
 import tempfile
 import traceback
@@ -31,7 +35,9 @@ SETTINGS = [[*"derive --format machine --formalism".split(), f]
             for f in ("lagrangian", "hamiltonian", "unified")] + [
     ["derive", "--formalism", "lagrangian"], ["check"],
     ["check", "--samples", "3", "--seed", "7"], ["unify"],
-    ["unify", "--format", "machine", "--seed", "7"]]
+    ["unify", "--format", "machine", "--seed", "7"],
+    ["simulate", "--t-end", "0.05", "--out", "sim"],
+    ["export", "--format", "text", "--from", "<file>"]]
 
 
 def models(tmp: Path) -> dict:
@@ -57,14 +63,31 @@ def run(argv: list) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
+def run_setting(name: str, path: Path, setting: list) -> list:
+    if "<file>" in setting:
+        # the Lagrangian machine file of this model, written relative to
+        # the working directory; a missing one is an error output too
+        out = Path("machine", name)
+        run(["derive", str(path), "--format", "machine", "--out", str(out)])
+        written = sorted(out.glob("*.machine"))
+        source = str(written[0] if written else out / "missing.machine")
+        setting = [source if s == "<file>" else s for s in setting]
+    return run([setting[0], str(path), *setting[1:]])
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out")
     parser.add_argument("--against", metavar="OLD.json")
     args = parser.parse_args()
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        snap = {f"{name} {' '.join(s)}": run([s[0], str(path), *s[1:]])
-                for name, path in models(Path(tmp)).items() for s in SETTINGS}
+        os.chdir(tmp)
+        try:
+            snap = {f"{name} {' '.join(s)}": run_setting(name, path, s)
+                    for name, path in models(Path(tmp)).items() for s in SETTINGS}
+        finally:
+            os.chdir(home)
     Path(args.out).write_text(json.dumps(snap, indent=1, sort_keys=True))
     if args.against:
         old = json.loads(Path(args.against).read_text())

@@ -343,7 +343,8 @@ class StructureReport:
 
     All ranks come from SVD at randomly drawn points, so the verdict is
     probabilistic rather than certified; ``samples`` records how many points
-    were drawn, and ``notes`` says when their ranks disagreed.
+    were used (fewer than asked when too few lie in the domain), and
+    ``notes`` says when their ranks disagreed.
     """
 
     chart_dim: int
@@ -500,6 +501,6 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
         is_premulticontact=r_stack < dim,
         is_multicontact=r_stack == dim and r_dtheta < dim,
         is_special=reeb_dim == m + k and span_ok,
-        samples=samples,
+        samples=len(points),
         notes=notes,
     )

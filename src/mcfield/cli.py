@@ -10,9 +10,11 @@ all but ``simulate`` print to stdout unless given ``--out DIR``):
   files into ``--out DIR`` or the working directory
 - ``export``   re-render a previously written machine-format equation file
 
-Exit codes: 0 success; 1 model or usage error; 2 internal inconsistency
-(an equality cross-check between formalisms failed); 3 constraint-ladder
+Exit codes: 0 success; 1 model, path or usage error (an unreadable model or
+``--from`` file, an unwritable ``--out`` path); 2 internal inconsistency (an
+equality cross-check between formalisms failed); 3 constraint-ladder
 termination without stabilization (generation cap or empty intersection).
+The verbs raise; ``main`` alone turns an error into the one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .calculus import structure_diagnostics
 from .chart import ModelSpec
 from .hamiltonian import HamiltonianSystem
 from .lagrangian import EquationSet, LagrangianSystem
-from .modelfile import ModelFileError, SimulateConfig, load_model, parse_model_file
+from .modelfile import SimulateConfig, load_model, parse_model_file
 from .unified import LadderStatus, UnifiedSystem
 
 __all__ = ["main", "parse_model_file"]
@@ -118,10 +120,7 @@ def _load(path: str) -> tuple[ModelSpec, SimulateConfig]:
         bundled = Path(__file__).parent / "models" / f"{path}.model"
         if bundled.exists():
             candidate = bundled
-    try:
-        return load_model(candidate)
-    except ModelFileError as err:
-        raise SystemExit(_fail(str(err)))
+    return load_model(candidate)
 
 
 def _fail(message: str) -> int:
@@ -129,35 +128,23 @@ def _fail(message: str) -> int:
     return EXIT_MODEL_ERROR
 
 
-def _cmd_derive(args) -> int:
-    spec, _ = _load(args.model)
+def _cmd_derive(args, spec: ModelSpec, sim: SimulateConfig) -> int:
     lag = LagrangianSystem(spec)
     if args.formalism == "lagrangian":
         eqs = lag.herglotz_el_equations()
     elif args.formalism == "hamiltonian":
-        try:
-            eqs = HamiltonianSystem.from_legendre(lag).hhdw_equations()
-        except ValueError as err:
-            return _fail(str(err))
+        eqs = HamiltonianSystem.from_legendre(lag).hhdw_equations()
     else:
         eqs = UnifiedSystem(lag).sr_field_equations().equations
-    try:
-        text = _render(eqs, args.format)
-    except ex.ExprError as err:
-        return _fail(str(err))
-    _emit(text, args.out, f"{spec.name}.{args.formalism}.{args.format}")
+    _emit(_render(eqs, args.format), args.out, f"{spec.name}.{args.formalism}.{args.format}")
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    spec, _ = _load(args.model)
+def _cmd_check(args, spec: ModelSpec, sim: SimulateConfig) -> int:
     lag = LagrangianSystem(spec)
-    try:
-        reg = lag.regularity(samples=args.samples, seed=args.seed)
-        rep = structure_diagnostics(lag.theta(), lag.chart, samples=args.samples,
-                                    seed=args.seed)
-    except ValueError as err:
-        return _fail(str(err))
+    reg = lag.regularity(samples=args.samples, seed=args.seed)
+    rep = structure_diagnostics(lag.theta(), lag.chart, samples=args.samples,
+                                seed=args.seed)
     lines = [f"# {spec.name} (m={spec.m}, n={spec.n})",
              f"regularity: {reg.status.value} (Hessian rank {reg.rank}/{reg.size})"
              + (" [hyperregular]" if reg.hyperregular else "")
@@ -167,20 +154,13 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _cmd_unify(args) -> int:
-    spec, _ = _load(args.model)
+def _cmd_unify(args, spec: ModelSpec, sim: SimulateConfig) -> int:
     lag = LagrangianSystem(spec)
     uni = UnifiedSystem(lag)
     system = uni.sr_field_equations()
-    try:
-        ladder = uni.constraint_algorithm(max_generations=args.max_generations,
-                                          seed=args.seed)
-    except ValueError as err:
-        return _fail(str(err))
-    try:
-        parts = [_render(system.equations, args.format), "", ladder.to_text()]
-    except ex.ExprError as err:
-        return _fail(str(err))
+    ladder = uni.constraint_algorithm(max_generations=args.max_generations,
+                                      seed=args.seed)
+    parts = [_render(system.equations, args.format), "", ladder.to_text()]
 
     # internal consistency: the unified projection must reproduce the
     # Lagrangian equations on the Legendre graph
@@ -204,22 +184,21 @@ def _cmd_unify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, spec: ModelSpec, sim: SimulateConfig) -> int:
     from . import numsim
 
-    spec, sim = _load(args.model)
     for binding in args.param:
         if "=" not in binding:
-            return _fail(f"--param expects NAME=VALUE, got {binding!r}")
+            raise ValueError(f"--param expects NAME=VALUE, got {binding!r}")
         name, _, value = binding.partition("=")
         if name not in spec.parameters:
-            return _fail(f"unknown parameter {name!r}")
+            raise ValueError(f"unknown parameter {name!r}")
         try:
             number = float(sp.Rational(value))
         except (TypeError, ValueError, ArithmeticError):
             number = math.nan
         if not math.isfinite(number):
-            return _fail(f"--param {name}: expected a finite number, got {value!r}")
+            raise ValueError(f"--param {name}: expected a finite number, got {value!r}")
         sim.parameters[name] = number
     if args.dt is not None:
         sim.dt = args.dt
@@ -227,13 +206,9 @@ def _cmd_simulate(args) -> int:
         sim.t_end = args.t_end
     if args.n_grid is not None:
         sim.N = args.n_grid
-    lag = LagrangianSystem(spec)
-    eqs = lag.herglotz_el_equations()
-    try:
-        problem = numsim.compile_problem(eqs, sim)
-        report = numsim.run(problem, dt=sim.dt, t_end=sim.t_end, cadence=sim.cadence)
-    except (numsim.CompileError, ValueError) as err:
-        return _fail(str(err))
+    eqs = LagrangianSystem(spec).herglotz_el_equations()
+    problem = numsim.compile_problem(eqs, sim)
+    report = numsim.run(problem, dt=sim.dt, t_end=sim.t_end, cadence=sim.cadence)
     out = args.out or "."
     Path(out).mkdir(parents=True, exist_ok=True)
     csv_path = Path(out) / f"{spec.name}.csv"
@@ -250,17 +225,12 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK if report.termination == "completed" else EXIT_MODEL_ERROR
 
 
-def _cmd_export(args) -> int:
-    spec, _ = _load(args.model)
+def _cmd_export(args, spec: ModelSpec, sim: SimulateConfig) -> int:
     try:
-        text = Path(args.source).read_text()
-    except OSError as err:
-        return _fail(str(err))
-    try:
-        eqs = EquationSet.from_machine(text, title=spec.name, m=spec.m, n=spec.n,
-                                       parameters=spec.parameters)
-    except (ValueError, ex.ParseError) as err:
-        return _fail(f"{args.source}: {err}")
+        eqs = EquationSet.from_machine(Path(args.source).read_text(), title=spec.name,
+                                       m=spec.m, n=spec.n, parameters=spec.parameters)
+    except ValueError as err:
+        raise ValueError(f"{args.source}: {err}") from None
     _emit(_render(eqs, args.format), args.out,
           f"{Path(args.source).stem}.{args.format}")
     return EXIT_OK
@@ -275,11 +245,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_OK if err.code in (0, None) else EXIT_MODEL_ERROR
     handlers = {"derive": _cmd_derive, "check": _cmd_check, "unify": _cmd_unify,
                 "simulate": _cmd_simulate, "export": _cmd_export}
+    # every model, path and usage error: the package's error types subclass
+    # ValueError, and an unreadable or unwritable path raises OSError
     try:
-        return handlers[args.verb](args)
-    except SystemExit as err:
-        code = err.code
-        return code if isinstance(code, int) else EXIT_MODEL_ERROR
+        spec, sim = _load(args.model)
+        return handlers[args.verb](args, spec, sim)
+    except (ValueError, OSError) as err:
+        return _fail(str(err))
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ Indices are 0-based.  ``g[mu,nu]`` denotes an entry of the user-supplied
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import re
@@ -74,6 +75,7 @@ __all__ = [
     "EqualityResult",
     "equal",
     "random_rational_point",
+    "admissible_points",
     "sampled",
     "RANK_TOL",
     "singular_rank",
@@ -609,6 +611,40 @@ def random_rational_point(symbols: Iterable[sp.Symbol], rng: random.Random) -> d
     return point
 
 
+def admissible_points(args: Sequence[sp.Symbol], samples: int, seed: int,
+                      evaluate, real: bool = False) -> list[tuple[dict, object]]:
+    """The first ``samples`` of the successive :func:`random_rational_point`
+    draws over ``args`` from ``random.Random(seed)`` at which ``evaluate``
+    raises no ``ArithmeticError`` or ``ValueError`` and returns a value (or
+    nested list of them) that is finite, and real if ``real``; each with its
+    value.  Points outside the domain are redrawn, up to 10 draws per point
+    wanted; ``ExprError`` when none is admissible."""
+    rng = random.Random(seed)
+    kept = []
+    for _ in range(10 * samples):
+        point = random_rational_point(args, rng)
+        try:
+            value = evaluate(point)
+        except (ArithmeticError, ValueError):
+            continue
+        if all(cmath.isfinite(v) and not (real and isinstance(v, complex))
+               for v in _leaves(value)):
+            kept.append((point, value))
+            if len(kept) == samples:
+                break
+    if not kept:
+        raise ExprError(f"no admissible sample points in {10 * samples} draws")
+    return kept
+
+
+def _leaves(value):
+    if isinstance(value, list):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
 _EQUAL_SAMPLES = 20     # admissible points of equal's numeric tier
 _EQUAL_TOL = 1e-10      # max |residual| there that still reads as equal
 
@@ -621,38 +657,22 @@ def equal(a: sp.Expr, b: sp.Expr, seed: int = 42) -> EqualityResult:
     expressions rational in their kernels (opaque function applications
     count as independent kernels, so identities like sin^2 + cos^2 = 1 are
     *not* detected there).  Tier 2: evaluation at ``_EQUAL_SAMPLES`` random
-    rational points to 25 digits; max |residual| below ``_EQUAL_TOL`` reports
-    NUMERICALLY-EQUAL, otherwise NOT-EQUAL with a witness point.  Points
-    where the difference fails to evaluate to a finite real are resampled.
+    rational points (:func:`admissible_points`) to 25 digits; max |residual|
+    below ``_EQUAL_TOL`` reports NUMERICALLY-EQUAL, otherwise NOT-EQUAL
+    with a witness point.
     """
     delta = sp.sympify(a) - sp.sympify(b)
     if exact_cancel(sp.Matrix([delta]))[0] == 0:
         return EqualityResult(Verdict.EXACT_EQUAL)
     syms = sorted(delta.free_symbols, key=lambda s: s.name)
-    rng = random.Random(seed)
-    worst = 0.0
-    witness = None
-    done = 0
-    attempts = 0
-    while done < _EQUAL_SAMPLES and attempts < _EQUAL_SAMPLES * 10:
-        attempts += 1
-        point = random_rational_point(syms, rng)
-        try:
-            val = complex(delta.xreplace(point).evalf(25))
-        except (TypeError, ValueError):
-            continue
-        if val != val or abs(val) == float("inf"):
-            continue
-        r = abs(val)
-        if r > worst:
-            worst = r
-            witness = {str(k): v for k, v in point.items()}
-        done += 1
-    if done == 0:
-        raise ExprError("equality check: no admissible sample points found")
+    points = admissible_points(syms, _EQUAL_SAMPLES, seed,
+                               lambda p: complex(delta.xreplace(p).evalf(25)))
+    # the witness is the first point of largest |residual|
+    worst, witness = max(((abs(val), p) for p, val in points), key=lambda t: t[0])
     if worst < _EQUAL_TOL:
         return EqualityResult(Verdict.NUMERICALLY_EQUAL, residual=worst)
-    return EqualityResult(Verdict.NOT_EQUAL, residual=worst, witness=witness)
+    return EqualityResult(Verdict.NOT_EQUAL, residual=worst,
+                          witness={str(k): v for k, v in witness.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -663,33 +683,31 @@ def sampled(exprs, args: Sequence[sp.Symbol], samples: int, seed: int) -> list:
     """Values of ``exprs`` at ``samples`` seeded random rational points.
 
     ``exprs`` is an expression, a (nested) list of them or a Matrix, which
-    is evaluated as its nested row list.  The points are successive
-    :func:`random_rational_point` draws over ``args`` from
-    ``random.Random(seed)``.  Nothing is compiled: the expression DAG is
-    flattened once into a list of float operations, each shared subtree
-    once, and run at every point.  The operations are the ones sympy's
-    lambdify prints with the ``math`` module (``x**(1/2)`` is
-    ``math.sqrt``, ``x**(-1/2)`` is ``1/math.sqrt``, ``x**-1`` is ``1/x``,
-    other powers ``**``; ``math.sin``/``cos``/``sinh``/``cosh``/``exp``/
-    ``log``; ``zoo`` and ``nan`` are ``nan``), so a point raises the same
-    ``ZeroDivisionError`` or ``math`` ``ValueError`` and a negative base to
-    a fractional power gives the same complex value.  Sums and products run
-    in argument order, not in printed order, so values agree to rounding,
-    not bit for bit.
+    is evaluated as its nested row list.  The points are the admissible
+    ones of :func:`admissible_points` over ``args``: every value there is
+    finite and real.  Nothing is compiled: the expression DAG is flattened
+    once into a list of float operations, each shared subtree once, and run
+    at every point.  The operations are the ones sympy's lambdify prints
+    with the ``math`` module (``x**(1/2)`` is ``math.sqrt``, ``x**(-1/2)``
+    is ``1/math.sqrt``, ``x**-1`` is ``1/x``, other powers ``**``;
+    ``math.sin``/``cos``/``sinh``/``cosh``/``exp``/``log``; ``zoo`` and
+    ``nan`` are ``nan``), so the values agree with lambdify's at the same
+    admissible points, and points outside the domain are redrawn.  Sums
+    and products run in argument order, not in printed order, so values
+    agree to rounding, not bit for bit.
     """
     if isinstance(exprs, sp.MatrixBase):
         exprs = exprs.tolist()
     program: list[tuple] = []
     shape = _flatten(exprs, {a: i for i, a in enumerate(args)}, {}, program)
-    rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        point = random_rational_point(args, rng)
+
+    def evaluate(point):
         regs = [float(point[a]) for a in args]
         for op, operands in program:
             regs.append(op(*[regs[i] for i in operands]))
-        out.append(_unflatten(shape, regs))
-    return out
+        return _unflatten(shape, regs)
+
+    return [value for _, value in admissible_points(args, samples, seed, evaluate, True)]
 
 
 def _sum(*terms):

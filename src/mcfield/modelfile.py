@@ -112,6 +112,8 @@ def load_model(path: Union[str, Path]) -> tuple[ModelSpec, SimulateConfig]:
         text = Path(path).read_text()
     except OSError as err:
         raise ModelFileError(str(err)) from None
+    except UnicodeDecodeError as err:
+        raise ModelFileError(str(err), path) from None
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as err:

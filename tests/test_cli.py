@@ -1,12 +1,14 @@
 import argparse
 import dataclasses
 import functools
+import inspect
 import pathlib
 import re
 import textwrap
 
 import pytest
 
+from mcfield import cli
 from mcfield import expr as ex
 from mcfield.cli import _build_parser, main
 from mcfield.lagrangian import EquationSet
@@ -257,6 +259,75 @@ class TestExitCodesAndErrors:
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli("derive", model_path("damped_oscillator"),
                        "--frobnicate") == 1
+
+
+def _one_error_line(capsys) -> tuple[str, str]:
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return out, err
+
+
+class TestOneFailurePolicy:
+    """``main`` turns every model, path and usage error into one ``error:``
+    line and exit code 1; the verbs raise."""
+
+    @pytest.mark.parametrize("argv", [
+        ("derive", "maxwell"), ("check", "maxwell"), ("unify", "damped_oscillator"),
+        ("simulate", "damped_oscillator", "--t-end", "0.01")], ids=lambda a: a[0])
+    def test_out_path_that_is_a_file(self, tmp_path, capsys, argv):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(*argv, "--out", str(taken)) == 1
+        out, err = _one_error_line(capsys)
+        assert out == "" and "File exists" in err
+
+    @pytest.mark.parametrize("verb", ["derive", "check", "unify", "simulate", "export"])
+    def test_model_file_not_utf8(self, tmp_path, capsys, verb):
+        model = tmp_path / "latin1.model"
+        model.write_bytes("m: 1\nn: 1\nlagrangian: dy[0,0]^2  # \xe9\n".encode("latin-1"))
+        argv = ["--from", str(model)] if verb == "export" else []
+        assert run_cli(verb, str(model), *argv) == 1
+        _, err = _one_error_line(capsys)
+        assert f"error: {model}: 'utf-8' codec can't decode" in err
+
+    def test_from_file_not_utf8(self, tmp_path, capsys):
+        source = tmp_path / "latin1.machine"
+        source.write_bytes(b"\xe9\n")
+        assert run_cli("export", "maxwell", "--from", str(source)) == 1
+        _, err = _one_error_line(capsys)
+        assert f"error: {source}: 'utf-8' codec can't decode" in err
+
+    def test_except_clauses(self):
+        # main's two, export's re-raise with the --from path, and the
+        # --param number parse; _load and the other verbs have none
+        def excepts(fn):
+            return [line.strip() for line in inspect.getsource(fn).splitlines()
+                    if line.strip().startswith("except")]
+
+        source = pathlib.Path(cli.__file__).read_text()
+        assert len(re.findall(r"\bexcept\b", source)) == 4
+        assert excepts(cli.main) == ["except SystemExit as err:",
+                                     "except (ValueError, OSError) as err:"]
+        assert excepts(cli._cmd_export) == ["except ValueError as err:"]
+        assert excepts(cli._cmd_simulate) == ["except (TypeError, ValueError, ArithmeticError):"]
+        assert "try:" not in inspect.getsource(cli._load)
+
+
+class TestUndefinedSamplePoints:
+    # L is undefined, or complex, at some random sample points: those
+    # points are redrawn rather than failing the check
+    @pytest.mark.parametrize("lagrangian,seed", [
+        ("1/2*dy[0,0]^2 - log(y[0]) - s[0]/10", "42"),
+        ("1/2*dy[0,0]^2 - sqrt(y[0]) - s[0]/10", "42"),
+        ("1/2*sqrt(sqrt(2+y[0]))*dy[0,0]^2 - s[0]/10", "42"),
+        ("1/2*dy[0,0]^2/(y[0]-1) - s[0]/10", "3")], ids=["log", "sqrt", "root4", "pole"])
+    def test_check_exits_zero(self, tmp_path, capsys, lagrangian, seed):
+        model = tmp_path / "partial.model"
+        model.write_text(f"m: 1\nn: 1\nlagrangian: {lagrangian}\n")
+        assert run_cli("check", str(model), "--seed", seed) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "structure: special multicontact" in out
 
 
 # every flag each verb reads, with a value it accepts; paths are relative to

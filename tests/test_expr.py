@@ -536,14 +536,30 @@ class TestExactCancel:
 
 def _lambdify_reference(exprs, args, samples, seed) -> list:
     """The values ``sampled`` gives, or the exception class it raises,
-    through ``sp.lambdify(..., modules="math")`` at the same points."""
+    through ``sp.lambdify(..., modules="math")`` under the same rule: of the
+    seeded draws, at most 10 per point wanted, keep the first ``samples``
+    at which no ArithmeticError or ValueError is raised and every value is
+    finite and real; none kept is an ExprError."""
     fn = sp.lambdify(args, exprs, modules="math")
     rng = random.Random(seed)
     out = []
-    for _ in range(samples):
+    for _ in range(10 * samples):
         point = ex.random_rational_point(args, rng)
-        out.append(fn(*[float(point[a]) for a in args]))
+        try:
+            value = fn(*[float(point[a]) for a in args])
+        except (ArithmeticError, ValueError):
+            continue
+        if all(cmath.isfinite(v) and not isinstance(v, complex) for v in _flat(value)):
+            out.append(value)
+            if len(out) == samples:
+                return out
+    if not out:
+        raise ex.ExprError("no admissible point")
     return out
+
+
+def _flat(value) -> list:
+    return [v for item in value for v in _flat(item)] if isinstance(value, list) else [value]
 
 
 def _outcome(f, *a):
@@ -605,12 +621,18 @@ class TestSampledAgainstLambdify:
         assert len(calls) == 3
         assert all(v[0] == np.sin(c) and v[2] == [v[0] ** 2] for v, c in zip(vals, calls))
 
-    def test_division_by_zero_raises(self):
+    def test_pole_is_redrawn(self):
         y = ex.field(0)
-        drawn = ex.random_rational_point([y], random.Random(0))[y]
-        for e in (1 / (y - drawn), (y - drawn) ** -2, sp.log(y) / (y - drawn)):
-            with pytest.raises(ZeroDivisionError):
-                ex.sampled(e, [y], 1, 0)
+        rng = random.Random(0)
+        drawn, second = (ex.random_rational_point([y], rng)[y] for _ in range(2))
+        for e in (1 / (y - drawn), (y - drawn) ** -2, sp.log(y ** 2) / (y - drawn)):
+            assert ex.sampled(e, [y], 1, 0) == [pytest.approx(float(e.subs(y, second)))]
+
+    @pytest.mark.parametrize("e", [sp.sqrt(-1 - ex.field(0) ** 2), sp.I * ex.field(0),
+                                   sp.nan * ex.field(0)], ids=str)
+    def test_undefined_everywhere_raises(self, e):
+        with pytest.raises(ex.ExprError, match="no admissible sample points in 30 draws"):
+            ex.sampled(e, [ex.field(0)], 3, 0)
 
 
 # ---------------------------------------------------------------------------
