@@ -85,6 +85,7 @@ __all__ = [
     "exact_nullspace",
     "exact_pinv",
     "exact_cancel",
+    "exact_product",
 ]
 
 _FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "log": sp.log, "sqrt": sp.sqrt}
@@ -889,3 +890,16 @@ def exact_cancel(M: sp.Matrix) -> sp.Matrix:
             and all(g.is_Symbol for g in dom.symbols)):
         return dM.to_Matrix()
     return M.applyfunc(sp.cancel)
+
+
+def exact_product(M: sp.Matrix, N: sp.Matrix) -> sp.Matrix:
+    """``exact_cancel(M * N)``, each entry summed as one plain sympy ``Add``
+    of its nonzero products rather than by sympy's matrix product, which
+    runs a ``DomainMatrix`` multiply over EXRAW before ``exact_cancel``
+    converts the result anyway.  Entries holding an infinite or undefined
+    number (``0*zoo`` is ``nan``) take ``M * N``, as ``diff`` does.
+    """
+    if any(e.has(*_NON_FINITE) for e in (*M, *N)):
+        return exact_cancel(M * N)
+    return exact_cancel(sp.Matrix(M.rows, N.cols, lambda i, j: sp.Add(*[
+        M[i, k] * N[k, j] for k in range(M.cols) if M[i, k] != 0 and N[k, j] != 0])))

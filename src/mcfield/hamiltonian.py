@@ -71,10 +71,10 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
     c = sp.Matrix([p.xreplace({v: sp.S.Zero for v in vel}) for p in lag.momenta])
     rhs = sp.Matrix([ex.momentum(A, mu) for A, mu in pairs]) - c
 
-    v_min = ex.exact_cancel(ex.exact_pinv(W) * rhs)
+    v_min = ex.exact_product(ex.exact_pinv(W), rhs)
     rep = dict(zip(vel, v_min))
-    resids = ex.exact_cancel(sp.Matrix([(kvec.T * rhs)[0, 0]
-                                        for kvec in ex.exact_nullspace(W.T)]))
+    kernel = ex.exact_nullspace(W.T)
+    resids = ex.exact_product(sp.Matrix(len(kernel), W.rows, lambda i, j: kernel[i][j]), rhs)
     constraints = [r for r in map(ex.expand, resids) if r != 0]
     return VelocityElimination(rep, constraints)
 

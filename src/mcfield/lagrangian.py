@@ -291,7 +291,7 @@ class LagrangianSystem:
         # pseudo-inverse of a regular H), all cancelled at once
         mixed = sp.Matrix([[row.get(ex.action(mu), 0) for row in self.momentum_jet]
                            for mu in range(self.m)])
-        coeffs = ex.exact_cancel(-mixed * ex.exact_pinv(H))
+        coeffs = ex.exact_product(-mixed, ex.exact_pinv(H))
         chart = self.chart
         fields = []
         for mu in range(self.m):

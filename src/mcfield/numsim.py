@@ -12,19 +12,26 @@ RK4 stages reuse two buffers per problem.  Results are bit-identical to the
 earlier per-expression, every-stencil integrator.
 
 One-point problems (``m = 1``, hence ``N = 1``) step through one function
-that ``compile_problem`` generates per problem: a whole RK4 step as straight
-Python code over the state's scalars, four calls of the same compiled
-right-hand side and the stage sums in the array path's order, so the results
-are bit for bit those of 1-element arrays at a fraction of the call
-overhead.  A step runs it first on Python floats, whose ``+ - * /`` give the
-same bits as numpy float64 and cost less than half as much; the evaluators
-are printed with ``_PointwisePrinter``, so every power and function is a
-numpy kernel and returns a numpy scalar, as on an array.  If that pass
-raises ``ArithmeticError`` (a Python float divided by zero) or ends
-non-finite, the step is recomputed from the same start on numpy float64
-scalars, whose array semantics give inf/nan with numpy's warning, and the
-run ends as ``"non-finite state"``.  The one difference from the array path:
-an intermediate overflow whose step still ends finite no longer warns.  The
+that ``compile_problem`` generates per problem, ``rk4_point``: ``count``
+RK4 steps in one loop over the state's scalars.  Each stage binds the
+right-hand side's parameter names and evaluates the very text
+``_PointwisePrinter`` prints for ``rhs_func``, with the stage sums in the
+array path's order, so the results are bit for bit those of 1-element
+arrays at a fraction of the call overhead.  ``run`` advances one cadence
+interval per call (the last one shorter) and samples at its end; a run with
+``action_balance_fd``, which reads every step, takes one step per call.  A
+block runs on Python floats, whose ``+ - * /`` give the same bits as numpy
+float64 and cost less than half as much; every power and function is a
+numpy kernel and returns a numpy scalar, as on an array.  If a block of
+several steps raises ``ArithmeticError`` (a Python float divided by zero)
+or ends non-finite, it is replayed from its start through ``step_rk4``, one
+step per call.  ``step_rk4`` is the block's one-step call; where that
+raises or ends non-finite, it recomputes the step from the same start on
+numpy float64 scalars, whose array semantics give inf/nan with numpy's
+warning, and the run ends as ``"non-finite state"`` on the last good state.
+The one difference from the array path: an intermediate overflow whose step
+still ends finite no longer warns (and a failed block's float pass, which
+runs past its failure, may warn where a numpy kernel meets inf or nan).  The
 new state keeps the returned scalars (``_PointState``) and builds its
 ``(n_vars, 1)`` array only when something reads it.  ``_PointwisePrinter``
 exists for the bits: ``float64 ** e`` calls libm ``pow`` where
@@ -110,8 +117,8 @@ class EvolutionProblem:
     rhs_slots: tuple[tuple[str, int], ...]
     energy_func: Callable
     energy_slots: tuple[tuple[str, int], ...]
-    # one whole RK4 step of a one-point problem (see ``_compile_point_step``);
-    # None for a grid
+    # ``count`` RK4 steps of a one-point problem in one call (see
+    # ``_compile_point_block``); None for a grid
     rk4_point: Optional[Callable]
     # the initial data: one evaluator of every state row at the points x^1
     initial_func: Callable
@@ -356,47 +363,62 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
 
     N = int(config.N) if m == 2 else 1
     dx = (float(config.length) if m == 2 else 1.0) / N
+    rk4_point = None
+    if m == 1:
+        # lambdify names each parameter by its symbol, and the block runs
+        # in the evaluator's namespace
+        name_of = {slot: str(a) for a, slot in slots.items()}
+        rk4_point = _compile_point_block(n, rhs_slots, [name_of[s] for s in rhs_slots],
+                                         exprs, rhs_func.__globals__)
     return EvolutionProblem(
         m=m, n=n, N=N, dx=dx, state_names=state_names, exprs=exprs,
         energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_slots,
-        energy_func=energy_func, energy_slots=energy_slots,
-        rk4_point=_compile_point_step(n, rhs_func, rhs_slots) if m == 1 else None,
+        energy_func=energy_func, energy_slots=energy_slots, rk4_point=rk4_point,
         initial_func=_lambdify([ex.base(1)], initial), monitors=tuple(config.monitors))
 
 
-def _compile_point_step(n: int, rhs_func: Callable,
-                        rhs_slots: tuple[tuple[str, int], ...]) -> Callable:
-    """One classical RK4 step of a one-point problem as straight-line code.
+def _compile_point_block(n: int, slots: Sequence[tuple[str, int]], names: Sequence[str],
+                         exprs: Sequence[sp.Expr], namespace: dict) -> Callable:
+    """``count`` classical RK4 steps of a one-point problem in one loop.
 
-    The function takes ``(t, dt, a0, ..., a{2n})``, the time, the step and
-    the state's scalars, and returns the new state as a tuple.  Each stage
-    calls ``rhs_func`` with the arguments ``rhs_slots`` names, the stage time
-    ``t + dt/2`` or ``t + dt`` of the type of ``t``: given Python floats the
-    step runs on Python floats, given numpy float64 scalars on numpy's (see
-    ``step_rk4``).  The arithmetic is the grid path's: stage states
-    ``k*c + a`` and ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a``.
+    The function takes ``(t, dt, count, a0, ..., a{2n})``, the time, the
+    step, the number of steps and the state's scalars, and returns ``(t, a0,
+    ..., a{2n})`` after the last step.  Each stage binds the values of
+    ``slots`` to ``names``, the right-hand side's parameter names, and
+    evaluates the text ``_PointwisePrinter`` prints for ``exprs``: the text
+    ``rhs_func`` runs, in its namespace, without the call.  The stage times
+    are ``t``, ``t + dt/2`` and ``t + dt``, of the type of ``t``: given
+    Python floats the block runs on Python floats, given numpy float64
+    scalars on numpy's (see ``step_rk4``).  The arithmetic is the grid path's: stage states
+    ``k*c + a``, the sums ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a`` and
+    the time ``t + dt`` after each step.
     """
-    a = [f"a{i}" for i in range(2 * n + 1)]
-    lines = [f"def rk4_point(t, dt, {', '.join(a)}):", "    h = dt / 2"]
+    printer = _PointwisePrinter()
+    texts = ", ".join(printer.doprint(e) for e in exprs)
+    a = [f"_a{i}" for i in range(2 * n + 1)]
+    lines = [f"def rk4_point(_t, _dt, _count, {', '.join(a)}):",
+             "    _h = _dt / 2", "    _c = _dt / 6", "    for _step in range(_count):"]
     y, ks = a, []
     for stage, (t_stage, c) in enumerate(
-            [("t", None), ("t + h", "h"), ("t + h", "h"), ("t + dt", "dt")], 1):
+            [("_t", None), ("_t + _h", "_h"), ("_t + _h", "_h"), ("_t + _dt", "_dt")], 1):
         if c is not None:
-            y = [f"y{stage}_{i}" for i in range(len(a))]
-            lines.append(f"    {', '.join(y)} = "
+            y = [f"_y{stage}_{i}" for i in range(len(a))]
+            lines.append(f"        {', '.join(y)} = "
                          + ", ".join(f"{k}*{c} + {ai}" for k, ai in zip(ks[-1], a)))
-        args = ", ".join(t_stage if kind == "t" else y[row]
-                         for kind, row in rhs_slots)
+        if names:
+            lines.append(f"        {', '.join(names)} = "
+                         + ", ".join(t_stage if kind == "t" else y[row] for kind, row in slots))
         # the state's derivative: the stage's velocities, then the
-        # accelerations and L from the right-hand side
-        out = [f"k{stage}_{i}" for i in range(n, len(a))]
-        lines.append(f"    {', '.join(out)} = rhs({args})")
+        # accelerations and L from the right-hand side's text
+        out = [f"_k{stage}_{i}" for i in range(n, len(a))]
+        lines.append(f"        {', '.join(out)} = {texts}")
         ks.append(y[n:2 * n] + out)
-    lines.append("    c = dt / 6")
-    lines.append("    return " + ", ".join(
-        f"(((({k1} + 2*{k2}) + 2*{k3}) + {k4})*c + {ai})"
+    lines.append(f"        {', '.join(a)} = " + ", ".join(
+        f"(((({k1} + 2*{k2}) + 2*{k3}) + {k4})*_c + {ai})"
         for k1, k2, k3, k4, ai in zip(*ks, a)))
-    namespace = {"rhs": rhs_func}
+    lines.append("        _t = _t + _dt")
+    lines.append(f"    return _t, {', '.join(a)}")
+    namespace = dict(namespace)
     exec(compile("\n".join(lines), "<rk4_point>", "exec"), namespace)
     return namespace["rk4_point"]
 
@@ -437,31 +459,70 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got dt={dt}")
 
 
+def _scalars(st: GridState) -> Sequence:
+    """A one-point state's scalars, as Python floats where it has no others."""
+    return st.values if isinstance(st, _PointState) else st.arrays[:, 0].tolist()
+
+
+def _float_pass(p: EvolutionProblem, st: GridState, dt: float,
+                count: int) -> Optional[_PointState]:
+    """``count`` steps of the block ``p.rk4_point`` from ``st`` on Python
+    floats; None where they raise ``ArithmeticError`` or end non-finite."""
+    try:
+        out = p.rk4_point(st.t, dt, count, *_scalars(st))
+    except ArithmeticError:
+        return None
+    new = _PointState(out[0], out[1:])
+    return new if new.finite else None
+
+
+def _advance(p: EvolutionProblem, st: GridState, dt: float, count: int) -> tuple[GridState, int]:
+    """Up to ``count`` RK4 steps from ``st``: the last finite state reached
+    and the number of steps to it (fewer than ``count`` where the next one
+    ends non-finite).
+
+    More than one step is one float pass of the block ``p.rk4_point``.  If
+    that raises ``ArithmeticError`` or ends non-finite, the steps are
+    replayed from ``st`` through ``step_rk4``, which stops at the first
+    non-finite state with numpy's warnings as an array would; the float pass
+    has no side effects to undo.  One step goes straight to ``step_rk4``.
+    """
+    if count > 1:
+        new = _float_pass(p, st, dt, count)
+        if new is not None:
+            return new, count
+    for done in range(count):
+        new = step_rk4(p, st, dt)
+        if not new.finite:
+            return st, done
+        st = new
+    return st, count
+
+
 def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
     """One classical fourth-order Runge--Kutta step (reuses ``p.stages``: not re-entrant).
 
     The stage sums are ``(((k1 + 2 k2) + 2 k3) + k4) (dt/6) + a`` with stage
-    states ``k c + a``.  A one-point problem (``m = 1``) runs its compiled
-    step ``p.rk4_point`` on the state's scalars as Python floats; if that
-    raises ``ArithmeticError`` or ends non-finite, it reruns the step from the
-    same start on numpy float64 scalars, which give inf/nan with numpy's
-    warnings as an array would.  It returns a ``_PointState`` holding the
-    scalars.  A grid problem computes the stages on the stacked arrays and
-    returns a fresh state array.  Both give the same bits on one point.
-    ``dt`` must be positive and finite, and on a grid at most ``_CFL * dx``.
+    states ``k c + a``.  A one-point problem (``m = 1``) calls its compiled
+    block ``p.rk4_point`` for one step on the state's scalars as Python
+    floats; if that raises ``ArithmeticError`` or ends non-finite, it reruns
+    the step from the same start on numpy float64 scalars, which give inf/nan
+    with numpy's warnings as an array would.  It returns a ``_PointState``
+    holding the scalars.  ``run`` calls it only to replay a failed block, or
+    for one step at a time.  A grid problem computes the stages on the
+    stacked arrays and returns a fresh state array.  Both give the same bits
+    on one point.  ``dt`` must be positive and finite, and on a grid at most
+    ``_CFL * dx``.
     """
     _check_dt(dt)
     if p.m == 2 and dt > _CFL * p.dx:
         raise ValueError(f"dt={dt} violates the CFL guard dt <= {_CFL}*dx = {_CFL * p.dx}")
     if p.m == 1:
-        a = st.values if isinstance(st, _PointState) else st.arrays[:, 0].tolist()
-        try:
-            new = _PointState(st.t + dt, p.rk4_point(st.t, dt, *a))
-            if new.finite:
-                return new
-        except ArithmeticError:
-            pass
-        return _PointState(st.t + dt, p.rk4_point(np.float64(st.t), dt, *map(np.float64, a)))
+        new = _float_pass(p, st, dt, 1)
+        if new is not None:
+            return new
+        out = p.rk4_point(np.float64(st.t), dt, 1, *map(np.float64, _scalars(st)))
+        return _PointState(float(out[0]), out[1:])
     # stage sums in the textbook order ((k1 + 2 k2) + 2 k3) + k4, built in
     # a fresh array (the returned state) from the problem's two stage buffers
     a, h = st.arrays, dt / 2
@@ -515,9 +576,11 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
 
     Monitors are sampled every ``cadence`` steps and at both ends, as are
     the states unless they would exceed 2e6 grid values (then ``states`` is
-    None).  The centered-in-time balance residual ``action_balance_fd`` is
-    computed from the per-step ``s^0`` history after the run.  A non-finite
-    state aborts the run and the report keeps the last good state.
+    None).  A one-point problem advances a cadence interval per block (see
+    ``_advance``).  The centered-in-time balance residual
+    ``action_balance_fd`` is computed from the per-step ``s^0`` history
+    after the run.  A non-finite state aborts the run, and the last good
+    state is sampled if it was not already.
     """
     _check_dt(dt)
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -554,15 +617,22 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     if want_fd:
         record_fd(st)
     termination = "completed"
-    for k in range(steps):
-        new = step_rk4(p, st, dt)
-        if not new.finite:
+    # a one-point run advances one cadence interval per block; the
+    # finite-difference monitor reads every step
+    span = cadence if p.m == 1 and not want_fd else 1
+    k = 0
+    while k < steps:
+        count = min(span, steps - k)
+        st, done = _advance(p, st, dt, count)
+        k += done
+        if done < count:
             termination = "non-finite state"
+            if times[-1] != st.t:
+                sample(st)
             break
-        st = new
         if want_fd:
             record_fd(st)
-        if (k + 1) % cadence == 0 or k == steps - 1:
+        if k % cadence == 0 or k == steps:
             sample(st)
 
     series = {name: np.asarray(vals) for name, vals in mon.items()}

@@ -268,7 +268,8 @@ class UnifiedSystem:
 
             new_gen: list[sp.Expr] = []
             new_rows = []
-            cands = ex.exact_cancel(sp.Matrix([(kvec.T * b)[0, 0] for kvec in left_kernel]))
+            cands = ex.exact_product(sp.Matrix(len(left_kernel), A_on.rows,
+                                               lambda i, j: left_kernel[i][j]), b)
             for cand in map(ex.expand, cands):
                 if cand == 0:
                     continue

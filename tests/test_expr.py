@@ -639,6 +639,30 @@ class TestSampledAgainstLambdify:
 # one sampler, one cancellation
 
 
+class TestExactProduct:
+    @given(st.lists(_grammar_text(), min_size=6, max_size=6))
+    @example(["sin(y[0])", "y[1]", "0", "1/y[0]", "k*dy[0,0]", "x[0]+1"])
+    @settings(max_examples=100, deadline=None)
+    def test_grammar_products_match_the_matrix_product(self, texts):
+        # a 2x3 times a 3x1 and a 1x2 times a 2x3, zero entries included
+        e = [_grammar(t) for t in texts]
+        for M, N in ((sp.Matrix(2, 3, e), sp.Matrix(e[3:] + [0, 0, 0])[:3, :]),
+                     (sp.Matrix([[e[0], 0]]), sp.Matrix(2, 3, e[::-1]))):
+            ours, ref = ex.exact_product(M, N), ex.exact_cancel(M * N)
+            assert ours.shape == ref.shape
+            assert all(_same_tree(a, b) for a, b in zip(ours, ref)), texts
+
+    @pytest.mark.parametrize("M,N", [
+        (sp.Matrix(0, 2, []), sp.Matrix([1, ex.field(0)])),
+        (sp.Matrix([[sp.zoo * ex.field(0), 1]]), sp.Matrix([0, ex.field(1)])),
+        (sp.Matrix([[sp.oo, 1]]), sp.Matrix([ex.field(0), -ex.field(0)]))],
+        ids=["empty", "zoo", "oo"])
+    def test_edge_cases(self, M, N):
+        # the non-finite entries take sympy's product: 0*zoo is nan there
+        ours, ref = ex.exact_product(M, N), ex.exact_cancel(M * N)
+        assert ours.shape == ref.shape and all(map(_same_tree, ours, ref))
+
+
 def _source_hits(pattern: str) -> list[tuple[str, str]]:
     src = pathlib.Path(ex.__file__).parent
     return [(path.name, line.strip())

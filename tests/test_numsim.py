@@ -386,6 +386,27 @@ def _bundled_problem(name, N=None, parameters=None, initial=None):
     return p, (cfg.length / p.N / 4 if p.m == 2 else 1e-3)
 
 
+def _point_case(case):
+    """A one-point problem and its step: a time-dependent force, a constant
+    acceleration, the kernel-heavy two-field model or oscillator_ode's model."""
+    if case == "time_forcing":
+        # the forcing pins the stage times t, t + dt/2 and t + dt
+        L = (ex.velocity(0, 0) ** 2 / 2 - ex.field(0) ** 2 / 2
+             + sp.sin(ex.base(0)) * ex.field(0) / 5 - ex.action(0) / 10)
+        p, dt = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(1)})), 1e-1
+        assert ("t", 0) in p.rhs_slots
+    elif case == "constant_acceleration":
+        # the acceleration prints as the Python int 1
+        p, dt = _problem(ex.velocity(0, 0) ** 2 / 2 + ex.field(0)), 1e-1
+        acc, _ = p.rhs_func(*[np.float64(0.5)] * len(p.rhs_slots))
+        assert p.exprs[0] == 1 and type(acc) is int
+    elif case == "pointwise_kernels":
+        p, dt = _pointwise_kernels_problem()
+    else:
+        p, dt = _bundled_problem("damped_oscillator")
+    return p, dt
+
+
 class TestBitIdentity:
     """The fused, stencil-pruned evaluator and the buffered RK4 reproduce the
     earlier integrator bit for bit: states and every monitor."""
@@ -424,20 +445,9 @@ class TestBitIdentity:
                                       "benchmark_shape"])
     def test_compiled_point_step_matches_reference(self, case):
         steps, cadence = 60, 3
-        if case == "time_forcing":
-            # the forcing pins the stage times t, t + dt/2 and t + dt
-            L = (ex.velocity(0, 0) ** 2 / 2 - ex.field(0) ** 2 / 2
-                 + sp.sin(ex.base(0)) * ex.field(0) / 5 - ex.action(0) / 10)
-            p, dt = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(1)})), 1e-1
-            assert ("t", 0) in p.rhs_slots
-        elif case == "constant_acceleration":
-            # the acceleration prints as the Python int 1
-            p, dt = _problem(ex.velocity(0, 0) ** 2 / 2 + ex.field(0)), 1e-1
-            acc, _ = p.rhs_func(*[np.float64(0.5)] * len(p.rhs_slots))
-            assert p.exprs[0] == 1 and type(acc) is int
-        else:
+        p, dt = _point_case(case)
+        if case == "benchmark_shape":
             # oscillator_ode's run: the model's dt over 2,500 steps at cadence 10
-            p, dt = _bundled_problem("damped_oscillator")
             steps, cadence = 2500, 10
         p.monitors = ("action_balance", "energy", "action_balance_fd")
         states, series = _reference_run(p, dt, steps, cadence)
@@ -448,6 +458,25 @@ class TestBitIdentity:
             assert got.arrays.dtype == np.float64 and np.array_equal(got.arrays, want)
         for name, want in series.items():
             assert np.array_equal(rep.series[name], np.asarray(want)), name
+
+    @pytest.mark.parametrize("cadence", [1, 3, 10])
+    @pytest.mark.parametrize("case", ["time_forcing", "constant_acceleration",
+                                      "pointwise_kernels", "benchmark_shape"])
+    def test_blocks_match_reference(self, case, cadence):
+        # the default monitors leave out action_balance_fd, so a run steps a
+        # cadence interval per block; 61 steps make the last block short
+        p, dt = _point_case(case)
+        p.monitors = SimulateConfig().monitors
+        steps = 61
+        states, series = _reference_run(p, dt, steps, cadence)
+        rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence)
+        assert rep.termination == "completed"
+        assert len(rep.states) == len(states) == -(-steps // cadence) + 1
+        for got, want in zip(rep.states, states):
+            assert got.arrays.tobytes() == want.tobytes()
+        assert rep.times.tolist() == [st.t for st in rep.states]
+        for name in p.monitors:
+            assert np.array_equal(rep.series[name], np.asarray(series[name])), name
 
     def test_step_returns_fresh_array(self):
         # the grid path and the one-point (numpy scalar) path
@@ -539,3 +568,48 @@ class TestPointFloatPath:
             assert got.arrays.tobytes() == want.tobytes()
         for name in p.monitors:
             assert np.array_equal(rep.series[name], np.asarray(series[name][:k])), name
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("case", ["state", "time"])
+    def test_fallback_mid_block_matches_reference(self, case):
+        # test_fallback_mid_run_matches_reference's models at cadence 4: the
+        # float block raises in the step after t_raise, is replayed step by
+        # step, and the run ends on the last good state, sampled
+        if case == "state":
+            L = ex.velocity(1, 0) ** 2 / 2 + ex.field(1) * ex.velocity(0, 0) ** 2 / 2
+            initial = {"y0": sp.Integer(1), "y1": sp.Integer(3), "dy1_0": sp.Integer(-1)}
+            p, dt, t_raise = _problem(L, n=2, config=SimulateConfig(initial=initial)), 0.75, 2.25
+        else:
+            L = ex.velocity(0, 0) ** 2 / 2 + ex.field(0) ** 2 / (2 * (ex.base(0) - 1))
+            p = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(1)}))
+            dt, t_raise = 0.125, 0.875
+        p.monitors = ("action_balance", "energy")
+        steps, cadence = 12, 4
+        good = round(t_raise / dt)
+        states, series = _reference_run(p, dt, steps, 1)
+        assert np.isfinite(states[good]).all() and not np.isfinite(states[good + 1]).all()
+        rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence)
+        assert rep.termination == "non-finite state"
+        assert rep.states[-1].t == t_raise
+        sampled = sorted(set(range(0, good + 1, cadence)) | {good})
+        assert good % cadence and len(rep.states) == len(sampled)
+        for got, k in zip(rep.states, sampled):
+            assert got.arrays.tobytes() == states[k].tobytes()
+        for name in p.monitors:
+            assert np.array_equal(rep.series[name], np.asarray(series[name])[sampled]), name
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("cadence", [1, 3, 7])
+    def test_non_finite_ending_samples_the_last_good_state(self, cadence):
+        # test_overflow_warns_as_on_an_array's model: the state at t = 80 is
+        # the last finite one, whatever the cadence, and is sampled once
+        lam = sp.Symbol("lam")
+        L = ex.velocity(0, 0) ** 2 / 2 + lam * ex.field(0) ** 2 / 2
+        cfg = SimulateConfig(initial={"y0": sp.Integer(1)}, parameters={"lam": 1e8})
+        p = _problem(L, params=(lam,), config=cfg)
+        rep = numsim.run(p, dt=10.0, t_end=10000.0, cadence=cadence)
+        assert rep.termination == "non-finite state"
+        assert rep.states[-1].t == 80.0 and rep.states[-1].finite
+        assert rep.times[-1] == 80.0 and np.all(np.diff(rep.times) > 0)
