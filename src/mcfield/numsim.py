@@ -12,27 +12,24 @@ RK4 stages reuse two buffers per problem.  Results are bit-identical to the
 earlier per-expression, every-stencil integrator.
 
 One-point problems (``m = 1``, hence ``N = 1``) step through one function
-that ``compile_problem`` generates per problem, ``rk4_point``: ``count``
-RK4 steps in one loop over the state's scalars.  Each stage binds the
-right-hand side's parameter names and evaluates the very text
-``_PointwisePrinter`` prints for ``rhs_func``, with the stage sums in the
-array path's order, so the results are bit for bit those of 1-element
-arrays at a fraction of the call overhead.  ``run`` advances one cadence
-interval per call (the last one shorter) and samples at its end; a run with
-``action_balance_fd``, which reads every step, takes one step per call.  A
-block runs on Python floats, whose ``+ - * /`` give the same bits as numpy
-float64 and cost less than half as much; every power and function is a
-numpy kernel and returns a numpy scalar, as on an array.  If a block of
-several steps raises ``ArithmeticError`` (a Python float divided by zero)
-or ends non-finite, it is replayed from its start through ``step_rk4``, one
-step per call.  ``step_rk4`` is the block's one-step call; where that
-raises or ends non-finite, it recomputes the step from the same start on
-numpy float64 scalars, whose array semantics give inf/nan with numpy's
-warning, and the run ends as ``"non-finite state"`` on the last good state.
-The one difference from the array path: an intermediate overflow whose step
-still ends finite no longer warns (and a failed block's float pass, which
-runs past its failure, may warn where a numpy kernel meets inf or nan).  The
-new state keeps the returned scalars (``_PointState``) and builds its
+that ``compile_problem`` generates per problem, ``rk4_point``: ``count`` RK4
+steps in one loop over the state's scalars.  Each stage binds the right-hand
+side's parameter names and evaluates the very text ``_PointwisePrinter``
+prints for ``rhs_func``, and the stage sums keep the array path's order, so
+the results are bit for bit those of 1-element arrays with no call per
+stage.  ``run`` calls it once per cadence interval (the last one shorter),
+or once per step where ``action_balance_fd`` reads every step.  It runs on
+Python floats, whose ``+ - * /`` give the same bits as numpy float64 and
+cost less than half as much; every power and function is a numpy kernel and
+returns a numpy scalar, as on an array.  A block that raises
+``ArithmeticError`` (a Python float divided by zero) or ends non-finite is
+replayed from its start through ``step_rk4``, which recomputes a step that
+fails in the same way on numpy float64 scalars; their array semantics give
+inf/nan with numpy's warning, and the run ends as ``"non-finite state"`` on
+the last good state.  The one difference from the array path: an
+intermediate overflow whose step still ends finite no longer warns (and a
+failed block, which runs on past its failure, may warn before its replay).
+The new state keeps the returned scalars (``_PointState``) and builds its
 ``(n_vars, 1)`` array only when something reads it.  ``_PointwisePrinter``
 exists for the bits: ``float64 ** e`` calls libm ``pow`` where
 ``ndarray ** e`` calls numpy's ``square``/``power`` kernels, which differ in
@@ -389,9 +386,9 @@ def _compile_point_block(n: int, slots: Sequence[tuple[str, int]], names: Sequen
     ``rhs_func`` runs, in its namespace, without the call.  The stage times
     are ``t``, ``t + dt/2`` and ``t + dt``, of the type of ``t``: given
     Python floats the block runs on Python floats, given numpy float64
-    scalars on numpy's (see ``step_rk4``).  The arithmetic is the grid path's: stage states
-    ``k*c + a``, the sums ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a`` and
-    the time ``t + dt`` after each step.
+    scalars on numpy's (see ``step_rk4``).  The arithmetic is the grid
+    path's: stage states ``k*c + a``, the sums ``(((k1 + 2*k2) + 2*k3) +
+    k4)*(dt/6) + a`` and the time ``t + dt`` after each step.
     """
     printer = _PointwisePrinter()
     texts = ", ".join(printer.doprint(e) for e in exprs)
@@ -477,16 +474,10 @@ def _float_pass(p: EvolutionProblem, st: GridState, dt: float,
 
 
 def _advance(p: EvolutionProblem, st: GridState, dt: float, count: int) -> tuple[GridState, int]:
-    """Up to ``count`` RK4 steps from ``st``: the last finite state reached
-    and the number of steps to it (fewer than ``count`` where the next one
-    ends non-finite).
-
-    More than one step is one float pass of the block ``p.rk4_point``.  If
-    that raises ``ArithmeticError`` or ends non-finite, the steps are
-    replayed from ``st`` through ``step_rk4``, which stops at the first
-    non-finite state with numpy's warnings as an array would; the float pass
-    has no side effects to undo.  One step goes straight to ``step_rk4``.
-    """
+    """Up to ``count`` RK4 steps from ``st``: the last finite state and the
+    number of steps to it.  Several steps are one float pass of the block;
+    where that fails, they are replayed through ``step_rk4`` up to the first
+    non-finite state (see the module docstring)."""
     if count > 1:
         new = _float_pass(p, st, dt, count)
         if new is not None:

@@ -574,7 +574,7 @@ class TestPointFloatPath:
     @pytest.mark.parametrize("case", ["state", "time"])
     def test_fallback_mid_block_matches_reference(self, case):
         # test_fallback_mid_run_matches_reference's models at cadence 4: the
-        # float block raises in the step after t_raise, is replayed step by
+        # float block raises in the step from t_raise, is replayed step by
         # step, and the run ends on the last good state, sampled
         if case == "state":
             L = ex.velocity(1, 0) ** 2 / 2 + ex.field(1) * ex.velocity(0, 0) ** 2 / 2
