@@ -4,11 +4,15 @@
 
 Runs ``mcfield.cli.main`` in-process on the 7 bundled models, the 3 test
 models and the benchmark corpora of seeds 0-3 and 42 (written to a temporary
-directory) under ten settings, and writes ``{"model setting": [exit,
+directory) under eleven settings, and writes ``{"model setting": [exit,
 stdout, stderr]}`` as JSON.  The runs share a temporary working directory:
-``simulate`` writes into ``sim`` there, so its printed ``csv:`` path is
-relative, and ``export`` reads the file that ``derive --format machine
---out`` wrote there just before it.  An escaping exception is recorded as exit
+``simulate`` writes into a fresh ``sim`` there, so its printed ``csv:`` path
+is relative, and its entry gains a fourth item, ``{file name: text}`` of
+what it wrote.  ``<params>`` stands for ``--param NAME=1/10`` for each
+parameter the model declares, so that right-hand sides the model leaves
+symbolic (``sin``, ``exp``, ...) are compiled and run, on 8 grid points
+where ``m = 2``.  ``export`` reads the
+file that ``derive --format machine --out`` wrote there just before it.  An escaping exception is recorded as exit
 ``"raised"`` with its last line as stderr.  With ``--against`` it lists the
 keys whose entry differs and exits 1 if any does.  It imports ``mcfield``
 from this checkout's ``src``; to snapshot another commit, run that
@@ -21,6 +25,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 import traceback
@@ -30,6 +35,7 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 from mcfield.cli import main  # noqa: E402
+from mcfield.modelfile import load_model  # noqa: E402
 
 SETTINGS = [[*"derive --format machine --formalism".split(), f]
             for f in ("lagrangian", "hamiltonian", "unified")] + [
@@ -37,6 +43,7 @@ SETTINGS = [[*"derive --format machine --formalism".split(), f]
     ["check", "--samples", "3", "--seed", "7"], ["unify"],
     ["unify", "--format", "machine", "--seed", "7"],
     ["simulate", "--t-end", "0.05", "--out", "sim"],
+    ["simulate", "--t-end", "0.05", "--n-grid", "8", "--out", "sim", "<params>"],
     ["export", "--format", "text", "--from", "<file>"]]
 
 
@@ -72,7 +79,20 @@ def run_setting(name: str, path: Path, setting: list) -> list:
         written = sorted(out.glob("*.machine"))
         source = str(written[0] if written else out / "missing.machine")
         setting = [source if s == "<file>" else s for s in setting]
-    return run([setting[0], str(path), *setting[1:]])
+    if "<params>" in setting:
+        try:
+            names = list(load_model(path)[0].parameters)
+        except Exception:  # the run itself reports the broken model
+            names = []
+        bind = [a for p in names for a in ("--param", f"{p}=1/10")]
+        setting = [a for s in setting for a in (bind if s == "<params>" else [s])]
+    simulate = setting[0] == "simulate"
+    if simulate:
+        shutil.rmtree("sim", ignore_errors=True)
+    out = run([setting[0], str(path), *setting[1:]])
+    if simulate:
+        out.append({p.name: p.read_text() for p in sorted(Path("sim").glob("*"))})
+    return out
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ equations are reduced to first order by introducing ``v^A = dy^A/dx^0``;
 spatial derivatives are realized as second-order central differences on a
 periodic grid, and time stepping uses fixed-step classical RK4.
 
-One fused ``lambdify`` of the accelerations and L reads only the argument
+One generated evaluator of the accelerations and L reads only the argument
 slots it uses, so each right-hand side computes only the stencils it needs;
 RK4 stages reuse two buffers per problem.  Results are bit-identical to the
 earlier per-expression, every-stencil integrator.
@@ -14,10 +14,9 @@ earlier per-expression, every-stencil integrator.
 One-point problems (``m = 1``, hence ``N = 1``) step through one function
 that ``compile_problem`` generates per problem, ``rk4_point``: ``count`` RK4
 steps in one loop over the state's scalars.  Each stage binds the right-hand
-side's parameter names and evaluates the very text ``_PointwisePrinter``
-prints for ``rhs_func``, and the stage sums keep the array path's order, so
-the results are bit for bit those of 1-element arrays with no call per
-stage.  ``run`` calls it once per cadence interval (the last one shorter),
+side's argument names and evaluates the very text ``rhs_func`` returns,
+and the stage sums keep the array path's order, so the results are bit for
+bit those of 1-element arrays with no call per stage.  ``run`` calls it once per cadence interval (the last one shorter),
 or once per step where ``action_balance_fd`` reads every step.  It runs on
 Python floats, whose ``+ - * /`` give the same bits as numpy float64 and
 cost less than half as much; every power and function is a numpy kernel and
@@ -34,8 +33,9 @@ The new state keeps the returned scalars (``_PointState``) and builds its
 exists for the bits: ``float64 ** e`` calls libm ``pow`` where
 ``ndarray ** e`` calls numpy's ``square``/``power`` kernels, which differ in
 the last bit, so every power is printed as an explicit numpy kernel.
-Compiling binds ``numpy`` by name: lambdify's string module ``"numpy"``
-would run ``from numpy import *``, which imports ``numpy.f2py`` and more.
+Each expression list is printed once, and every evaluator is compiled from
+that text by ``_generate`` with ``numpy`` bound by name as its one global
+(``from numpy import *`` would import ``numpy.f2py`` and more).
 
 Action variables: the balance law constrains only the divergence of the
 ``s^mu`` fields.  We adopt the gauge ``s^1 == 0`` for ``m = 2`` (so the
@@ -214,10 +214,22 @@ class _PointwisePrinter(NumPyPrinter):
         return f"{self._module_format('numpy.power')}({arg}, {self._print(expr.exp)})"
 
 
-def _lambdify(args: list, exprs) -> Callable:
-    # numpy bound by name: the string module "numpy" would run lambdify's
-    # `from numpy import *`
-    return sp.lambdify(args, exprs, modules=[{"numpy": np}, np], printer=_PointwisePrinter())
+def _generate(name: str, params: Sequence[str], body: Sequence[str]) -> Callable:
+    """The function ``def name(params):`` with the lines ``body``, compiled
+    with ``numpy`` as its one global: every evaluator comes from here."""
+    namespace = {"numpy": np}
+    exec(compile("\n".join([f"def {name}({', '.join(params)}):", *body]), f"<{name}>", "exec"),
+         namespace)
+    return namespace[name]
+
+
+def _evaluator(args: Sequence[sp.Symbol], exprs: Sequence[sp.Expr]) -> tuple[Callable, str]:
+    """The function of ``args`` that returns the list of ``exprs``, and the
+    text it returns: each expression printed once by ``_PointwisePrinter``,
+    with every symbol named as ``str`` names it."""
+    printer = _PointwisePrinter()
+    text = ", ".join(printer.doprint(e) for e in exprs)
+    return _generate("evaluate", [str(a) for a in args], [f"    return [{text}]"]), text
 
 
 def _deriv_central(u: np.ndarray, dx: float) -> np.ndarray:
@@ -332,10 +344,10 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
             exprs.append(e)
         used = [a for a in slot_of if any(a in e.free_symbols for e in exprs)]
         # no cse: it reassociates products, (c*a)*b -> c*(a*b), changing last bits
-        func = _lambdify(used, exprs)
-        return tuple(exprs), func, tuple(slot_of[a] for a in used)
+        func, text = _evaluator(used, exprs)
+        return tuple(exprs), func, tuple(slot_of[a] for a in used), [str(a) for a in used], text
 
-    exprs, rhs_func, rhs_slots = _compile(
+    exprs, rhs_func, rhs_slots, rhs_names, rhs_text = _compile(
         [(f"acceleration of field {A}", sol[A]) for A in range(n)]
         + [("the Lagrangian", L_expr)], slots)
     # mechanical energy density: sum_A v dL/dv - L with action variables at
@@ -344,7 +356,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     e_density = ex.expand(e_density - L_expr).xreplace(
         {ex.action(mu): sp.Integer(0) for mu in range(m)})
     forward = {ex.velocity(A, 1): ("forward", A) for A in range(n)} if m == 2 else {}
-    (energy_expr,), energy_func, energy_slots = _compile(
+    (energy_expr,), energy_func, energy_slots, _, _ = _compile(
         [("the energy density", e_density)], {**slots, **forward})
 
     # initial data: functions of x^1 alone (m = 2) or constants (m = 1)
@@ -360,41 +372,33 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
 
     N = int(config.N) if m == 2 else 1
     dx = (float(config.length) if m == 2 else 1.0) / N
-    rk4_point = None
-    if m == 1:
-        # lambdify names each parameter by its symbol, and the block runs
-        # in the evaluator's namespace
-        name_of = {slot: str(a) for a, slot in slots.items()}
-        rk4_point = _compile_point_block(n, rhs_slots, [name_of[s] for s in rhs_slots],
-                                         exprs, rhs_func.__globals__)
+    # a one-point problem also runs the right-hand side's text inline
+    rk4_point = _compile_point_block(n, rhs_slots, rhs_names, rhs_text) if m == 1 else None
     return EvolutionProblem(
         m=m, n=n, N=N, dx=dx, state_names=state_names, exprs=exprs,
         energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_slots,
         energy_func=energy_func, energy_slots=energy_slots, rk4_point=rk4_point,
-        initial_func=_lambdify([ex.base(1)], initial), monitors=tuple(config.monitors))
+        initial_func=_evaluator([ex.base(1)], initial)[0], monitors=tuple(config.monitors))
 
 
 def _compile_point_block(n: int, slots: Sequence[tuple[str, int]], names: Sequence[str],
-                         exprs: Sequence[sp.Expr], namespace: dict) -> Callable:
+                         text: str) -> Callable:
     """``count`` classical RK4 steps of a one-point problem in one loop.
 
     The function takes ``(t, dt, count, a0, ..., a{2n})``, the time, the
     step, the number of steps and the state's scalars, and returns ``(t, a0,
     ..., a{2n})`` after the last step.  Each stage binds the values of
-    ``slots`` to ``names``, the right-hand side's parameter names, and
-    evaluates the text ``_PointwisePrinter`` prints for ``exprs``: the text
-    ``rhs_func`` runs, in its namespace, without the call.  The stage times
+    ``slots`` to ``names``, the right-hand side's argument names, and
+    evaluates ``text``, the printed list ``rhs_func`` returns, without the
+    call.  The stage times
     are ``t``, ``t + dt/2`` and ``t + dt``, of the type of ``t``: given
     Python floats the block runs on Python floats, given numpy float64
     scalars on numpy's (see ``step_rk4``).  The arithmetic is the grid
     path's: stage states ``k*c + a``, the sums ``(((k1 + 2*k2) + 2*k3) +
     k4)*(dt/6) + a`` and the time ``t + dt`` after each step.
     """
-    printer = _PointwisePrinter()
-    texts = ", ".join(printer.doprint(e) for e in exprs)
     a = [f"_a{i}" for i in range(2 * n + 1)]
-    lines = [f"def rk4_point(_t, _dt, _count, {', '.join(a)}):",
-             "    _h = _dt / 2", "    _c = _dt / 6", "    for _step in range(_count):"]
+    lines = ["    _h = _dt / 2", "    _c = _dt / 6", "    for _step in range(_count):"]
     y, ks = a, []
     for stage, (t_stage, c) in enumerate(
             [("_t", None), ("_t + _h", "_h"), ("_t + _h", "_h"), ("_t + _dt", "_dt")], 1):
@@ -408,16 +412,14 @@ def _compile_point_block(n: int, slots: Sequence[tuple[str, int]], names: Sequen
         # the state's derivative: the stage's velocities, then the
         # accelerations and L from the right-hand side's text
         out = [f"_k{stage}_{i}" for i in range(n, len(a))]
-        lines.append(f"        {', '.join(out)} = {texts}")
+        lines.append(f"        {', '.join(out)} = {text}")
         ks.append(y[n:2 * n] + out)
     lines.append(f"        {', '.join(a)} = " + ", ".join(
         f"(((({k1} + 2*{k2}) + 2*{k3}) + {k4})*_c + {ai})"
         for k1, k2, k3, k4, ai in zip(*ks, a)))
     lines.append("        _t = _t + _dt")
     lines.append(f"    return _t, {', '.join(a)}")
-    namespace = dict(namespace)
-    exec(compile("\n".join(lines), "<rk4_point>", "exec"), namespace)
-    return namespace["rk4_point"]
+    return _generate("rk4_point", ["_t", "_dt", "_count", *a], lines)
 
 
 def _slot_values(p: EvolutionProblem, slots: Sequence[tuple[str, int]], t: float,

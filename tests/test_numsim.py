@@ -166,10 +166,11 @@ class TestPointwisePrinter:
         # a numpy scalar's ** is libm pow, an array's is numpy's kernel; the
         # printed evaluator runs one kernel on both, the array's
         x = sp.Symbol("x")
-        f = numsim._lambdify([x], x ** e / 3)
+        f, text = numsim._evaluator([x], [x ** e / 3])
         v = np.random.default_rng(5).uniform(0.1, 10.0, 2000)
-        assert np.array_equal(np.array([f(s) for s in v]), f(v))
-        assert np.array_equal(f(v), sp.lambdify([x], x ** e / 3, modules="numpy")(v))
+        assert np.array_equal(np.array([f(s)[0] for s in v]), f(v)[0])
+        assert np.array_equal(f(v)[0], sp.lambdify([x], x ** e / 3, modules="numpy")(v))
+        assert text == numsim._PointwisePrinter().doprint(x ** e / 3)
 
     def test_square_keeps_its_product_order(self):
         x = sp.Symbol("x")
@@ -179,9 +180,32 @@ class TestPointwisePrinter:
         assert printer.doprint(x + 1 / x) == "x + 1/x"
         assert printer.doprint(x ** 3) == "numpy.power(x, 3)"
 
+    def test_each_expression_is_printed_once(self, monkeypatch):
+        # rhs_func and the rk4_point block run one printed text; the energy
+        # and the initial data are printed once each as well
+        printed, doprint = [], numsim._PointwisePrinter.doprint
+
+        def spy(self, e, *args, **kwargs):
+            printed.append(e)
+            return doprint(self, e, *args, **kwargs)
+
+        monkeypatch.setattr(numsim._PointwisePrinter, "doprint", spy)
+        p, _ = _bundled_problem("damped_oscillator")
+        assert p.rk4_point is not None
+        assert [printed.count(e) for e in p.exprs] == [1] * len(p.exprs)
+        assert len(printed) == len(p.exprs) + 1 + len(p.state_names)
+
+    def test_one_exec_site_with_numpy_its_one_global(self):
+        source = pathlib.Path(numsim.__file__).read_text()
+        assert re.findall(r"\bexec\(|__globals__|\blambdify\(", source) == ["exec("]
+        wave, _ = _bundled_problem("damped_wave")
+        point, _ = _bundled_problem("damped_oscillator")
+        for f in (wave.rhs_func, wave.energy_func, wave.initial_func, point.rk4_point):
+            assert set(f.__globals__) == {"numpy", "__builtins__", f.__name__}
+
     def test_compiling_skips_numpy_star_import(self):
-        # lambdify's string module "numpy" runs `from numpy import *`, which
-        # imports numpy.f2py; the compiled problem binds numpy by name only
+        # `from numpy import *` imports numpy.f2py; the compiled problem
+        # binds numpy by name only
         code = (
             "import sys\n"
             "from mcfield import numsim\n"
