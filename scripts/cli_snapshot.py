@@ -82,7 +82,7 @@ def run_setting(name: str, path: Path, setting: list) -> list:
     if "<params>" in setting:
         try:
             names = list(load_model(path)[0].parameters)
-        except Exception:  # the run itself reports the broken model
+        except (ValueError, OSError):  # the run reports the model's error
             names = []
         bind = [a for p in names for a in ("--param", f"{p}=1/10")]
         setting = [a for s in setting for a in (bind if s == "<params>" else [s])]

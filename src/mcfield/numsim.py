@@ -16,11 +16,12 @@ that ``compile_problem`` generates per problem, ``rk4_point``: ``count`` RK4
 steps in one loop over the state's scalars.  Each stage binds the right-hand
 side's argument names and evaluates the very text ``rhs_func`` returns,
 and the stage sums keep the array path's order, so the results are bit for
-bit those of 1-element arrays with no call per stage.  ``run`` calls it once per cadence interval (the last one shorter),
-or once per step where ``action_balance_fd`` reads every step.  It runs on
-Python floats, whose ``+ - * /`` give the same bits as numpy float64 and
-cost less than half as much; every power and function is a numpy kernel and
-returns a numpy scalar, as on an array.  A block that raises
+bit those of 1-element arrays with no call per stage.  ``run`` calls it
+once per cadence interval (the last one shorter), or once per step where
+``action_balance_fd`` reads every step.  It runs on Python floats, whose
+``+ - * /`` give the same bits as numpy float64 and cost less than half as
+much; every power and function is a numpy kernel and returns a numpy
+scalar, as on an array.  A block that raises
 ``ArithmeticError`` (a Python float divided by zero) or ends non-finite is
 replayed from its start through ``step_rk4``, which recomputes a step that
 fails in the same way on numpy float64 scalars; their array semantics give
@@ -390,12 +391,12 @@ def _compile_point_block(n: int, slots: Sequence[tuple[str, int]], names: Sequen
     ..., a{2n})`` after the last step.  Each stage binds the values of
     ``slots`` to ``names``, the right-hand side's argument names, and
     evaluates ``text``, the printed list ``rhs_func`` returns, without the
-    call.  The stage times
-    are ``t``, ``t + dt/2`` and ``t + dt``, of the type of ``t``: given
-    Python floats the block runs on Python floats, given numpy float64
-    scalars on numpy's (see ``step_rk4``).  The arithmetic is the grid
-    path's: stage states ``k*c + a``, the sums ``(((k1 + 2*k2) + 2*k3) +
-    k4)*(dt/6) + a`` and the time ``t + dt`` after each step.
+    call.  The stage times are ``t``, ``t + dt/2`` and ``t + dt``, of the
+    type of ``t``: given Python floats the block runs on Python floats,
+    given numpy float64 scalars on numpy's (see ``step_rk4``).  The
+    arithmetic is the grid path's: stage states ``k*c + a``, the sums
+    ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a`` and the time ``t + dt`` after
+    each step.
     """
     a = [f"_a{i}" for i in range(2 * n + 1)]
     lines = ["    _h = _dt / 2", "    _c = _dt / 6", "    for _step in range(_count):"]
