@@ -11,12 +11,12 @@ is relative, and its entry gains a fourth item, ``{file name: text}`` of
 what it wrote.  ``<params>`` stands for ``--param NAME=1/10`` for each
 parameter the model declares, so that right-hand sides the model leaves
 symbolic (``sin``, ``exp``, ...) are compiled and run, on 8 grid points
-where ``m = 2``.  ``export`` reads the
-file that ``derive --format machine --out`` wrote there just before it.  An escaping exception is recorded as exit
-``"raised"`` with its last line as stderr.  With ``--against`` it lists the
-keys whose entry differs and exits 1 if any does.  It imports ``mcfield``
-from this checkout's ``src``; to snapshot another commit, run that
-checkout's copy of this script.  Nothing is written into the checkout.
+where ``m = 2``.  ``export`` reads the file that ``derive --format machine
+--out`` wrote there just before it.  An escaping exception is recorded as
+exit ``"raised"`` with its last line as stderr.  With ``--against`` it
+lists the keys whose entry differs and exits 1 if any does.  It imports
+``mcfield`` from this checkout's ``src``; to snapshot another commit, run
+that checkout's copy of this script.  Nothing is written into the checkout.
 """
 
 import argparse
