@@ -4,19 +4,21 @@
 
 Runs ``mcfield.cli.main`` in-process on the 7 bundled models, the 3 test
 models and the benchmark corpora of seeds 0-3 and 42 (written to a temporary
-directory) under eleven settings, and writes ``{"model setting": [exit,
+directory) under twelve settings, and writes ``{"model setting": [exit,
 stdout, stderr]}`` as JSON.  The runs share a temporary working directory:
 ``simulate`` writes into a fresh ``sim`` there, so its printed ``csv:`` path
 is relative, and its entry gains a fourth item, ``{file name: text}`` of
 what it wrote.  ``<params>`` stands for ``--param NAME=1/10`` for each
 parameter the model declares, so that right-hand sides the model leaves
 symbolic (``sin``, ``exp``, ...) are compiled and run, on 8 grid points
-where ``m = 2``.  ``export`` reads the file that ``derive --format machine
---out`` wrote there just before it.  An escaping exception is recorded as
-exit ``"raised"`` with its last line as stderr.  With ``--against`` it
-lists the keys whose entry differs and exits 1 if any does.  It imports
-``mcfield`` from this checkout's ``src``; to snapshot another commit, run
-that checkout's copy of this script.  Nothing is written into the checkout.
+where ``m = 2``; with ``--dt 0.5`` a grid whose step breaks the CFL guard
+records that error, at the cadence of its model.  ``export`` reads the file
+that ``derive --format machine --out`` wrote there just before it.  An
+escaping exception is recorded as exit ``"raised"`` with its last line as
+stderr.  With ``--against`` it lists the keys whose entry differs and exits
+1 if any does.  It imports ``mcfield`` from this checkout's ``src``; to
+snapshot another commit, run that checkout's copy of this script.  Nothing
+is written into the checkout.
 """
 
 import argparse
@@ -44,6 +46,7 @@ SETTINGS = [[*"derive --format machine --formalism".split(), f]
     ["unify", "--format", "machine", "--seed", "7"],
     ["simulate", "--t-end", "0.05", "--out", "sim"],
     ["simulate", "--t-end", "0.05", "--n-grid", "8", "--out", "sim", "<params>"],
+    ["simulate", "--dt", "0.5", "--t-end", "1", "--n-grid", "8", "--out", "sim", "<params>"],
     ["export", "--format", "text", "--from", "<file>"]]
 
 

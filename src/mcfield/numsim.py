@@ -7,36 +7,38 @@ spatial derivatives are realized as second-order central differences on a
 periodic grid, and time stepping uses fixed-step classical RK4.
 
 One generated evaluator of the accelerations and L reads only the argument
-slots it uses, so each right-hand side computes only the stencils it needs;
-RK4 stages reuse two buffers per problem.  Results are bit-identical to the
-earlier per-expression, every-stencil integrator.
+slots it uses, so each right-hand side computes only the stencils it needs.
+Results are bit-identical to the earlier per-expression, every-stencil
+integrator.
 
-One-point problems (``m = 1``, hence ``N = 1``) step through one function
-that ``compile_problem`` generates per problem, ``rk4_point``: ``count`` RK4
-steps in one loop over the state's scalars.  Each stage binds the right-hand
-side's argument names and evaluates the very text ``rhs_func`` returns,
-and the stage sums keep the array path's order, so the results are bit for
-bit those of 1-element arrays with no call per stage.  ``run`` calls it
-once per cadence interval (the last one shorter), or once per step where
-``action_balance_fd`` reads every step.  It runs on Python floats, whose
-``+ - * /`` give the same bits as numpy float64 and cost less than half as
-much; every power and function is a numpy kernel and returns a numpy
-scalar, as on an array.  A block that raises
-``ArithmeticError`` (a Python float divided by zero) or ends non-finite is
-replayed from its start through ``step_rk4``, which recomputes a step that
-fails in the same way on numpy float64 scalars; their array semantics give
+Every problem steps through one function that ``compile_problem``
+generates per problem, ``rk4_block``: ``count`` RK4 steps in one loop over
+the state's rows.  Each stage binds the right-hand side's argument names,
+a stencil slot as a call on the stage's row, and evaluates the very text
+``rhs_func`` returns; the stage sums run row by row in the textbook order.
+``run`` calls it once per cadence interval (the last one shorter), or once
+per step where ``action_balance_fd`` reads every step.  A grid (``m = 2``)
+calls it on ``numpy.float64(t)`` and its rows and stacks the returned rows
+into the new state.  A one-point problem (``m = 1``, hence ``N = 1``) calls
+it on Python floats, whose ``+ - * /`` give the same bits as numpy float64
+and cost less than half as much; every power and function is a numpy
+kernel and returns a numpy scalar, as on an array, so the results are bit
+for bit those of 1-element arrays.  A block that raises ``ArithmeticError``
+(a Python float divided by zero) or ends non-finite is replayed from its
+start through ``step_rk4``, which on one point recomputes a step that fails
+in the same way on numpy float64 scalars; their array semantics give
 inf/nan with numpy's warning, and the run ends as ``"non-finite state"`` on
-the last good state.  The one difference from the array path: an
+the last good state.  The one difference from 1-element arrays: an
 intermediate overflow whose step still ends finite no longer warns (and a
 failed block, which runs on past its failure, may warn before its replay).
-The new state keeps the returned scalars (``_PointState``) and builds its
-``(n_vars, 1)`` array only when something reads it.  ``_PointwisePrinter``
-exists for the bits: ``float64 ** e`` calls libm ``pow`` where
-``ndarray ** e`` calls numpy's ``square``/``power`` kernels, which differ in
-the last bit, so every power is printed as an explicit numpy kernel.
-Each expression list is printed once, and every evaluator is compiled from
-that text by ``_generate`` with ``numpy`` bound by name as its one global
-(``from numpy import *`` would import ``numpy.f2py`` and more).
+The new one-point state keeps the returned scalars (``_PointState``) and
+builds its ``(n_vars, 1)`` array only when something reads it.
+``_PointwisePrinter`` exists for the bits: ``float64 ** e`` calls libm
+``pow`` where ``ndarray ** e`` calls numpy's ``square``/``power`` kernels,
+which differ in the last bit, so every power is printed as an explicit
+numpy kernel.  Each expression list is printed once, and every evaluator is
+compiled from that text by ``_generate`` with ``numpy`` bound by name as its
+one global (``from numpy import *`` would import ``numpy.f2py`` and more).
 
 Action variables: the balance law constrains only the divergence of the
 ``s^mu`` fields.  We adopt the gauge ``s^1 == 0`` for ``m = 2`` (so the
@@ -115,20 +117,13 @@ class EvolutionProblem:
     rhs_slots: tuple[tuple[str, int], ...]
     energy_func: Callable
     energy_slots: tuple[tuple[str, int], ...]
-    # ``count`` RK4 steps of a one-point problem in one call (see
-    # ``_compile_point_block``); None for a grid
-    rk4_point: Optional[Callable]
+    # ``count`` RK4 steps in one call (see ``_compile_block``)
+    rk4_block: Callable
     # the initial data: one evaluator of every state row at the points x^1
     initial_func: Callable
     monitors: tuple[str, ...]
-
-    x: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    # RK4 work space: the stage right-hand side and the next stage state
-    stages: np.ndarray = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.x = np.arange(self.N) * self.dx
-        self.stages = np.empty((2, self.n_vars, self.N))
+    # the points x^1 (the one point 0 for m = 1)
+    x: np.ndarray = dc_field(repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -157,7 +152,7 @@ class GridState:
 
 
 class _PointState(GridState):
-    """A one-point state as the scalars ``rk4_point`` returned, one per state
+    """A one-point state as the scalars ``rk4_block`` returned, one per state
     variable: Python floats from the float pass, numpy float64 where a numpy
     kernel or the fallback made them.  Its ``(n_vars, 1)`` array is built on
     the first read and is read-only, because ``step_rk4`` steps from the
@@ -280,7 +275,8 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
         raise CompileError(f"numeric integration supports m in (1, 2), got m={m}")
     if m == 2 and config.N < 3:
         # the periodic central stencils need a point on either side
-        raise CompileError(f"a grid needs N >= 3 points, got N={config.N}")
+        raise CompileError(f"a grid needs N >= 3 points, got N={config.N}; "
+                           "set simulate.N in the model or pass --n-grid")
     balance = [e for e in eqs.equations if e.role is EquationRole.ACTION_BALANCE]
     if not balance:
         raise CompileError("equation set has no action-balance equation")
@@ -373,28 +369,31 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
 
     N = int(config.N) if m == 2 else 1
     dx = (float(config.length) if m == 2 else 1.0) / N
-    # a one-point problem also runs the right-hand side's text inline
-    rk4_point = _compile_point_block(n, rhs_slots, rhs_names, rhs_text) if m == 1 else None
+    x = np.arange(N) * dx
     return EvolutionProblem(
         m=m, n=n, N=N, dx=dx, state_names=state_names, exprs=exprs,
         energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_slots,
-        energy_func=energy_func, energy_slots=energy_slots, rk4_point=rk4_point,
-        initial_func=_evaluator([ex.base(1)], initial)[0], monitors=tuple(config.monitors))
+        energy_func=energy_func, energy_slots=energy_slots,
+        rk4_block=_compile_block(n, rhs_slots, rhs_names, rhs_text, x, dx),
+        initial_func=_evaluator([ex.base(1)], initial)[0], monitors=tuple(config.monitors), x=x)
 
 
-def _compile_point_block(n: int, slots: Sequence[tuple[str, int]], names: Sequence[str],
-                         text: str) -> Callable:
-    """``count`` classical RK4 steps of a one-point problem in one loop.
+def _compile_block(n: int, slots: Sequence[tuple[str, int]], names: Sequence[str],
+                   text: str, x: np.ndarray, dx: float) -> Callable:
+    """``count`` classical RK4 steps in one loop.
 
     The function takes ``(t, dt, count, a0, ..., a{2n})``, the time, the
-    step, the number of steps and the state's scalars, and returns ``(t, a0,
+    step, the number of steps and the state's rows, and returns ``(t, a0,
     ..., a{2n})`` after the last step.  Each stage binds the values of
     ``slots`` to ``names``, the right-hand side's argument names, and
     evaluates ``text``, the printed list ``rhs_func`` returns, without the
-    call.  The stage times are ``t``, ``t + dt/2`` and ``t + dt``, of the
-    type of ``t``: given Python floats the block runs on Python floats,
-    given numpy float64 scalars on numpy's (see ``step_rk4``).  The
-    arithmetic is the grid path's: stage states ``k*c + a``, the sums
+    call.  A stencil slot is a call on the stage's row, such as
+    ``_central(_y2_0, _dx)``, and the ``x`` slot is ``_x``: the stencils,
+    ``x`` and ``dx`` are the generated function's leading arguments, bound
+    here once.  The stage times are ``t``, ``t + dt/2`` and ``t + dt``, of
+    the type of ``t``.  The rows are arrays on a grid; on one point they
+    are Python floats or numpy float64 scalars (see ``step_rk4``).  The
+    arithmetic runs row by row: stage states ``k*c + a``, the sums
     ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a`` and the time ``t + dt`` after
     each step.
     """
@@ -408,8 +407,9 @@ def _compile_point_block(n: int, slots: Sequence[tuple[str, int]], names: Sequen
             lines.append(f"        {', '.join(y)} = "
                          + ", ".join(f"{k}*{c} + {ai}" for k, ai in zip(ks[-1], a)))
         if names:
-            lines.append(f"        {', '.join(names)} = "
-                         + ", ".join(t_stage if kind == "t" else y[row] for kind, row in slots))
+            lines.append(f"        {', '.join(names)} = " + ", ".join(
+                t_stage if kind == "t" else "_x" if kind == "x" else y[row] if kind == "row"
+                else f"_{kind}({y[row]}, _dx)" for kind, row in slots))
         # the state's derivative: the stage's velocities, then the
         # accelerations and L from the right-hand side's text
         out = [f"_k{stage}_{i}" for i in range(n, len(a))]
@@ -420,7 +420,9 @@ def _compile_point_block(n: int, slots: Sequence[tuple[str, int]], names: Sequen
         for k1, k2, k3, k4, ai in zip(*ks, a)))
     lines.append("        _t = _t + _dt")
     lines.append(f"    return _t, {', '.join(a)}")
-    return _generate("rk4_point", ["_t", "_dt", "_count", *a], lines)
+    block = _generate("rk4_block", ["_x", "_dx", *(f"_{kind}" for kind in _STENCILS),
+                                    "_t", "_dt", "_count", *a], lines)
+    return functools.partial(block, x, dx, *_STENCILS.values())
 
 
 def _slot_values(p: EvolutionProblem, slots: Sequence[tuple[str, int]], t: float,
@@ -447,16 +449,12 @@ def _lagrangian(p: EvolutionProblem, st: "GridState"):
     return np.broadcast_to(np.asarray(val, dtype=float), (p.N,))
 
 
-def _fill_rhs(p: EvolutionProblem, t: float, arrays: np.ndarray, out: np.ndarray) -> None:
-    n = p.n
-    out[:n] = arrays[n:2 * n]
-    for i, val in enumerate(p.rhs_func(*_slot_values(p, p.rhs_slots, t, arrays))):
-        out[n + i] = val
-
-
-def _check_dt(dt: float) -> None:
+def _check_step(p: EvolutionProblem, dt: float) -> None:
+    """``dt`` must be positive and finite, and on a grid at most ``_CFL * dx``."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got dt={dt}")
+    if p.m == 2 and dt > _CFL * p.dx:
+        raise ValueError(f"dt={dt} violates the CFL guard dt <= {_CFL}*dx = {_CFL * p.dx}")
 
 
 def _scalars(st: GridState) -> Sequence:
@@ -464,26 +462,28 @@ def _scalars(st: GridState) -> Sequence:
     return st.values if isinstance(st, _PointState) else st.arrays[:, 0].tolist()
 
 
-def _float_pass(p: EvolutionProblem, st: GridState, dt: float,
-                count: int) -> Optional[_PointState]:
-    """``count`` steps of the block ``p.rk4_point`` from ``st`` on Python
-    floats; None where they raise ``ArithmeticError`` or end non-finite."""
+def _block(p: EvolutionProblem, st: GridState, dt: float, count: int) -> Optional[GridState]:
+    """``count`` steps of ``p.rk4_block`` from ``st``: on a grid at
+    ``np.float64(t)`` on the state's rows, on one point on Python floats;
+    None where those raise ``ArithmeticError``."""
+    if p.m == 2:
+        out = p.rk4_block(np.float64(st.t), dt, count, *st.arrays)
+        return GridState(float(out[0]), np.stack(out[1:]))
     try:
-        out = p.rk4_point(st.t, dt, count, *_scalars(st))
+        out = p.rk4_block(st.t, dt, count, *_scalars(st))
     except ArithmeticError:
         return None
-    new = _PointState(out[0], out[1:])
-    return new if new.finite else None
+    return _PointState(out[0], out[1:])
 
 
 def _advance(p: EvolutionProblem, st: GridState, dt: float, count: int) -> tuple[GridState, int]:
     """Up to ``count`` RK4 steps from ``st``: the last finite state and the
-    number of steps to it.  Several steps are one float pass of the block;
-    where that fails, they are replayed through ``step_rk4`` up to the first
+    number of steps to it.  Several steps are one call of the block; where
+    that fails, they are replayed through ``step_rk4`` up to the first
     non-finite state (see the module docstring)."""
     if count > 1:
-        new = _float_pass(p, st, dt, count)
-        if new is not None:
+        new = _block(p, st, dt, count)
+        if new is not None and new.finite:
             return new, count
     for done in range(count):
         new = step_rk4(p, st, dt)
@@ -494,48 +494,25 @@ def _advance(p: EvolutionProblem, st: GridState, dt: float, count: int) -> tuple
 
 
 def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
-    """One classical fourth-order Runge--Kutta step (reuses ``p.stages``: not re-entrant).
+    """One classical fourth-order Runge--Kutta step: the block
+    ``p.rk4_block`` for one step, returning a fresh state.
 
     The stage sums are ``(((k1 + 2 k2) + 2 k3) + k4) (dt/6) + a`` with stage
-    states ``k c + a``.  A one-point problem (``m = 1``) calls its compiled
-    block ``p.rk4_point`` for one step on the state's scalars as Python
-    floats; if that raises ``ArithmeticError`` or ends non-finite, it reruns
-    the step from the same start on numpy float64 scalars, which give inf/nan
-    with numpy's warnings as an array would.  It returns a ``_PointState``
-    holding the scalars.  ``run`` calls it only to replay a failed block, or
-    for one step at a time.  A grid problem computes the stages on the
-    stacked arrays and returns a fresh state array.  Both give the same bits
-    on one point.  ``dt`` must be positive and finite, and on a grid at most
-    ``_CFL * dx``.
+    states ``k c + a``, row by row.  A grid steps its rows at
+    ``np.float64(t)``.  A one-point problem (``m = 1``) steps the state's
+    scalars as Python floats; if that raises ``ArithmeticError`` or ends
+    non-finite, it reruns the step from the same start on numpy float64
+    scalars, which give inf/nan with numpy's warnings as an array would, and
+    returns a ``_PointState`` holding the scalars.  ``run`` calls it only to
+    replay a failed block, or for one step at a time.  ``dt`` must pass
+    ``_check_step``.
     """
-    _check_dt(dt)
-    if p.m == 2 and dt > _CFL * p.dx:
-        raise ValueError(f"dt={dt} violates the CFL guard dt <= {_CFL}*dx = {_CFL * p.dx}")
-    if p.m == 1:
-        new = _float_pass(p, st, dt, 1)
-        if new is not None:
-            return new
-        out = p.rk4_point(np.float64(st.t), dt, 1, *map(np.float64, _scalars(st)))
-        return _PointState(float(out[0]), out[1:])
-    # stage sums in the textbook order ((k1 + 2 k2) + 2 k3) + k4, built in
-    # a fresh array (the returned state) from the problem's two stage buffers
-    a, h = st.arrays, dt / 2
-    k, ys = p.stages
-    _fill_rhs(p, st.t, a, k)
-    acc = k.copy()
-    np.multiply(k, h, out=ys)
-    ys += a
-    _fill_rhs(p, st.t + h, ys, k)
-    for c in (h, dt):
-        np.multiply(k, 2, out=ys)
-        acc += ys
-        np.multiply(k, c, out=ys)
-        ys += a
-        _fill_rhs(p, st.t + c, ys, k)
-    acc += k
-    acc *= dt / 6
-    acc += a
-    return GridState(st.t + dt, acc)
+    _check_step(p, dt)
+    new = _block(p, st, dt, 1)
+    if p.m == 1 and (new is None or not new.finite):
+        out = p.rk4_block(np.float64(st.t), dt, 1, *map(np.float64, _scalars(st)))
+        new = _PointState(float(out[0]), out[1:])
+    return new
 
 
 def monitor_action_balance(p: EvolutionProblem, st: GridState) -> float:
@@ -570,13 +547,12 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
 
     Monitors are sampled every ``cadence`` steps and at both ends, as are
     the states unless they would exceed 2e6 grid values (then ``states`` is
-    None).  A one-point problem advances a cadence interval per block (see
-    ``_advance``).  The centered-in-time balance residual
+    None).  A run advances a cadence interval per block (see ``_advance``).  The centered-in-time balance residual
     ``action_balance_fd`` is computed from the per-step ``s^0`` history
     after the run.  A non-finite state aborts the run, and the last good
     state is sampled if it was not already.
     """
-    _check_dt(dt)
+    _check_step(p, dt)
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be non-negative and finite, got t_end={t_end}")
     if cadence < 1:
@@ -611,9 +587,9 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     if want_fd:
         record_fd(st)
     termination = "completed"
-    # a one-point run advances one cadence interval per block; the
-    # finite-difference monitor reads every step
-    span = cadence if p.m == 1 and not want_fd else 1
+    # a run advances one cadence interval per block; the finite-difference
+    # monitor reads every step
+    span = 1 if want_fd else cadence
     k = 0
     while k < steps:
         count = min(span, steps - k)

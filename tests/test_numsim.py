@@ -85,14 +85,13 @@ class TestCompile:
         L = (ex.velocity(0, 0) ** 2 / 2 + ex.velocity(0, 0) * ex.velocity(1, 0) / 2
              + ex.velocity(1, 0) ** 2 / 2 - ex.field(0) * ex.field(1))
         p = _problem(L, n=2)
-        y0, y1, v0, v1, s0 = np.random.default_rng(7).normal(size=(5, 1))
-        rhs = np.empty((5, 1))
-        numsim._fill_rhs(p, 0.0, np.stack([y0, y1, v0, v1, s0]), rhs)
-        acc = np.linalg.solve([[1.0, 0.5], [0.5, 1.0]], [-y1[0], -y0[0]])
-        assert np.allclose(rhs[2:4, 0], acc, rtol=1e-13, atol=0)
-        assert np.array_equal(rhs[:2], np.stack([v0, v1]))
+        y0, y1, v0, v1, s0 = np.random.default_rng(7).normal(size=5)
+        rows = [np.float64(r) for r in (y0, y1, v0, v1, s0)]
+        *rhs, lval = p.rhs_func(*numsim._slot_values(p, p.rhs_slots, 0.0, rows))
+        acc = np.linalg.solve([[1.0, 0.5], [0.5, 1.0]], [-y1, -y0])
+        assert np.allclose(rhs, acc, rtol=1e-13, atol=0)
         lag = v0 ** 2 / 2 + v0 * v1 / 2 + v1 ** 2 / 2 - y0 * y1
-        assert np.allclose(rhs[4], lag, rtol=1e-13, atol=0)
+        assert np.allclose(lval, lag, rtol=1e-13, atol=0)
 
 
 class TestStepLevel:
@@ -119,6 +118,13 @@ class TestStepLevel:
         st = p.initial_state()
         with pytest.raises(ValueError, match="CFL"):
             numsim.step_rk4(p, st, p.dx)
+
+    def test_cfl_guard_on_a_run_of_blocks(self):
+        # a run at cadence 4 steps through blocks, which never call step_rk4
+        p, _ = _bundled_problem("damped_wave", N=16)
+        dt = 0.5 * p.dx * 1.01
+        with pytest.raises(ValueError, match="violates the CFL guard"):
+            numsim.run(p, dt=dt, t_end=8 * dt, cadence=4)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0])
     @pytest.mark.parametrize("case", ["damped_oscillator", "damped_wave"])
@@ -181,7 +187,7 @@ class TestPointwisePrinter:
         assert printer.doprint(x ** 3) == "numpy.power(x, 3)"
 
     def test_each_expression_is_printed_once(self, monkeypatch):
-        # rhs_func and the rk4_point block run one printed text; the energy
+        # rhs_func and the rk4_block run one printed text; the energy
         # and the initial data are printed once each as well
         printed, doprint = [], numsim._PointwisePrinter.doprint
 
@@ -191,7 +197,6 @@ class TestPointwisePrinter:
 
         monkeypatch.setattr(numsim._PointwisePrinter, "doprint", spy)
         p, _ = _bundled_problem("damped_oscillator")
-        assert p.rk4_point is not None
         assert [printed.count(e) for e in p.exprs] == [1] * len(p.exprs)
         assert len(printed) == len(p.exprs) + 1 + len(p.state_names)
 
@@ -200,7 +205,8 @@ class TestPointwisePrinter:
         assert re.findall(r"\bexec\(|__globals__|\blambdify\(", source) == ["exec("]
         wave, _ = _bundled_problem("damped_wave")
         point, _ = _bundled_problem("damped_oscillator")
-        for f in (wave.rhs_func, wave.energy_func, wave.initial_func, point.rk4_point):
+        for f in (wave.rhs_func, wave.energy_func, wave.initial_func, wave.rk4_block.func,
+                  point.rk4_block.func):
             assert set(f.__globals__) == {"numpy", "__builtins__", f.__name__}
 
     def test_compiling_skips_numpy_star_import(self):
@@ -410,10 +416,15 @@ def _bundled_problem(name, N=None, parameters=None, initial=None):
     return p, (cfg.length / p.N / 4 if p.m == 2 else 1e-3)
 
 
-def _point_case(case):
-    """A one-point problem and its step: a time-dependent force, a constant
-    acceleration, the kernel-heavy two-field model or oscillator_ode's model."""
-    if case == "time_forcing":
+def _block_case(case):
+    """A problem and its step: on one point a time-dependent force, a
+    constant acceleration, the kernel-heavy two-field model or
+    oscillator_ode's model; on a grid damped_wave or the every-slot model."""
+    if case == "damped_wave":
+        p, dt = _bundled_problem(case, N=64)
+    elif case == "every_slot":
+        p, dt = _every_slot_problem()
+    elif case == "time_forcing":
         # the forcing pins the stage times t, t + dt/2 and t + dt
         L = (ex.velocity(0, 0) ** 2 / 2 - ex.field(0) ** 2 / 2
              + sp.sin(ex.base(0)) * ex.field(0) / 5 - ex.action(0) / 10)
@@ -469,7 +480,7 @@ class TestBitIdentity:
                                       "benchmark_shape"])
     def test_compiled_point_step_matches_reference(self, case):
         steps, cadence = 60, 3
-        p, dt = _point_case(case)
+        p, dt = _block_case(case)
         if case == "benchmark_shape":
             # oscillator_ode's run: the model's dt over 2,500 steps at cadence 10
             steps, cadence = 2500, 10
@@ -485,11 +496,12 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("cadence", [1, 3, 10])
     @pytest.mark.parametrize("case", ["time_forcing", "constant_acceleration",
-                                      "pointwise_kernels", "benchmark_shape"])
+                                      "pointwise_kernels", "benchmark_shape",
+                                      "damped_wave", "every_slot"])
     def test_blocks_match_reference(self, case, cadence):
         # the default monitors leave out action_balance_fd, so a run steps a
         # cadence interval per block; 61 steps make the last block short
-        p, dt = _point_case(case)
+        p, dt = _block_case(case)
         p.monitors = SimulateConfig().monitors
         steps = 61
         states, series = _reference_run(p, dt, steps, cadence)
@@ -499,6 +511,13 @@ class TestBitIdentity:
         for got, want in zip(rep.states, states):
             assert got.arrays.tobytes() == want.tobytes()
         assert rep.times.tolist() == [st.t for st in rep.states]
+        # the time after each step is t + dt, as the reference steps it
+        t, times = 0.0, [0.0]
+        for k in range(1, steps + 1):
+            t += dt
+            if k % cadence == 0 or k == steps:
+                times.append(t)
+        assert rep.times.tolist() == times
         for name in p.monitors:
             assert np.array_equal(rep.series[name], np.asarray(series[name])), name
 
@@ -509,7 +528,6 @@ class TestBitIdentity:
             st1 = numsim.step_rk4(p, st0, dt)
             st2 = numsim.step_rk4(p, st1, dt)
             assert not np.shares_memory(st1.arrays, st2.arrays)
-            assert not any(np.shares_memory(st.arrays, p.stages) for st in (st0, st1, st2))
             assert st2.arrays.shape == (p.n_vars, p.N) and st2.arrays.dtype == np.float64
 
 
@@ -570,7 +588,7 @@ class TestPointFloatPath:
             p = _problem(L, config=SimulateConfig(initial={"y0": sp.Integer(1)}))
             dt, t_raise = 0.125, 0.875
         p.monitors = ("action_balance", "energy")
-        float_step, raised = p.rk4_point, []
+        float_step, raised = p.rk4_block, []
 
         def spy(t, *args):
             try:
@@ -579,7 +597,7 @@ class TestPointFloatPath:
                 raised.append(t)
                 raise
 
-        p.rk4_point = spy
+        p.rk4_block = spy
         steps = 12
         states, series = _reference_run(p, dt, steps, 1)
         rep = numsim.run(p, dt=dt, t_end=steps * dt)
@@ -626,14 +644,21 @@ class TestPointFloatPath:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("cadence", [1, 3, 7])
-    def test_non_finite_ending_samples_the_last_good_state(self, cadence):
-        # test_overflow_warns_as_on_an_array's model: the state at t = 80 is
-        # the last finite one, whatever the cadence, and is sampled once
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_non_finite_ending_samples_the_last_good_state(self, m, cadence):
+        # test_overflow_warns_as_on_an_array's model: the state after 8 steps
+        # of 10 (one point) or 22 steps of 0.01 (16 grid points) is the last
+        # finite one, whatever the cadence, and is sampled once
         lam = sp.Symbol("lam")
         L = ex.velocity(0, 0) ** 2 / 2 + lam * ex.field(0) ** 2 / 2
-        cfg = SimulateConfig(initial={"y0": sp.Integer(1)}, parameters={"lam": 1e8})
-        p = _problem(L, params=(lam,), config=cfg)
-        rep = numsim.run(p, dt=10.0, t_end=10000.0, cadence=cadence)
+        cfg = SimulateConfig(N=16 if m == 2 else 1, initial={"y0": sp.Integer(1)},
+                             parameters={"lam": 1e8})
+        p = _problem(L, m=m, params=(lam,), config=cfg)
+        dt, good = (10.0, 8) if m == 1 else (0.01, 22)
+        t_good = 0.0
+        for _ in range(good):
+            t_good += dt
+        rep = numsim.run(p, dt=dt, t_end=1000 * dt, cadence=cadence)
         assert rep.termination == "non-finite state"
-        assert rep.states[-1].t == 80.0 and rep.states[-1].finite
-        assert rep.times[-1] == 80.0 and np.all(np.diff(rep.times) > 0)
+        assert rep.states[-1].t == t_good and rep.states[-1].finite
+        assert rep.times[-1] == t_good and np.all(np.diff(rep.times) > 0)
