@@ -547,10 +547,12 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
 
     Monitors are sampled every ``cadence`` steps and at both ends, as are
     the states unless they would exceed 2e6 grid values (then ``states`` is
-    None).  A run advances a cadence interval per block (see ``_advance``).  The centered-in-time balance residual
-    ``action_balance_fd`` is computed from the per-step ``s^0`` history
-    after the run.  A non-finite state aborts the run, and the last good
-    state is sampled if it was not already.
+    None).  A run advances a cadence interval per block (see ``_advance``),
+    and ``dt`` is checked once, before the first block.  The
+    centered-in-time balance residual ``action_balance_fd`` is computed
+    from the per-step ``s^0`` history after the run.  A non-finite state
+    aborts the run, and the last good state is sampled if it was not
+    already.
     """
     _check_step(p, dt)
     if not (math.isfinite(t_end) and t_end >= 0):

@@ -643,8 +643,8 @@ class TestPointFloatPath:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
-    @pytest.mark.parametrize("cadence", [1, 3, 7])
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m,cadence", [(m, c) for m in (1, 2) for c in (1, 3, 7)],
+                             ids=["1", "3", "7", "grid-1", "grid-3", "grid-7"])
     def test_non_finite_ending_samples_the_last_good_state(self, m, cadence):
         # test_overflow_warns_as_on_an_array's model: the state after 8 steps
         # of 10 (one point) or 22 steps of 0.01 (16 grid points) is the last
