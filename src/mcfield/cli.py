@@ -67,6 +67,15 @@ def _render(eqs: EquationSet, fmt: str) -> str:
     return eqs.to_text()
 
 
+def _real(text: str) -> float:
+    """A number as ``float`` reads it, or a fraction such as ``1/2`` as the
+    model file and ``--param`` read it (``float`` reads no ``/``)."""
+    try:
+        return float(sp.Rational(text)) if "/" in text else float(text)
+    except (TypeError, ValueError, ArithmeticError):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcfield",
@@ -101,8 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verb("simulate", "integrate the evolution system",
              out="write NAME.csv and NAME.run.txt into DIR "
                  "(default: the working directory)")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=None)
+    p.add_argument("--dt", type=_real, default=None)
+    p.add_argument("--t-end", type=_real, default=None)
     p.add_argument("--n-grid", type=int, default=None, help="override grid size N")
     p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                    help="bind a model parameter numerically (repeatable)")

@@ -13,26 +13,38 @@ integrator.
 
 Every problem steps through one function that ``compile_problem``
 generates per problem, ``rk4_block``: ``count`` RK4 steps in one loop over
-the state's rows.  Each stage binds the right-hand side's argument names,
-a stencil slot as a call on the stage's row, and evaluates the very text
+the state's rows.  Each evaluation binds the right-hand side's argument
+names, a stencil slot as a call on the row, and evaluates the very text
 ``rhs_func`` returns; the stage sums run row by row in the textbook order.
-``run`` calls it once per cadence interval (the last one shorter), or once
-per step where ``action_balance_fd`` reads every step.  A grid (``m = 2``)
-calls it on ``numpy.float64(t)`` and its rows and stacks the returned rows
-into the new state.  A one-point problem (``m = 1``, hence ``N = 1``) calls
-it on Python floats, whose ``+ - * /`` give the same bits as numpy float64
-and cost less than half as much; every power and function is a numpy
-kernel and returns a numpy scalar, as on an array, so the results are bit
-for bit those of 1-element arrays.  A block that raises ``ArithmeticError``
+The block is first-same-as-last: it takes the start state's derivative
+(the accelerations and L) as stage 1, ends each step by evaluating the
+right-hand side on the end state, which is the next step's stage 1, and
+after its last step evaluates the energy density (``energy_func``'s text)
+once.  It returns the end state with that derivative and density, so each
+step costs four evaluations and a sample costs none.  ``run`` evaluates
+the derivative itself once, on the initial state, and carries it from
+block to block.  ``run`` calls the block once per cadence interval (the
+last one shorter), or once per step where ``action_balance_fd`` reads every
+step.  A grid (``m = 2``) calls it on ``numpy.float64(t)`` and its rows and
+stacks the returned rows into the new state.  A one-point problem
+(``m = 1``, hence ``N = 1``) calls it on Python floats, whose ``+ - * /``
+give the same bits as numpy float64 and cost less than half as much; every
+power and function is a numpy kernel and returns a numpy scalar, as on an
+array, so the results are bit for bit those of 1-element arrays.  A block that raises ``ArithmeticError``
 (a Python float divided by zero) or ends non-finite is replayed from its
-start through ``step_rk4``, which on one point recomputes a step that fails
-in the same way on numpy float64 scalars; their array semantics give
-inf/nan with numpy's warning, and the run ends as ``"non-finite state"`` on
-the last good state.  The one difference from 1-element arrays: an
-intermediate overflow whose step still ends finite no longer warns (and a
-failed block, which runs on past its failure, may warn before its replay).
-The new one-point state keeps the returned scalars (``_PointState``) and
-builds its ``(n_vars, 1)`` array only when something reads it.
+start one step at a time, carrying the derivative and density as the block
+does; on one point a step that fails is recomputed in the same way on
+numpy float64 scalars, whose array semantics give inf/nan with numpy's
+warning, and the run ends as ``"non-finite state"`` on the last good state.
+A step's closing evaluation may fail on a finite end state (a Python float
+divided by zero): that step is recomputed on numpy scalars too, and the
+next step then ends non-finite, as its first stage would have at an array.
+The one difference from 1-element arrays: an intermediate overflow whose
+step still ends finite no longer warns (and a failed block, which runs on
+past its failure, may warn before its replay, as may a step's closing
+evaluations on the non-finite state it ends on).  A one-point state keeps
+the returned scalars (``_PointState``), builds its ``(n_vars, 1)``
+read-only array only when something reads it, and is its own copy.
 ``_PointwisePrinter`` exists for the bits: ``float64 ** e`` calls libm
 ``pow`` where ``ndarray ** e`` calls numpy's ``square``/``power`` kernels,
 which differ in the last bit, so every power is printed as an explicit
@@ -44,18 +56,24 @@ Action variables: the balance law constrains only the divergence of the
 ``s^mu`` fields.  We adopt the gauge ``s^1 == 0`` for ``m = 2`` (so the
 balance reads ``ds^0/dx^0 = L``) and integrate ``s^0`` alongside the fields.
 
-Monitors:
+Monitors, each read from what the block returned at the sampled state,
+with no evaluation of its own:
 
-- ``action_balance``: instantaneous max-norm of the balance residual,
-  evaluated from the same right-hand side the integrator uses (0 by
-  construction, see ``monitor_action_balance``).
+- ``action_balance``: instantaneous max-norm of the balance residual, from
+  the L of the state's derivative, the integrator's own right-hand side (0
+  by construction, see ``monitor_action_balance``).
 - ``action_balance_fd``: balance residual with the time derivative replaced
-  by a centered finite difference of the stored ``s^0`` history (second-order
-  in the step size; useful for convergence studies).
+  by a centered finite difference of the stored ``s^0`` history, against
+  the L of each step's derivative (second-order in the step size; useful
+  for convergence studies).
 - ``energy``: discrete mechanical energy ``sum_A v^A dL/dv^A - L`` with the
-  action variables set to zero; spatial gradients inside the energy use
-  forward differences so the free-wave energy is exactly the conserved
-  quantity of the central-stencil semidiscretization.
+  action variables set to zero, from the state's energy density; spatial
+  gradients inside the energy use forward differences so the free-wave
+  energy is exactly the conserved quantity of the central-stencil
+  semidiscretization.
+
+``monitor_action_balance``, ``monitor_energy`` and ``step_rk4`` give the
+same values for a lone state, evaluating what they need themselves.
 """
 
 from __future__ import annotations
@@ -166,6 +184,10 @@ class _PointState(GridState):
         self.t = t
         self.values = values
         self.finite = all(map(math.isfinite, values))
+
+    def copy(self) -> "_PointState":
+        # the scalars are immutable and the array read-only
+        return self
 
     @functools.cached_property
     def arrays(self) -> np.ndarray:
@@ -342,9 +364,11 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
         used = [a for a in slot_of if any(a in e.free_symbols for e in exprs)]
         # no cse: it reassociates products, (c*a)*b -> c*(a*b), changing last bits
         func, text = _evaluator(used, exprs)
-        return tuple(exprs), func, tuple(slot_of[a] for a in used), [str(a) for a in used], text
+        # what the block inlines: the slots, the argument names and the text
+        code = (tuple(slot_of[a] for a in used), [str(a) for a in used], text)
+        return tuple(exprs), func, code
 
-    exprs, rhs_func, rhs_slots, rhs_names, rhs_text = _compile(
+    exprs, rhs_func, rhs_code = _compile(
         [(f"acceleration of field {A}", sol[A]) for A in range(n)]
         + [("the Lagrangian", L_expr)], slots)
     # mechanical energy density: sum_A v dL/dv - L with action variables at
@@ -353,7 +377,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     e_density = ex.expand(e_density - L_expr).xreplace(
         {ex.action(mu): sp.Integer(0) for mu in range(m)})
     forward = {ex.velocity(A, 1): ("forward", A) for A in range(n)} if m == 2 else {}
-    (energy_expr,), energy_func, energy_slots, _, _ = _compile(
+    (energy_expr,), energy_func, energy_code = _compile(
         [("the energy density", e_density)], {**slots, **forward})
 
     # initial data: functions of x^1 alone (m = 2) or constants (m = 1)
@@ -372,56 +396,71 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     x = np.arange(N) * dx
     return EvolutionProblem(
         m=m, n=n, N=N, dx=dx, state_names=state_names, exprs=exprs,
-        energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_slots,
-        energy_func=energy_func, energy_slots=energy_slots,
-        rk4_block=_compile_block(n, rhs_slots, rhs_names, rhs_text, x, dx),
+        energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_code[0],
+        energy_func=energy_func, energy_slots=energy_code[0],
+        rk4_block=_compile_block(n, rhs_code, energy_code, x, dx),
         initial_func=_evaluator([ex.base(1)], initial)[0], monitors=tuple(config.monitors), x=x)
 
 
-def _compile_block(n: int, slots: Sequence[tuple[str, int]], names: Sequence[str],
-                   text: str, x: np.ndarray, dx: float) -> Callable:
-    """``count`` classical RK4 steps in one loop.
+def _compile_block(n: int, rhs: tuple, energy: tuple, x: np.ndarray, dx: float) -> Callable:
+    """``count`` classical RK4 steps in one loop, the first stage of each
+    step the same as the last evaluation of the one before (FSAL).
 
-    The function takes ``(t, dt, count, a0, ..., a{2n})``, the time, the
-    step, the number of steps and the state's rows, and returns ``(t, a0,
-    ..., a{2n})`` after the last step.  Each stage binds the values of
-    ``slots`` to ``names``, the right-hand side's argument names, and
-    evaluates ``text``, the printed list ``rhs_func`` returns, without the
-    call.  A stencil slot is a call on the stage's row, such as
+    The function takes ``(t, dt, count, a0, ..., a{2n}, d0, ..., d{n})``:
+    the time, the step, the number of steps (at least one), the state's rows
+    and the state's derivative, i.e. the accelerations and L that
+    ``rhs_func`` returns there.  It returns ``(t, a0, ..., a{2n}, d0, ...,
+    d{n}, e)``: the end state, its derivative and its energy density.
+    ``rhs`` and ``energy`` are each the slots, the argument names and the
+    printed list of ``rhs_func`` and ``energy_func``; an evaluation binds the
+    values of the slots to the names and evaluates the text, without the
+    call.  A stencil slot is a call on the row, such as
     ``_central(_y2_0, _dx)``, and the ``x`` slot is ``_x``: the stencils,
     ``x`` and ``dx`` are the generated function's leading arguments, bound
-    here once.  The stage times are ``t``, ``t + dt/2`` and ``t + dt``, of
-    the type of ``t``.  The rows are arrays on a grid; on one point they
-    are Python floats or numpy float64 scalars (see ``step_rk4``).  The
-    arithmetic runs row by row: stage states ``k*c + a``, the sums
-    ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a`` and the time ``t + dt`` after
-    each step.
+    here once.  Stage 1 of a step takes the derivative it is given; stages 2
+    to 4 evaluate the right-hand side at ``t + dt/2``, ``t + dt/2`` and
+    ``t + dt``, of the type of ``t``; the step then evaluates it on its end
+    state, and that is the next step's stage 1.  So each step makes four
+    evaluations.  After the last step the stage locals are released, which
+    keeps a grid's peak memory at that of the loop, and the energy text is
+    evaluated once on the end state.  The rows are arrays on a grid; on one
+    point they are Python floats or numpy float64 scalars (see
+    ``step_rk4``).  The arithmetic runs row by row: stage states ``k*c +
+    a``, the sums ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a`` and the time
+    ``t + dt`` after each step.
     """
     a = [f"_a{i}" for i in range(2 * n + 1)]
+    deriv = [f"_k1_{i}" for i in range(n, len(a))]
+
+    def evaluate(code: tuple, rows: list, t: str, out: list, indent: str) -> list:
+        slots, names, text = code
+        bind = [f"{indent}{', '.join(names)} = " + ", ".join(
+            t if kind == "t" else "_x" if kind == "x" else rows[row] if kind == "row"
+            else f"_{kind}({rows[row]}, _dx)" for kind, row in slots)] if names else []
+        return bind + [f"{indent}{', '.join(out)} = {text}"]
+
     lines = ["    _h = _dt / 2", "    _c = _dt / 6", "    for _step in range(_count):"]
-    y, ks = a, []
+    # each stage's derivative: its velocities, then the accelerations and L
+    ks, stage_locals = [a[n:2 * n] + deriv], []
     for stage, (t_stage, c) in enumerate(
-            [("_t", None), ("_t + _h", "_h"), ("_t + _h", "_h"), ("_t + _dt", "_dt")], 1):
-        if c is not None:
-            y = [f"_y{stage}_{i}" for i in range(len(a))]
-            lines.append(f"        {', '.join(y)} = "
-                         + ", ".join(f"{k}*{c} + {ai}" for k, ai in zip(ks[-1], a)))
-        if names:
-            lines.append(f"        {', '.join(names)} = " + ", ".join(
-                t_stage if kind == "t" else "_x" if kind == "x" else y[row] if kind == "row"
-                else f"_{kind}({y[row]}, _dx)" for kind, row in slots))
-        # the state's derivative: the stage's velocities, then the
-        # accelerations and L from the right-hand side's text
+            [("_t + _h", "_h"), ("_t + _h", "_h"), ("_t + _dt", "_dt")], 2):
+        y = [f"_y{stage}_{i}" for i in range(len(a))]
         out = [f"_k{stage}_{i}" for i in range(n, len(a))]
-        lines.append(f"        {', '.join(out)} = {text}")
+        lines.append(f"        {', '.join(y)} = "
+                     + ", ".join(f"{k}*{c} + {ai}" for k, ai in zip(ks[-1], a)))
+        lines += evaluate(rhs, y, t_stage, out, "        ")
         ks.append(y[n:2 * n] + out)
+        stage_locals += y + out
     lines.append(f"        {', '.join(a)} = " + ", ".join(
         f"(((({k1} + 2*{k2}) + 2*{k3}) + {k4})*_c + {ai})"
         for k1, k2, k3, k4, ai in zip(*ks, a)))
     lines.append("        _t = _t + _dt")
-    lines.append(f"    return _t, {', '.join(a)}")
+    lines += evaluate(rhs, a, "_t", deriv, "        ")
+    lines.append(f"    del {', '.join(stage_locals)}")
+    lines += evaluate(energy, a, "_t", ["_e"], "    ")
+    lines.append(f"    return _t, {', '.join(a + deriv)}, _e")
     block = _generate("rk4_block", ["_x", "_dx", *(f"_{kind}" for kind in _STENCILS),
-                                    "_t", "_dt", "_count", *a], lines)
+                                    "_t", "_dt", "_count", *a, *deriv], lines)
     return functools.partial(block, x, dx, *_STENCILS.values())
 
 
@@ -441,12 +480,30 @@ def _rows(p: EvolutionProblem, st: "GridState"):
     return list(st.arrays[:, 0]) if p.m == 1 else st.arrays
 
 
-def _lagrangian(p: EvolutionProblem, st: "GridState"):
-    """L at the state: a numpy scalar for a one-point problem, else an (N,) array."""
-    val = p.rhs_func(*_slot_values(p, p.rhs_slots, st.t, _rows(p, st)))[-1]
+def _derivative(p: EvolutionProblem, st: GridState) -> list:
+    """The accelerations and L at ``st`` as ``rk4_block`` takes them: the
+    values of ``rhs_func``, on one point as Python floats where finite (a
+    non-finite one stays the numpy scalar that gave it)."""
+    values = p.rhs_func(*_slot_values(p, p.rhs_slots, st.t, _rows(p, st)))
+    return [float(v) if math.isfinite(v) else v for v in values] if p.m == 1 else values
+
+
+def _density(p: EvolutionProblem, st: GridState):
+    """The energy density at ``st``, as ``energy_func`` returns it."""
+    return p.energy_func(*_slot_values(p, p.energy_slots, st.t, _rows(p, st)))[0]
+
+
+def _balance(p: EvolutionProblem, lval) -> float:
+    """max|ds^0/dx^0 - L| where ds^0/dx^0 is the value ``lval`` of L itself."""
+    res = abs(lval - lval)
+    return float(res if p.m == 1 else np.max(res))
+
+
+def _energy(p: EvolutionProblem, density) -> float:
+    """The energy of a density: its sum over the grid times dx, or its one value."""
     if p.m == 1:
-        return np.float64(val)
-    return np.broadcast_to(np.asarray(val, dtype=float), (p.N,))
+        return float(density)
+    return float(np.sum(np.broadcast_to(np.asarray(density, dtype=float), (p.N,))) * p.dx)
 
 
 def _check_step(p: EvolutionProblem, dt: float) -> None:
@@ -462,40 +519,61 @@ def _scalars(st: GridState) -> Sequence:
     return st.values if isinstance(st, _PointState) else st.arrays[:, 0].tolist()
 
 
-def _block(p: EvolutionProblem, st: GridState, dt: float, count: int) -> Optional[GridState]:
-    """``count`` steps of ``p.rk4_block`` from ``st``: on a grid at
-    ``np.float64(t)`` on the state's rows, on one point on Python floats;
-    None where those raise ``ArithmeticError``."""
+def _ended(p: EvolutionProblem, out: tuple) -> tuple:
+    """``rk4_block``'s return as (state, derivative, energy density)."""
+    k = p.n_vars + 1
     if p.m == 2:
-        out = p.rk4_block(np.float64(st.t), dt, count, *st.arrays)
-        return GridState(float(out[0]), np.stack(out[1:]))
+        return GridState(float(out[0]), np.stack(out[1:k])), out[k:-1], out[-1]
+    return _PointState(float(out[0]), out[1:k]), out[k:-1], out[-1]
+
+
+def _block(p: EvolutionProblem, start: tuple, dt: float, count: int) -> Optional[tuple]:
+    """``count`` steps of ``p.rk4_block`` from ``start``, a (state,
+    derivative, density) triple: the triple at the end.  A grid steps at
+    ``np.float64(t)`` on the state's rows, one point on Python floats; None
+    where those raise ``ArithmeticError``."""
+    st, deriv, _ = start
+    if p.m == 2:
+        return _ended(p, p.rk4_block(np.float64(st.t), dt, count, *st.arrays, *deriv))
     try:
-        out = p.rk4_block(st.t, dt, count, *_scalars(st))
+        return _ended(p, p.rk4_block(st.t, dt, count, *_scalars(st), *deriv))
     except ArithmeticError:
         return None
-    return _PointState(out[0], out[1:])
 
 
-def _advance(p: EvolutionProblem, st: GridState, dt: float, count: int) -> tuple[GridState, int]:
-    """Up to ``count`` RK4 steps from ``st``: the last finite state and the
-    number of steps to it.  Several steps are one call of the block; where
-    that fails, they are replayed through ``step_rk4`` up to the first
-    non-finite state (see the module docstring)."""
+def _step(p: EvolutionProblem, start: tuple, dt: float) -> tuple:
+    """One step of ``_block``; on one point, a step that raises or ends
+    non-finite is rerun from ``start`` on numpy float64 scalars."""
+    new = _block(p, start, dt, 1)
+    if p.m == 1 and (new is None or not new[0].finite):
+        st, deriv, _ = start
+        new = _ended(p, p.rk4_block(np.float64(st.t), dt, 1, *map(np.float64, _scalars(st)),
+                                    *map(np.float64, deriv)))
+    return new
+
+
+def _advance(p: EvolutionProblem, start: tuple, dt: float, count: int) -> tuple[tuple, int]:
+    """Up to ``count`` RK4 steps from ``start``, a (state, derivative,
+    density) triple: the triple at the last finite state and the number of
+    steps to it.  Several steps are one call of the block; where that
+    fails, they are replayed by ``_step`` up to the first non-finite state
+    (see the module docstring)."""
     if count > 1:
-        new = _block(p, st, dt, count)
-        if new is not None and new.finite:
+        new = _block(p, start, dt, count)
+        if new is not None and new[0].finite:
             return new, count
     for done in range(count):
-        new = step_rk4(p, st, dt)
-        if not new.finite:
-            return st, done
-        st = new
-    return st, count
+        new = _step(p, start, dt)
+        if not new[0].finite:
+            return start, done
+        start = new
+    return start, count
 
 
 def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
     """One classical fourth-order Runge--Kutta step: the block
-    ``p.rk4_block`` for one step, returning a fresh state.
+    ``p.rk4_block`` for one step from ``st`` and its derivative, evaluated
+    here, returning a fresh state.
 
     The stage sums are ``(((k1 + 2 k2) + 2 k3) + k4) (dt/6) + a`` with stage
     states ``k c + a``, row by row.  A grid steps its rows at
@@ -503,16 +581,12 @@ def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
     scalars as Python floats; if that raises ``ArithmeticError`` or ends
     non-finite, it reruns the step from the same start on numpy float64
     scalars, which give inf/nan with numpy's warnings as an array would, and
-    returns a ``_PointState`` holding the scalars.  ``run`` calls it only to
-    replay a failed block, or for one step at a time.  ``dt`` must pass
-    ``_check_step``.
+    returns a ``_PointState`` holding the scalars.  ``run`` never calls it:
+    it carries each state's derivative from block to block.  ``dt`` must
+    pass ``_check_step``.
     """
     _check_step(p, dt)
-    new = _block(p, st, dt, 1)
-    if p.m == 1 and (new is None or not new.finite):
-        out = p.rk4_block(np.float64(st.t), dt, 1, *map(np.float64, _scalars(st)))
-        new = _PointState(float(out[0]), out[1:])
-    return new
+    return _step(p, (st, _derivative(p, st), None), dt)[0]
 
 
 def monitor_action_balance(p: EvolutionProblem, st: GridState) -> float:
@@ -522,11 +596,9 @@ def monitor_action_balance(p: EvolutionProblem, st: GridState) -> float:
     which in the gauge ``s^1 == 0`` is L itself, so this value is 0 by
     construction (NaN where L is not finite).  It measures nothing about the
     integrator until it is redefined against the time stepping (ROADMAP
-    item 3).
+    item 3).  ``run`` takes the same value from the L its block returns.
     """
-    lval = _lagrangian(p, st)
-    res = abs(lval - lval)
-    return float(res if p.m == 1 else np.max(res))
+    return _balance(p, _derivative(p, st)[-1])
 
 
 def monitor_energy(p: EvolutionProblem, st: GridState) -> float:
@@ -534,12 +606,10 @@ def monitor_energy(p: EvolutionProblem, st: GridState) -> float:
 
     Spatial gradients are evaluated with forward differences so that for the
     free wave this is exactly the invariant of the central-stencil
-    semidiscretization; for ``m = 1`` it is the pointwise energy.
+    semidiscretization; for ``m = 1`` it is the pointwise energy.  ``run``
+    takes the same value from the density its block returns.
     """
-    dens = p.energy_func(*_slot_values(p, p.energy_slots, st.t, _rows(p, st)))[0]
-    if p.m == 1:
-        return float(dens)
-    return float(np.sum(np.broadcast_to(np.asarray(dens, dtype=float), (p.N,))) * p.dx)
+    return _energy(p, _density(p, st))
 
 
 def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunReport:
@@ -548,11 +618,16 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     Monitors are sampled every ``cadence`` steps and at both ends, as are
     the states unless they would exceed 2e6 grid values (then ``states`` is
     None).  A run advances a cadence interval per block (see ``_advance``),
-    and ``dt`` is checked once, before the first block.  The
-    centered-in-time balance residual ``action_balance_fd`` is computed
-    from the per-step ``s^0`` history after the run.  A non-finite state
-    aborts the run, and the last good state is sampled if it was not
-    already.
+    and ``dt`` is checked once, before the first block.  It evaluates the
+    right-hand side (and the energy density, if monitored) once itself, on
+    the initial state; every later state comes with the derivative and
+    the energy density its block evaluated there.  So ``action_balance``
+    and the per-step L of ``action_balance_fd`` read the L of that
+    derivative, and ``energy`` sums that density: each step evaluates the
+    right-hand side four times and nothing more.  The centered-in-time
+    balance residual ``action_balance_fd`` is computed from the per-step
+    ``s^0`` and L histories after the run.  A non-finite state aborts the
+    run, and the last good state is sampled if it was not already.
     """
     _check_step(p, dt)
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -561,7 +636,6 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
         raise ValueError(f"cadence must be at least 1, got cadence={cadence}")
     steps = int(round(t_end / dt))
     keep_states = p.N * (steps // cadence + 1) <= 2_000_000
-    st = p.initial_state()
     mon: dict[str, list] = {name: [] for name in p.monitors if name != "action_balance_fd"}
     times: list[float] = []
     states: list[GridState] = []
@@ -569,25 +643,32 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     s_hist: list[np.ndarray] = []
     l_hist: list[np.ndarray] = []
 
-    def sample(state: GridState):
+    def sample(cur: tuple):
+        state, deriv, density = cur
         for name in mon:
             if name == "action_balance":
-                mon[name].append(monitor_action_balance(p, state))
+                mon[name].append(_balance(p, deriv[-1]))
             elif name == "energy":
-                mon[name].append(monitor_energy(p, state))
+                mon[name].append(_energy(p, density))
             else:
                 raise ValueError(f"unknown monitor {name!r}")
         times.append(state.t)
         if keep_states:
             states.append(state.copy())
 
-    def record_fd(state: GridState):
-        s_hist.append(state.arrays[2 * p.n].copy())
-        l_hist.append(np.array(_lagrangian(p, state), ndmin=1))
+    def record_fd(cur: tuple):
+        s_hist.append(cur[0].arrays[2 * p.n].copy())
+        l_hist.append(np.broadcast_to(np.asarray(cur[1][-1], dtype=float), (p.N,)))
 
-    sample(st)
+    st = p.initial_state()
+    if p.m == 1:
+        # as every later one-point state: its scalars, shared by the report
+        st = _PointState(st.t, tuple(_scalars(st)))
+    # the (state, derivative, energy density) triple the blocks carry on
+    cur = (st, _derivative(p, st), _density(p, st) if "energy" in mon else None)
+    sample(cur)
     if want_fd:
-        record_fd(st)
+        record_fd(cur)
     termination = "completed"
     # a run advances one cadence interval per block; the finite-difference
     # monitor reads every step
@@ -595,17 +676,17 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     k = 0
     while k < steps:
         count = min(span, steps - k)
-        st, done = _advance(p, st, dt, count)
+        cur, done = _advance(p, cur, dt, count)
         k += done
         if done < count:
             termination = "non-finite state"
-            if times[-1] != st.t:
-                sample(st)
+            if times[-1] != cur[0].t:
+                sample(cur)
             break
         if want_fd:
-            record_fd(st)
+            record_fd(cur)
         if k % cadence == 0 or k == steps:
-            sample(st)
+            sample(cur)
 
     series = {name: np.asarray(vals) for name, vals in mon.items()}
     if want_fd and len(s_hist) >= 3:
@@ -635,5 +716,8 @@ def write_csv(report: RunReport, p: EvolutionProblem, path: str) -> None:
         columns = [report.times.tolist()] + [report.series[k].tolist() for k in mon_names]
         for idx, row in enumerate(zip(*columns)):
             if small:
-                row += tuple(report.states[idx].arrays.ravel().tolist())
+                st = report.states[idx]
+                # a one-point state's scalars format as its array's values
+                row += tuple(st.values if isinstance(st, _PointState)
+                             else st.arrays.ravel().tolist())
             w.writerow([f"{v:.12g}" for v in row])

@@ -135,6 +135,25 @@ class TestSimulate:
         assert f"{name}={float(value)}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_rational_step_and_end_time(self, tmp_path):
+        # --dt and --t-end read 1/200 as the model file and --param do: the
+        # float of 0.005, so the same CSV bytes
+        written = []
+        for dt, t_end in (("1/200", "1/10"), ("0.005", "0.1")):
+            out = tmp_path / dt.replace("/", "_")
+            assert run_cli("simulate", model_path("damped_oscillator"), "--dt", dt,
+                           "--t-end", t_end, "--out", str(out)) == 0
+            written.append((out / "damped_oscillator.csv").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("value", ["abc", "1/0", "1/x", "1/2/3"])
+    def test_bad_step_text_is_usage_error(self, tmp_path, capsys, value):
+        code = run_cli("simulate", model_path("damped_oscillator"), "--dt", value,
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert f"argument --dt: invalid float value: {value!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_zero_cadence_exits_one(self, tmp_path, capsys):
         text = pathlib.Path(model_path("damped_oscillator")).read_text()
         model = tmp_path / "cadence0.model"
@@ -299,18 +318,20 @@ class TestOneFailurePolicy:
         assert f"error: {source}: 'utf-8' codec can't decode" in err
 
     def test_except_clauses(self):
-        # main's two, export's re-raise with the --from path, and the
-        # --param number parse; _load and the other verbs have none
+        # main's two, export's re-raise with the --from path, the --param
+        # number parse and the --dt/--t-end one, which argparse reports;
+        # _load and the other verbs have none
         def excepts(fn):
             return [line.strip() for line in inspect.getsource(fn).splitlines()
                     if line.strip().startswith("except")]
 
         source = pathlib.Path(cli.__file__).read_text()
-        assert len(re.findall(r"\bexcept\b", source)) == 4
+        assert len(re.findall(r"\bexcept\b", source)) == 5
         assert excepts(cli.main) == ["except SystemExit as err:",
                                      "except (ValueError, OSError) as err:"]
         assert excepts(cli._cmd_export) == ["except ValueError as err:"]
         assert excepts(cli._cmd_simulate) == ["except (TypeError, ValueError, ArithmeticError):"]
+        assert excepts(cli._real) == ["except (TypeError, ValueError, ArithmeticError):"]
         assert "try:" not in inspect.getsource(cli._load)
 
 

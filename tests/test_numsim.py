@@ -314,6 +314,46 @@ class TestRun:
         assert rep.termination == "non-finite state"
         assert len(rep.states) == 1 and all(s.finite for s in rep.states)
 
+    @pytest.mark.parametrize("fd", [False, True], ids=["no-fd", "fd"])
+    @pytest.mark.parametrize("cadence", [1, 4])
+    @pytest.mark.parametrize("case", ["damped_oscillator", "damped_wave"])
+    def test_run_evaluates_only_the_initial_state(self, case, cadence, fd):
+        # each block returns its end state's derivative and energy density,
+        # so the run itself evaluates the right-hand side once, and the
+        # energy at most once, both on the initial state, for any length
+        p, dt = _bundled_problem(case, N=16 if case == "damped_wave" else None)
+        p.monitors = ("action_balance", "energy") + ("action_balance_fd",) * fd
+        calls = []
+
+        def spy(name, func):
+            def counted(*args):
+                calls.append(name)
+                return func(*args)
+            return counted
+
+        p.rhs_func = spy("rhs", p.rhs_func)
+        p.energy_func = spy("energy", p.energy_func)
+        for steps in (0, 5, 17):
+            calls.clear()
+            rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence)
+            assert rep.termination == "completed"
+            assert len(rep.times) == -(-steps // cadence) + 1
+            assert calls.count("rhs") == 1 and calls.count("energy") <= 1, calls
+
+    def test_point_states_are_read_only(self):
+        # a one-point report keeps the states themselves, not copies, so
+        # none may take a write
+        p, dt = _bundled_problem("damped_oscillator")
+        steps, cadence = 30, 4
+        states, _ = _reference_run(p, dt, steps, cadence)
+        rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence)
+        assert len(rep.states) == len(states) == -(-steps // cadence) + 1
+        for got, want in zip(rep.states, states):
+            assert got.arrays.tobytes() == want.tobytes()
+            assert got.copy() is got
+            with pytest.raises(ValueError, match="read-only"):
+                got.arrays[0, 0] = 0.0
+
     def test_csv_writer(self, tmp_path):
         p = _oscillator_problem()
         rep = numsim.run(p, dt=1e-3, t_end=0.1, cadence=10)
@@ -640,6 +680,42 @@ class TestPointFloatPath:
             assert got.arrays.tobytes() == states[k].tobytes()
         for name in p.monitors:
             assert np.array_equal(rep.series[name], np.asarray(series[name])[sampled]), name
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("cadence", [1, 4])
+    def test_closing_evaluation_fails_on_a_finite_state(self, cadence):
+        # y1'' = t from y1 = X, y1' = -1 with dt = 1/2, where X is minus
+        # step 1's y1 increment: y1 ends step 1 at 0.0 exactly, its stage 4
+        # at 0.0104..., so only the step's closing evaluation divides 0.0 by
+        # 0.0 (-dy0_0*dy1_0/y1 with dy0_0 = 0).  The block that raised is
+        # replayed, and the run ends on that finite state
+        t, dt = ex.base(0), 0.5
+        L = ex.velocity(1, 0) ** 2 / 2 + ex.field(1) * ex.velocity(0, 0) ** 2 / 2 + t * ex.field(1)
+        initial = {"y0": sp.Integer(1), "y1": sp.Rational(5.75 * (dt / 6)),
+                   "dy1_0": sp.Integer(-1)}
+        p = _problem(L, n=2, config=SimulateConfig(initial=initial))
+        p.monitors = ("action_balance", "energy")
+        float_step, raised = p.rk4_block, []
+
+        def spy(t, *args):
+            try:
+                return float_step(t, *args)
+            except ZeroDivisionError:
+                raised.append(t)
+                raise
+
+        p.rk4_block = spy
+        states, series = _reference_run(p, dt, 4, 1)
+        assert states[1][1, 0] == 0.0 and not np.isfinite(states[2]).all()
+        rep = numsim.run(p, dt=dt, t_end=4 * dt, cadence=cadence)
+        assert raised[0] == 0.0 and type(raised[0]) is float
+        assert rep.termination == "non-finite state"
+        assert [st.t for st in rep.states] == [0.0, dt]
+        for got, want in zip(rep.states, states):
+            assert got.arrays.tobytes() == want.tobytes()
+        for name in p.monitors:
+            assert np.array_equal(rep.series[name], np.asarray(series[name][:2])), name
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
