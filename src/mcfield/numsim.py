@@ -43,8 +43,8 @@ The one difference from 1-element arrays: an intermediate overflow whose
 step still ends finite no longer warns (and a failed block, which runs on
 past its failure, may warn before its replay, as may a step's closing
 evaluations on the non-finite state it ends on).  A one-point state keeps
-the returned scalars (``_PointState``), builds its ``(n_vars, 1)``
-read-only array only when something reads it, and is its own copy.
+the returned scalars (``_PointState``) and builds its ``(n_vars, 1)``
+read-only array only when something reads it.
 ``_PointwisePrinter`` exists for the bits: ``float64 ** e`` calls libm
 ``pow`` where ``ndarray ** e`` calls numpy's ``square``/``power`` kernels,
 which differ in the last bit, so every power is printed as an explicit
@@ -184,10 +184,6 @@ class _PointState(GridState):
         self.t = t
         self.values = values
         self.finite = all(map(math.isfinite, values))
-
-    def copy(self) -> "_PointState":
-        # the scalars are immutable and the array read-only
-        return self
 
     @functools.cached_property
     def arrays(self) -> np.ndarray:
@@ -617,7 +613,8 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
 
     Monitors are sampled every ``cadence`` steps and at both ends, as are
     the states unless they would exceed 2e6 grid values (then ``states`` is
-    None).  A run advances a cadence interval per block (see ``_advance``),
+    None); ``states`` holds the states themselves, not copies, and a
+    one-point state is read-only.  A run advances a cadence interval per block (see ``_advance``),
     and ``dt`` is checked once, before the first block.  It evaluates the
     right-hand side (and the energy density, if monitored) once itself, on
     the initial state; every later state comes with the derivative and
@@ -654,7 +651,8 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
                 raise ValueError(f"unknown monitor {name!r}")
         times.append(state.t)
         if keep_states:
-            states.append(state.copy())
+            # no copy: a state is fresh from its block and nothing writes it
+            states.append(state)
 
     def record_fd(cur: tuple):
         s_hist.append(cur[0].arrays[2 * p.n].copy())
