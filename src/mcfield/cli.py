@@ -13,7 +13,9 @@ all but ``simulate`` print to stdout unless given ``--out DIR``):
 Exit codes: 0 success; 1 model, path or usage error (an unreadable model or
 ``--from`` file, an unwritable ``--out`` path); 2 internal inconsistency (an
 equality cross-check between formalisms failed); 3 constraint-ladder
-termination without stabilization (generation cap or empty intersection).
+termination without stabilization (generation cap or empty intersection),
+or a stabilized ladder on a model with an Euler-Lagrange row that reads a
+nonzero constant = 0.
 The verbs raise; ``main`` alone turns an error into the one ``error:`` line.
 """
 
@@ -159,6 +161,7 @@ def _cmd_check(args, spec: ModelSpec, sim: SimulateConfig) -> int:
              + (" [hyperregular]" if reg.hyperregular else "")
              + (" [probabilistic]" if reg.probabilistic else " [exact]"),
              "structure: " + rep.summary()]
+    lines.extend(f"note: {n}" for n in reg.notes + rep.notes)
     _emit("\n".join(lines), args.out, f"{spec.name}.check.txt")
     return EXIT_OK
 
@@ -185,10 +188,19 @@ def _cmd_unify(args, spec: ModelSpec, sim: SimulateConfig) -> int:
         if not verdict:
             consistent = False
             parts.append(f"INCONSISTENT: {a.name} vs {b_.name}: {verdict.verdict.value}")
+    # a ladder can stabilize on a model whose Euler-Lagrange rows read 0 = c
+    stabilized = ladder.status is LadderStatus.STABILIZED
+    if consistent and stabilized:
+        for e in el:
+            r = ex.expand(e.residual)
+            if r.is_Number and r != 0:
+                stabilized = False
+                parts.append(f"NO-SOLUTION: {e.name} has the constant residual {ex.to_grammar(r)}")
+                break
     _emit("\n".join(parts), args.out, f"{spec.name}.unify.{args.format}")
     if not consistent:
         return EXIT_INCONSISTENT
-    if ladder.status is not LadderStatus.STABILIZED:
+    if not stabilized:
         return EXIT_NOT_STABILIZED
     return EXIT_OK
 

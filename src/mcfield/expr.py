@@ -15,8 +15,9 @@ applies the sum, product and power rules that ``sympy.diff`` dispatches to
 trees ``sympy.diff`` does; it skips ``Derivative``, whose per-node
 ``is_zero`` assumptions query changes no result but dominates the cost of
 differentiating a Lagrangian.  Every expansion is taken by :func:`expand`,
-which returns a tree that is already a sum of monomials as it is and hands
-any other to ``sympy.expand``.
+which returns a tree that is already a sum of monomials as it is, multiplies
+any other polynomial out itself into the tree ``sympy.expand`` builds, and
+hands the rest to ``sympy.expand``.
 
 The text grammar
 ----------------
@@ -44,6 +45,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -562,20 +564,102 @@ def gradient(e: sp.Expr, coords: Sequence[sp.Symbol]) -> dict[sp.Symbol, sp.Expr
 
 
 def expand(e: sp.Expr) -> sp.Expr:
-    """What ``sympy.expand`` makes of ``e``: ``e`` itself when it is already
-    a sum of monomials (each term a number, a symbol, a symbol to an
-    integer power, or a product of those), else sympy's expansion.
-    ``sympy.expand`` returns such a tree unchanged too, but only after
-    running each of its hints over every node."""
+    """What ``sympy.expand`` makes of ``e``, by one of three branches.
+
+    - **As is.** A tree that is already a sum of monomials (each term a
+      number, a symbol, a symbol to an integer power, or a product of
+      those) is returned unchanged; ``sympy.expand`` returns it unchanged
+      too, but only after running each of its hints over every node.
+    - **Native.** A polynomial tree (sums, products and integer powers of
+      commutative symbols over QQ, a symbol's power negative too) is
+      multiplied out in one walk into a dict from monomial to exact
+      rational coefficient, powers of sums by repeated squaring, and
+      rebuilt as ``Add(*[Mul(coeff, *powers)])``.  Zero coefficients and
+      exponents that cancel to 0 drop out.  ``Add`` and ``Mul`` build
+      canonical trees, so this is the tree ``sympy.expand`` returns.
+    - **Sympy.** Anything else goes to ``sympy.expand`` whole: a ``Float``
+      (summing like terms in another order could change its last bits), a
+      function, ``pi``, ``E``, ``I``, ``zoo`` or ``nan``, a non-integer
+      exponent, or a negative power of a non-symbol (sympy expands that
+      denominator).
+    """
     e = sp.sympify(e)
     if all(_is_monomial(t) for t in sp.Add.make_args(e)):
         return e
-    return sp.expand(e)
+    try:
+        if not e.is_commutative:
+            raise _NotPolynomial
+        terms = _terms(e)
+    except _NotPolynomial:
+        return sp.expand(e)
+    return sp.Add(*[sp.Mul(sp.Rational(c.numerator, c.denominator), *[s**k for s, k in mono])
+                    for mono, c in terms.items()])
 
 
 def _is_monomial(t: sp.Expr) -> bool:
     return all(f.is_Symbol or f.is_Number or (f.is_Pow and f.base.is_Symbol and f.exp.is_Integer)
                for f in (t.args if t.is_Mul else (t,)))
+
+
+class _NotPolynomial(Exception):
+    """A node :func:`expand`'s native walk does not multiply out."""
+
+
+_UNIT = frozenset()     # the monomial 1
+
+
+def _terms(e: sp.Expr) -> dict:
+    """``e`` as {monomial: coefficient}: a monomial is a frozenset of
+    (symbol, nonzero int exponent) pairs, a coefficient a nonzero int or
+    ``Fraction``."""
+    if e.is_Symbol:
+        return {frozenset({(e, 1)}): 1}
+    if e.is_Rational:
+        return {_UNIT: e.p if e.q == 1 else Fraction(e.p, e.q)} if e.p else {}
+    if e.is_Add:
+        out: dict = {}
+        for a in e.args:
+            for mono, c in _terms(a).items():
+                out[mono] = out.get(mono, 0) + c
+        return {mono: c for mono, c in out.items() if c}
+    if e.is_Mul:
+        out = {_UNIT: 1}
+        for a in e.args:
+            out = _times(out, _terms(a))
+        return out
+    if e.is_Pow and e.exp.is_Integer:
+        k = int(e.exp)
+        if e.base.is_Symbol:
+            return {frozenset({(e.base, k)}): 1}
+        if k > 0:
+            base, out = _terms(e.base), {_UNIT: 1}
+            while True:
+                if k & 1:
+                    out = _times(out, base)
+                k >>= 1
+                if not k:
+                    return out
+                base = _times(base, base)
+    raise _NotPolynomial
+
+
+def _times(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if not ma or not mb:
+                mono = ma or mb
+            else:
+                powers = dict(ma)
+                for s, k in mb:
+                    k += powers.get(s, 0)
+                    if k:
+                        powers[s] = k
+                    else:
+                        del powers[s]
+                mono = frozenset(powers.items())
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import pytest
 from mcfield import cli
 from mcfield import expr as ex
 from mcfield.cli import _build_parser, main
-from mcfield.lagrangian import EquationSet
+from mcfield.lagrangian import EquationSet, LagrangianSystem
+from mcfield.modelfile import load_model
 from mcfield.unified import UnifiedSystem, coefficient_symbol
 
-from conftest import model_path, patch_statement
+from conftest import corpus_specs, model_path, patch_statement
 
 
 def run_cli(*argv):
@@ -57,6 +58,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "singular" in out and "rank 6/16" in out
 
+    def test_check_prints_every_note(self, tmp_path, capsys):
+        # seed-1 corpus_005's core grows at the third sample point only
+        corpus_specs(1, tmp_path)
+        assert run_cli("check", str(tmp_path / "corpus_005.model")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith("structure: ")
+        assert lines[3].startswith("note: structure ranks varied across samples: ")
+        assert len(lines) == 4
+
 
 class TestUnify:
     def test_regular_model_exits_zero(self, capsys):
@@ -67,6 +77,26 @@ class TestUnify:
     def test_cyclic_model_exits_three(self, capsys):
         assert run_cli("unify", model_path("singular_cyclic")) == 3
         assert "EMPTY-INTERSECTION" in capsys.readouterr().out
+
+    def test_constant_el_residual_exits_three(self, tmp_path, capsys):
+        # seed-42 corpus_003's el[0] reads -2*dy0_0 = 1 - 2*dy0_0, yet its
+        # ladder stabilizes
+        corpus_specs(42, tmp_path)
+        assert run_cli("unify", str(tmp_path / "corpus_003.model")) == 3
+        out = capsys.readouterr().out
+        assert "status: STABILIZED" in out
+        assert out.endswith("\nNO-SOLUTION: el[0] has the constant residual -1\n")
+
+    def test_empty_intersection_names_no_row(self, capsys):
+        # singular_cyclic's el[1] reads 0 = c too, but its ladder already
+        # ends in EMPTY-INTERSECTION
+        spec, _ = load_model(model_path("singular_cyclic"))
+        residuals = {e.name: ex.expand(e.residual)
+                     for e in LagrangianSystem(spec).herglotz_el_equations()}
+        assert residuals["el[1]"] == -1
+        assert run_cli("unify", model_path("singular_cyclic")) == 3
+        out = capsys.readouterr().out
+        assert "status: EMPTY-INTERSECTION" in out and "NO-SOLUTION" not in out
 
     def test_missing_projected_equation_exits_two(self, capsys, monkeypatch):
         project = UnifiedSystem.project_to_lagrangian

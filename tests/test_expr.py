@@ -14,11 +14,13 @@ from sympy.polys.matrices import DomainMatrix
 
 from mcfield import cli, numsim
 from mcfield import expr as ex
+from mcfield.calculus import structure_diagnostics
 from mcfield.hamiltonian import HamiltonianSystem
 from mcfield.lagrangian import LagrangianSystem
+from mcfield.modelfile import load_model
 from mcfield.unified import UnifiedSystem
 
-from conftest import model_path
+from conftest import TEST_MODELS, model_path
 
 
 class TestCoordinates:
@@ -426,27 +428,74 @@ class TestDiff:
 # expand against sp.expand
 
 
+def _run_spec_pipeline(specs) -> None:
+    """What derive (three formalisms, machine format), check and unify
+    compute for each spec."""
+    for spec in specs:
+        lag = LagrangianSystem(spec)
+        lag.herglotz_el_equations().to_machine()
+        HamiltonianSystem.from_legendre(LagrangianSystem(spec)).hhdw_equations().to_machine()
+        UnifiedSystem(LagrangianSystem(spec)).sr_field_equations().equations.to_machine()
+        lag = LagrangianSystem(spec)
+        lag.regularity()
+        structure_diagnostics(lag.theta(), lag.chart)
+        lag = LagrangianSystem(spec)
+        uni = UnifiedSystem(lag)
+        uni.sr_field_equations().equations.to_text()
+        uni.constraint_algorithm().to_text()
+        lag.herglotz_el_equations()
+        uni.project_to_lagrangian()
+
+
+def _not_polynomial(e: sp.Expr) -> bool:
+    """Whether ``e`` holds a node expand's native walk leaves to sympy: a
+    Float, a function, a non-integer exponent or a negative power of a
+    non-symbol."""
+    return any(n.is_Float or isinstance(n, sp.Function)
+               or (n.is_Pow and not (n.exp.is_Integer and (n.exp > 0 or n.base.is_Symbol)))
+               for n in sp.preorder_traversal(e))
+
+
 class TestExpand:
     @given(_grammar_text())
-    # shapes that are not sums of monomials go to sympy.expand; a power of
-    # a product is one once sympy has built it, y0^2*y1^2
+    # shapes that are not sums of monomials; a power of a product is one
+    # once sympy has built it, y0^2*y1^2
     @example("(y[0]+y[1])^-2")
     @example("x[0]*(y[0]+1)")
     @example("exp(y[0]+y[1])")
     @example("(y[0]*y[1])^2")
     @example("sqrt(y[0])")
+    # sympy's expansion: a negative power of a sum, a function, a
+    # non-integer exponent, and I and pi
+    @example("(y[0]+1)^-2*y[1]")
+    @example("sin(y[0])*(y[0]+1)")
+    @example("sqrt(y[0])*(y[0]+1)")
+    @example("log(1-3)*(y[0]+1)")
+    # the native walk: a Laurent cancellation, a result of 0, Maxwell's
+    # shape and a high power
+    @example("x[0]*(1/x[0] + y[0])")
+    @example("(y[0]+1)^2 - y[0]^2 - 2*y[0] - 1")
+    @example("-1/2*(1/k)*(dy[1,0]-dy[0,1])^2")
+    @example("(y[0]+k)^9")
     @settings(max_examples=150, deadline=None)
     def test_grammar_expressions_match_sympy(self, text):
-        e = _grammar(text)
+        e = _grammar(text, m=2)
         assert _same_tree(ex.expand(e), sp.expand(e)), text
+
+    def test_float_coefficient_goes_to_sympy(self):
+        y0, y1 = ex.field(0), ex.field(1)
+        for e in (sp.Float("0.1") * (y0 + 1) ** 2 * y1, (sp.Float("0.3") * y0 + y1 / 3) ** 3):
+            assert not _same_tree(e, sp.expand(e))
+            assert _same_tree(ex.expand(e), sp.expand(e))
 
     def test_expanded_polynomial_is_returned_as_is(self):
         e = sp.expand(_grammar("k*(x[0]+y[0])^3 - 1/2*p[0,0]*y[1]^-2 + 3"))
         assert ex.expand(e) is e
 
-    def test_pipeline_calls_match_sympy(self, models, monkeypatch, capsys):
+    def test_pipeline_calls_match_sympy(self, models, seed1_corpus, monkeypatch, capsys):
         # every expansion made while the bundled models go through derive
-        # (three formalisms), check, unify and compile_problem
+        # (three formalisms), check, unify and compile_problem, and the
+        # seed-1 corpus through derive, check and unify
         calls, structural = [], ex.expand
 
         def recording(e):
@@ -455,14 +504,33 @@ class TestExpand:
 
         monkeypatch.setattr(ex, "expand", recording)
         _run_bundled_pipeline(models)
+        _run_spec_pipeline(seed1_corpus)
         capsys.readouterr()
         monkeypatch.undo()
-        assert len(calls) > 500
-        # both paths run: trees returned as they are, and sympy's expansion
+        assert len(calls) > 2000
+        # trees returned as they are, and trees multiplied out
         assert any(ex.expand(e) is e for e in calls)
-        assert any(not _same_tree(ex.expand(e), e) for e in calls)
+        assert sum(not _same_tree(ex.expand(e), e) for e in calls) > 100
         bad = [e for e in calls if not _same_tree(ex.expand(e), sp.expand(e))]
         assert not bad
+
+    def test_fallback_sees_only_non_polynomials(self, models, monkeypatch, capsys):
+        # sympy's expansion is reached only by what the native walk leaves
+        # to it; the test models hold sqrt, log and cos
+        fallback, sympy_expand = [], sp.expand
+
+        def recording(e, *args, **kwargs):
+            fallback.append(e)
+            return sympy_expand(e, *args, **kwargs)
+
+        monkeypatch.setattr(sp, "expand", recording)
+        _run_bundled_pipeline(models)
+        for path in sorted(TEST_MODELS.glob("*.model")):
+            _run_spec_pipeline([load_model(path)[0]])
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert fallback
+        assert [e for e in fallback if not _not_polynomial(e)] == []
 
     def test_one_expansion_path(self):
         # sympy's expand is called only by expr.expand's fallback; the other
@@ -478,8 +546,8 @@ class TestExpand:
 # exact_cancel against sp.cancel
 
 
-def _grammar(text: str) -> sp.Expr:
-    return ex.parse_expr(text, 1, 2, parameters={"k": sp.Symbol("k")})
+def _grammar(text: str, m: int = 1) -> sp.Expr:
+    return ex.parse_expr(text, m, 2, parameters={"k": sp.Symbol("k")})
 
 
 def _cancels_like_sympy(M: sp.Matrix) -> bool:
