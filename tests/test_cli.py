@@ -75,8 +75,15 @@ class TestUnify:
         assert "status: STABILIZED" in out
 
     def test_cyclic_model_exits_three(self, capsys):
+        # its el[1] reads 0 = c, but the ladder already ends in
+        # EMPTY-INTERSECTION, so no row is named
+        spec, _ = load_model(model_path("singular_cyclic"))
+        residuals = {e.name: ex.expand(e.residual)
+                     for e in LagrangianSystem(spec).herglotz_el_equations()}
+        assert residuals["el[1]"] == -1
         assert run_cli("unify", model_path("singular_cyclic")) == 3
-        assert "EMPTY-INTERSECTION" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "status: EMPTY-INTERSECTION" in out and "NO-SOLUTION" not in out
 
     def test_constant_el_residual_exits_three(self, tmp_path, capsys):
         # seed-42 corpus_003's el[0] reads -2*dy0_0 = 1 - 2*dy0_0, yet its
@@ -86,17 +93,6 @@ class TestUnify:
         out = capsys.readouterr().out
         assert "status: STABILIZED" in out
         assert out.endswith("\nNO-SOLUTION: el[0] has the constant residual -1\n")
-
-    def test_empty_intersection_names_no_row(self, capsys):
-        # singular_cyclic's el[1] reads 0 = c too, but its ladder already
-        # ends in EMPTY-INTERSECTION
-        spec, _ = load_model(model_path("singular_cyclic"))
-        residuals = {e.name: ex.expand(e.residual)
-                     for e in LagrangianSystem(spec).herglotz_el_equations()}
-        assert residuals["el[1]"] == -1
-        assert run_cli("unify", model_path("singular_cyclic")) == 3
-        out = capsys.readouterr().out
-        assert "status: EMPTY-INTERSECTION" in out and "NO-SOLUTION" not in out
 
     def test_missing_projected_equation_exits_two(self, capsys, monkeypatch):
         project = UnifiedSystem.project_to_lagrangian
