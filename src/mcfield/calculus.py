@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 import sympy as sp
@@ -418,6 +418,23 @@ def _nullspace(M: np.ndarray) -> np.ndarray:
     return vt[ex.singular_rank(s):].T
 
 
+class _Ranks(NamedTuple):
+    """One sample point's ranks: theta, d(theta), their stack, the stack on
+    the non-base columns, the Reeb operator; and whether the Reeb images
+    span.  It compares as the plain tuple, and its repr names each field,
+    so a note says which rank moved."""
+
+    theta: int
+    dtheta: int
+    stacked: int
+    core: int
+    reeb: int
+    span_ok: bool
+
+    def __repr__(self) -> str:
+        return "(" + ", ".join(f"{k}={v}" for k, v in self._asdict().items()) + ")"
+
+
 def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
                           seed: int = 42) -> StructureReport:
     """Classify (theta, omega=d^m x) numerically at random sample points.
@@ -431,10 +448,11 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     a stack of these matrices is an intersection of kernels.  omega = d^m x
     kills exactly the non-base directions: its kernel is the constant
     ``dim - m``, and restricting to it keeps the non-base columns.  Each
-    point gives one tuple of ranks (theta, d(theta), their stack, the stack
-    on the non-base columns, the Reeb operator) and whether the Reeb images
-    span; the report is read from the generic tuple (``expr.generic``),
-    with a note when the points disagree.
+    point gives one ``_Ranks`` tuple of ranks (theta, d(theta), their stack,
+    the stack on the non-base columns, the Reeb operator) and whether the
+    Reeb images span; the report is read from the generic tuple
+    (``expr.generic``), with a note, naming each rank, when the points
+    disagree.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -476,11 +494,11 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
         # the Reeb fields in ker(omega) coordinates, and their images under Theta
         reeb = _nullspace(op_reeb.at(dtheta_vals)[:, m:])
         images = Mth[:, m:] @ reeb
-        points.append((ex.numeric_rank(Mth), ex.numeric_rank(Mdth),
-                       ex.numeric_rank(stacked), ex.numeric_rank(stacked[:, m:]),
-                       dim - m - reeb.shape[1],
-                       ex.numeric_rank(images[other_rows]) == 0
-                       and ex.numeric_rank(images[sb_rows]) == m))
+        points.append(_Ranks(ex.numeric_rank(Mth), ex.numeric_rank(Mdth),
+                             ex.numeric_rank(stacked), ex.numeric_rank(stacked[:, m:]),
+                             dim - m - reeb.shape[1],
+                             ex.numeric_rank(images[other_rows]) == 0
+                             and ex.numeric_rank(images[sb_rows]) == m))
 
     notes: list[str] = []
     r_theta, r_dtheta, r_stack, r_core, r_reeb, span_ok = ex.generic(

@@ -17,7 +17,10 @@ trees ``sympy.diff`` does; it skips ``Derivative``, whose per-node
 differentiating a Lagrangian.  Every expansion is taken by :func:`expand`,
 which returns a tree that is already a sum of monomials as it is, multiplies
 any other polynomial out itself into the tree ``sympy.expand`` builds, and
-hands the rest to ``sympy.expand``.
+hands the rest to ``sympy.expand``.  Every exact matrix (``exact_cancel``,
+``exact_rank``, ``exact_nullspace``, ``exact_pinv``) is built by
+``_domain_matrix`` from the same monomial dicts, into the ``DomainMatrix``
+sympy's ``from_Matrix`` would build.
 
 The text grammar
 ----------------
@@ -51,6 +54,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.polyutils import _sort_gens
 
 __all__ = [
     "Role",
@@ -905,8 +909,101 @@ def generic(values: Sequence, what: str, notes: list[str]):
 # exact linear algebra over the fraction field of the entries
 
 
+def _domain_matrix(M: sp.Matrix) -> DomainMatrix:
+    """``DomainMatrix.from_Matrix(M)``: the same domain and elements, built
+    from :func:`_terms`' monomial dicts of the entries.
+
+    ``from_Matrix`` runs sympy's ``construct_domain``, which splits every
+    entry by ``as_numer_denom``, expands numerator and denominator again
+    and converts each coefficient.  Here each nonzero entry is walked once
+    into a Laurent polynomial over QQ, and the domain is the one
+    ``construct_domain`` picks for it.  The generators are the dicts'
+    symbols in ``_sort_gens`` order, the order ``parallel_dict_from_basic``
+    gives.  With no negative exponent the domain is ``ZZ[gens]``, or
+    ``QQ[gens]`` when a coefficient is not an integer.  With one it is
+    ``ZZ(gens)``: ``as_numer_denom`` clears every rational coefficient into
+    the integer numerator and denominator, so sympy's ground there is ZZ;
+    each entry is handed over as numerator and denominator (the lcm of its
+    coefficient denominators times its largest negative powers), and the
+    field cancels them to its normal form, as it does sympy's pair.  With
+    no symbol the domain is ZZ or QQ.  An entry whose dict is empty is left
+    out of the sparse rep.
+
+    Three kinds of matrix go to ``from_Matrix`` unchanged: one with an
+    entry the walk does not read (non-commutative, or raising
+    ``_NotPolynomial``: a Float, a function, a non-integer exponent, a
+    negative power of a non-symbol); one with no nonzero entry; and one
+    where a cancellation the expansion made is still seen by sympy's
+    domain: an entry whose tree raises a symbol to a negative power its
+    dict no longer shows (``x*(1/x + y)`` is a fraction in ``x`` to
+    sympy), or symbols only in trees that expand to numbers (sympy takes
+    EX there).
+    """
+    rows, syms, fractions, numbers = {}, set(), False, True
+    for i, row in M.todod().items():
+        for j, e in row.items():
+            try:
+                if not e.is_commutative:
+                    raise _NotPolynomial
+                terms = _terms(e)
+            except _NotPolynomial:
+                return DomainMatrix.from_Matrix(M)
+            negative = {s for mono in terms for s, k in mono if k < 0}
+            if not _negative_bases(e) <= negative:
+                return DomainMatrix.from_Matrix(M)
+            numbers = numbers and e.is_Rational
+            if terms:
+                rows.setdefault(i, {})[j] = terms
+                syms.update(s for mono in terms for s, _ in mono)
+                fractions = fractions or bool(negative)
+    if not rows or not (syms or numbers):
+        return DomainMatrix.from_Matrix(M)
+    if fractions:
+        dom = sp.ZZ.frac_field(*_sort_gens(syms))
+    else:
+        ground = sp.QQ if any(c.denominator != 1 for row in rows.values()
+                              for terms in row.values() for c in terms.values()) else sp.ZZ
+        dom = ground.poly_ring(*_sort_gens(syms)) if syms else ground
+    slot = {g: n for n, g in enumerate(dom.symbols)} if syms else {}
+
+    def coefficient(c):
+        return ground(c.numerator, c.denominator) if ground is sp.QQ else ground(c.numerator)
+
+    def exponents(mono, shift):
+        exps = list(shift)
+        for s, k in mono:
+            exps[slot[s]] += k
+        return tuple(exps)
+
+    def convert(terms):
+        if not syms:
+            return coefficient(terms[_UNIT])
+        if not fractions:
+            return dom.ring.from_dict({exponents(mono, [0] * len(slot)): coefficient(c)
+                                       for mono, c in terms.items()})
+        lcm = math.lcm(*[c.denominator for c in terms.values()])
+        shift = [0] * len(slot)
+        for mono in terms:
+            for s, k in mono:
+                shift[slot[s]] = max(shift[slot[s]], -k)
+        return dom(({exponents(mono, shift): c.numerator * (lcm // c.denominator)
+                     for mono, c in terms.items()}, {tuple(shift): lcm}))
+
+    return DomainMatrix({i: {j: convert(terms) for j, terms in row.items()}
+                         for i, row in rows.items()}, M.shape, dom)
+
+
+def _negative_bases(e: sp.Expr) -> set:
+    """The symbols a tree :func:`_terms` reads raises to a negative power."""
+    if e.is_Pow:
+        return {e.base} if e.exp.is_negative else _negative_bases(e.base)
+    if e.is_Add or e.is_Mul:
+        return set().union(*[_negative_bases(a) for a in e.args if a.args])
+    return set()
+
+
 def _over_field(M: sp.Matrix) -> DomainMatrix:
-    return DomainMatrix.from_Matrix(M).to_field()
+    return _domain_matrix(M).to_field()
 
 
 def exact_rank(M: sp.Matrix) -> int:
@@ -954,19 +1051,23 @@ _EXACT_GROUNDS = (sp.ZZ, sp.QQ)
 
 def exact_cancel(M: sp.Matrix) -> sp.Matrix:
     """Every entry of ``M`` as ``sp.cancel`` writes it, through one
-    ``DomainMatrix`` conversion of the whole matrix.
+    ``DomainMatrix`` of the whole matrix.
 
-    The domain sympy constructs for the entries is trusted only when it is
-    ZZ, QQ, or a polynomial ring or fraction field over ZZ or QQ whose
-    generators are all plain symbols.  There a round trip gives each entry
-    as numerator over denominator, cancelled and sign-normalised over the
-    integers: the very tree ``cancel`` builds, without its
+    The matrix comes from :func:`_domain_matrix`: built natively from the
+    entries' monomial dicts when every entry is a Laurent polynomial over
+    QQ, and otherwise (a function, a Float, no nonzero entry, a cancelled
+    denominator) by ``DomainMatrix.from_Matrix``; both give the domain and
+    elements sympy's ``construct_domain`` picks.  That domain is trusted
+    only when it is ZZ, QQ, or a polynomial ring or fraction field over ZZ
+    or QQ whose generators are all plain symbols.  There a round trip gives
+    each entry as numerator over denominator, cancelled and sign-normalised
+    over the integers: the very tree ``cancel`` builds, without its
     ``factor_terms`` and ``signsimp`` passes.  Any other domain (EX, or a
     generator such as ``sin(x)``, ``exp(x)``, ``sqrt(2)`` or ``zoo``) can
     normalise differently, so those matrices go through ``sp.cancel``
     entry by entry.
     """
-    dM = DomainMatrix.from_Matrix(M)
+    dM = _domain_matrix(M)
     dom = dM.domain
     if dom in _EXACT_GROUNDS or (
             (dom.is_PolynomialRing or dom.is_FractionField)

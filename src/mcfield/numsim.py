@@ -19,11 +19,12 @@ names, a stencil slot as a call on the row, and evaluates the very text
 The block is first-same-as-last: it takes the start state's derivative
 (the accelerations and L) as stage 1, ends each step by evaluating the
 right-hand side on the end state, which is the next step's stage 1, and
-after its last step evaluates the energy density (``energy_func``'s text)
-once.  It returns the end state with that derivative and density, so each
-step costs four evaluations and a sample costs none.  ``run`` evaluates
-the derivative itself once, on the initial state, and carries it from
-block to block.  ``run`` calls the block once per cadence interval (the
+after its last step, when its caller asks, evaluates the energy density
+(``energy_func``'s text) once.  It returns the end state with that
+derivative and density, so each step costs four evaluations and a sample
+costs none; ``run`` asks for the density only at a sampled block end of a
+run that monitors ``energy``.  ``run`` evaluates the derivative itself
+once, on the initial state, and carries it from block to block.  ``run`` calls the block once per cadence interval (the
 last one shorter), or once per step where ``action_balance_fd`` reads every
 step.  A grid (``m = 2``) calls it on ``numpy.float64(t)`` and its rows and
 stacks the returned rows into the new state.  A one-point problem
@@ -32,9 +33,9 @@ give the same bits as numpy float64 and cost less than half as much; every
 power and function is a numpy kernel and returns a numpy scalar, as on an
 array, so the results are bit for bit those of 1-element arrays.  A block that raises ``ArithmeticError``
 (a Python float divided by zero) or ends non-finite is replayed from its
-start one step at a time, carrying the derivative and density as the block
-does; on one point a step that fails is recomputed in the same way on
-numpy float64 scalars, whose array semantics give inf/nan with numpy's
+start one step at a time, carrying the derivative as the block does; on
+one point a step that fails is recomputed in the same way on numpy float64
+scalars, whose array semantics give inf/nan with numpy's
 warning, and the run ends as ``"non-finite state"`` on the last good state.
 A step's closing evaluation may fail on a finite end state (a Python float
 divided by zero): that step is recomputed on numpy scalars too, and the
@@ -402,11 +403,13 @@ def _compile_block(n: int, rhs: tuple, energy: tuple, x: np.ndarray, dx: float) 
     """``count`` classical RK4 steps in one loop, the first stage of each
     step the same as the last evaluation of the one before (FSAL).
 
-    The function takes ``(t, dt, count, a0, ..., a{2n}, d0, ..., d{n})``:
-    the time, the step, the number of steps (at least one), the state's rows
-    and the state's derivative, i.e. the accelerations and L that
-    ``rhs_func`` returns there.  It returns ``(t, a0, ..., a{2n}, d0, ...,
-    d{n}, e)``: the end state, its derivative and its energy density.
+    The function takes ``(t, dt, count, energy, a0, ..., a{2n}, d0, ...,
+    d{n})``: the time, the step, the number of steps (at least one), whether
+    to evaluate the energy density, the state's rows and the state's
+    derivative, i.e. the accelerations and L that ``rhs_func`` returns
+    there.  It returns ``(t, a0, ..., a{2n}, d0, ..., d{n}, e)``: the end
+    state, its derivative and its energy density, or None for ``e`` when
+    ``energy`` is false.
     ``rhs`` and ``energy`` are each the slots, the argument names and the
     printed list of ``rhs_func`` and ``energy_func``; an evaluation binds the
     values of the slots to the names and evaluates the text, without the
@@ -419,9 +422,9 @@ def _compile_block(n: int, rhs: tuple, energy: tuple, x: np.ndarray, dx: float) 
     state, and that is the next step's stage 1.  So each step makes four
     evaluations.  After the last step the stage locals are released, which
     keeps a grid's peak memory at that of the loop, and the energy text is
-    evaluated once on the end state.  The rows are arrays on a grid; on one
-    point they are Python floats or numpy float64 scalars (see
-    ``step_rk4``).  The arithmetic runs row by row: stage states ``k*c +
+    evaluated once on the end state if ``energy`` asks for it.  The rows
+    are arrays on a grid; on one point they are Python floats or numpy
+    float64 scalars (see ``step_rk4``).  The arithmetic runs row by row: stage states ``k*c +
     a``, the sums ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a`` and the time
     ``t + dt`` after each step.
     """
@@ -453,10 +456,11 @@ def _compile_block(n: int, rhs: tuple, energy: tuple, x: np.ndarray, dx: float) 
     lines.append("        _t = _t + _dt")
     lines += evaluate(rhs, a, "_t", deriv, "        ")
     lines.append(f"    del {', '.join(stage_locals)}")
-    lines += evaluate(energy, a, "_t", ["_e"], "    ")
+    lines += ["    _e = None", "    if _energy:"]
+    lines += evaluate(energy, a, "_t", ["_e"], "        ")
     lines.append(f"    return _t, {', '.join(a + deriv)}, _e")
     block = _generate("rk4_block", ["_x", "_dx", *(f"_{kind}" for kind in _STENCILS),
-                                    "_t", "_dt", "_count", *a, *deriv], lines)
+                                    "_t", "_dt", "_count", "_energy", *a, *deriv], lines)
     return functools.partial(block, x, dx, *_STENCILS.values())
 
 
@@ -523,43 +527,47 @@ def _ended(p: EvolutionProblem, out: tuple) -> tuple:
     return _PointState(float(out[0]), out[1:k]), out[k:-1], out[-1]
 
 
-def _block(p: EvolutionProblem, start: tuple, dt: float, count: int) -> Optional[tuple]:
+def _block(p: EvolutionProblem, start: tuple, dt: float, count: int,
+           energy: bool) -> Optional[tuple]:
     """``count`` steps of ``p.rk4_block`` from ``start``, a (state,
-    derivative, density) triple: the triple at the end.  A grid steps at
-    ``np.float64(t)`` on the state's rows, one point on Python floats; None
-    where those raise ``ArithmeticError``."""
+    derivative, density) triple: the triple at the end, its density None
+    unless ``energy``.  A grid steps at ``np.float64(t)`` on the state's
+    rows, one point on Python floats; None where those raise
+    ``ArithmeticError``."""
     st, deriv, _ = start
     if p.m == 2:
-        return _ended(p, p.rk4_block(np.float64(st.t), dt, count, *st.arrays, *deriv))
+        return _ended(p, p.rk4_block(np.float64(st.t), dt, count, energy, *st.arrays, *deriv))
     try:
-        return _ended(p, p.rk4_block(st.t, dt, count, *_scalars(st), *deriv))
+        return _ended(p, p.rk4_block(st.t, dt, count, energy, *_scalars(st), *deriv))
     except ArithmeticError:
         return None
 
 
-def _step(p: EvolutionProblem, start: tuple, dt: float) -> tuple:
+def _step(p: EvolutionProblem, start: tuple, dt: float, energy: bool) -> tuple:
     """One step of ``_block``; on one point, a step that raises or ends
     non-finite is rerun from ``start`` on numpy float64 scalars."""
-    new = _block(p, start, dt, 1)
+    new = _block(p, start, dt, 1, energy)
     if p.m == 1 and (new is None or not new[0].finite):
         st, deriv, _ = start
-        new = _ended(p, p.rk4_block(np.float64(st.t), dt, 1, *map(np.float64, _scalars(st)),
-                                    *map(np.float64, deriv)))
+        new = _ended(p, p.rk4_block(np.float64(st.t), dt, 1, energy,
+                                    *map(np.float64, _scalars(st)), *map(np.float64, deriv)))
     return new
 
 
-def _advance(p: EvolutionProblem, start: tuple, dt: float, count: int) -> tuple[tuple, int]:
+def _advance(p: EvolutionProblem, start: tuple, dt: float, count: int,
+             energy: bool) -> tuple[tuple, int]:
     """Up to ``count`` RK4 steps from ``start``, a (state, derivative,
     density) triple: the triple at the last finite state and the number of
     steps to it.  Several steps are one call of the block; where that
     fails, they are replayed by ``_step`` up to the first non-finite state
-    (see the module docstring)."""
+    (see the module docstring).  Only the state after all ``count`` steps
+    carries a density, and only if ``energy``."""
     if count > 1:
-        new = _block(p, start, dt, count)
+        new = _block(p, start, dt, count, energy)
         if new is not None and new[0].finite:
             return new, count
     for done in range(count):
-        new = _step(p, start, dt)
+        new = _step(p, start, dt, energy and done == count - 1)
         if not new[0].finite:
             return start, done
         start = new
@@ -582,7 +590,7 @@ def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
     pass ``_check_step``.
     """
     _check_step(p, dt)
-    return _step(p, (st, _derivative(p, st), None), dt)[0]
+    return _step(p, (st, _derivative(p, st), None), dt, False)[0]
 
 
 def monitor_action_balance(p: EvolutionProblem, st: GridState) -> float:
@@ -616,15 +624,17 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     None); ``states`` holds the states themselves, not copies, and a
     one-point state is read-only.  A run advances a cadence interval per block (see ``_advance``),
     and ``dt`` is checked once, before the first block.  It evaluates the
-    right-hand side (and the energy density, if monitored) once itself, on
-    the initial state; every later state comes with the derivative and
-    the energy density its block evaluated there.  So ``action_balance``
-    and the per-step L of ``action_balance_fd`` read the L of that
-    derivative, and ``energy`` sums that density: each step evaluates the
-    right-hand side four times and nothing more.  The centered-in-time
-    balance residual ``action_balance_fd`` is computed from the per-step
-    ``s^0`` and L histories after the run.  A non-finite state aborts the
-    run, and the last good state is sampled if it was not already.
+    right-hand side once itself, on the initial state; every later state
+    comes with the derivative its block evaluated there, and a sampled one
+    with the energy density too if ``energy`` is monitored.  So
+    ``action_balance`` and the per-step L of ``action_balance_fd`` read the
+    L of that derivative, and ``energy`` sums that density: each step
+    evaluates the right-hand side four times, and the density is evaluated
+    once per sample.  The centered-in-time balance residual
+    ``action_balance_fd`` is computed from the per-step ``s^0`` and L
+    histories after the run.  A non-finite state aborts the run, and the
+    last good state is sampled if it was not already; its density, and the
+    initial state's, is evaluated by ``energy_func`` at the sample.
     """
     _check_step(p, dt)
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -646,7 +656,7 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
             if name == "action_balance":
                 mon[name].append(_balance(p, deriv[-1]))
             elif name == "energy":
-                mon[name].append(_energy(p, density))
+                mon[name].append(_energy(p, _density(p, state) if density is None else density))
             else:
                 raise ValueError(f"unknown monitor {name!r}")
         times.append(state.t)
@@ -663,7 +673,7 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
         # as every later one-point state: its scalars, shared by the report
         st = _PointState(st.t, tuple(_scalars(st)))
     # the (state, derivative, energy density) triple the blocks carry on
-    cur = (st, _derivative(p, st), _density(p, st) if "energy" in mon else None)
+    cur = (st, _derivative(p, st), None)
     sample(cur)
     if want_fd:
         record_fd(cur)
@@ -674,7 +684,10 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     k = 0
     while k < steps:
         count = min(span, steps - k)
-        cur, done = _advance(p, cur, dt, count)
+        # the block evaluates the energy density only where it is sampled
+        end = k + count
+        cur, done = _advance(p, cur, dt, count,
+                             "energy" in mon and (end % cadence == 0 or end == steps))
         k += done
         if done < count:
             termination = "non-finite state"

@@ -66,6 +66,10 @@ class TestCheck:
         assert lines[2].startswith("structure: ")
         assert lines[3].startswith("note: structure ranks varied across samples: ")
         assert len(lines) == 4
+        # each rank is named: the stack and the core are what grew
+        assert lines[3].endswith(
+            "[(theta=1, dtheta=4, stacked=4, core=3, reeb=2, span_ok=True), "
+            "(theta=1, dtheta=4, stacked=5, core=4, reeb=2, span_ok=True)]")
 
 
 class TestUnify:

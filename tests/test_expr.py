@@ -298,19 +298,21 @@ _GRAMMAR_LEAVES = ["1", "2", "3", "x[0]", "y[0]", "y[1]", "dy[0,0]", "dy[1,0]", 
                    "p[0,0]", "k"]
 
 
-def _grammar_text():
+def _grammar_text(functions: bool = True, max_leaves: int = 10):
     """Model-grammar text: sums, products, quotients, integer powers
-    (negative ones included) and the five function kernels.  Products with
-    a rational coefficient and two more factors are drawn on their own: how
-    the product rule multiplies out shows only in them."""
+    (negative ones included) and, if ``functions``, the five function
+    kernels.  Products with a rational coefficient and two more factors are
+    drawn on their own: how the product rule multiplies out shows only in
+    them."""
     def grow(sub):
         return st.one_of(
             st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
             st.tuples(st.integers(-3, 3), st.integers(2, 3), sub, sub, st.integers(1, 3)).map(
                 lambda t: f"{t[0]}/{t[1]}*({t[2]})*({t[3]})^{t[4]}"),
             st.tuples(sub, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
-            st.tuples(st.sampled_from(sorted(ex._FUNCS)), sub).map(lambda t: f"{t[0]}({t[1]})"))
-    return st.recursive(st.sampled_from(_GRAMMAR_LEAVES), grow, max_leaves=10)
+            *[st.tuples(st.sampled_from(sorted(ex._FUNCS)), sub).map(
+                lambda t: f"{t[0]}({t[1]})")] * functions)
+    return st.recursive(st.sampled_from(_GRAMMAR_LEAVES), grow, max_leaves=max_leaves)
 
 
 class TestPrinterRoundTrip:
@@ -449,9 +451,9 @@ def _run_spec_pipeline(specs) -> None:
 
 def _not_polynomial(e: sp.Expr) -> bool:
     """Whether ``e`` holds a node expand's native walk leaves to sympy: a
-    Float, a function, a non-integer exponent or a negative power of a
-    non-symbol."""
-    return any(n.is_Float or isinstance(n, sp.Function)
+    number other than a Rational (a Float, pi, E, I, zoo, nan), a function, a
+    non-integer exponent or a negative power of a non-symbol."""
+    return any(n.is_number and not n.args and not n.is_Rational or isinstance(n, sp.Function)
                or (n.is_Pow and not (n.exp.is_Integer and (n.exp > 0 or n.base.is_Symbol)))
                for n in sp.preorder_traversal(e))
 
@@ -596,6 +598,111 @@ class TestExactCancel:
         assert sum(d.is_PolynomialRing or d.is_FractionField for d in domains) > 50
         bad = [M for M in calls if not _cancels_like_sympy(M)]
         assert not bad
+
+
+# ---------------------------------------------------------------------------
+# _domain_matrix against DomainMatrix.from_Matrix
+
+
+def _denominators(e: sp.Expr) -> set:
+    return {n.base for n in sp.preorder_traversal(e) if n.is_Pow and n.exp.is_negative}
+
+
+def _fallback_class(M: sp.Matrix):
+    """Which of ``_domain_matrix``'s three fallbacks ``M`` falls in, judged
+    by sympy's own expansion; None for a matrix it builds itself."""
+    entries = [e for e in M if e != 0]
+    if any(not e.is_commutative or _not_polynomial(e) for e in entries):
+        return "not polynomial"
+    expanded = [sp.expand(e) for e in entries]
+    if all(e == 0 for e in expanded):
+        return "no nonzero entry"
+    # sympy's domain still sees a cancelled denominator, or takes EX for
+    # symbols that cancel to numbers
+    if (any(not _denominators(e) <= _denominators(x) for e, x in zip(entries, expanded))
+            or not any(x.free_symbols for x in expanded) and any(e.free_symbols for e in entries)):
+        return "cancelled"
+    return None
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same_outcome, a, b))
+    if isinstance(a, sp.MatrixBase):
+        return isinstance(b, sp.MatrixBase) and a.shape == b.shape and all(map(_same_tree, a, b))
+    return a == b
+
+
+class TestDomainMatrix:
+    # one matrix in two or so has no function kernel, so the builder
+    # builds it rather than falling back
+    @given(st.one_of(*[st.lists(_grammar_text(functions), min_size=4, max_size=4)
+                       for functions in (True, False)]))
+    # the fallbacks: a function; no nonzero entry; a denominator that
+    # cancels on expansion, and symbols that cancel to numbers (EX to sympy)
+    @example(["sin(y[0])", "y[1]", "0", "1"])
+    @example(["0", "(y[0]+1)^2 - y[0]^2 - 2*y[0] - 1", "0", "0"])
+    @example(["x[0]*(1/x[0] + y[0])", "1/y[1]", "k", "0"])
+    @example(["(y[0]+1)^2 - y[0]^2 - 2*y[0]", "3", "0", "1/2"])
+    # Laurent entries next to rational-coefficient polynomials, and a
+    # matrix of numbers
+    @example(["1/2*y[0]+k", "1/x[0]-3*y[1]^-2", "2/3*dy[0,0]^2", "(p[0,0]/k+1)^2/4"])
+    @example(["3", "1/2", "0", "-2"])
+    @settings(max_examples=100, deadline=None)
+    def test_grammar_matrices_build_like_from_matrix(self, texts):
+        M = sp.Matrix(2, 2, [_grammar(t) for t in texts])
+        fallback, from_matrix = [], DomainMatrix.from_Matrix
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DomainMatrix, "from_Matrix",
+                       staticmethod(lambda M: fallback.append(M) or from_matrix(M)))
+            ours = ex._domain_matrix(M)
+        ref = from_matrix(M)
+        assert ours.domain == ref.domain, texts
+        assert all(map(_same_tree, ours.to_Matrix(), ref.to_Matrix())), texts
+        assert bool(fallback) == (_fallback_class(M) is not None), texts
+        if fallback:
+            return
+        # a matrix built natively gives the exact linear algebra the
+        # from_Matrix route gives; the pseudo-inverse is taken of the first
+        # row, since a 2x2 one over a fraction field in many generators can
+        # take minutes
+        exact = [(ex.exact_rank, M), (ex.exact_nullspace, M), (ex.exact_pinv, M[0, :])]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ex, "_domain_matrix", from_matrix)
+            ref = [_outcome(f, A) for f, A in exact]
+        assert _same_outcome([_outcome(f, A) for f, A in exact], ref), texts
+
+    @pytest.mark.parametrize("M", [
+        sp.Matrix(0, 2, []), sp.zeros(2, 2),
+        sp.Matrix([[sp.Float("0.5") * ex.field(0), ex.field(1)]]),
+        sp.Matrix([[sp.Symbol("A", commutative=False), 1]])],
+        ids=["empty", "zeros", "float", "non-commutative"])
+    def test_edge_cases_fall_back(self, M):
+        # from_Matrix raises on the non-commutative entry, and so does the
+        # builder
+        assert _fallback_class(M) is not None
+        ours, ref = _outcome(ex._domain_matrix, M), _outcome(DomainMatrix.from_Matrix, M)
+        if isinstance(ref, type):
+            assert ours is ref
+        else:
+            assert ours.domain == ref.domain and ours.to_Matrix() == ref.to_Matrix()
+
+    def test_pipeline_falls_back_only_on_the_three_classes(self, models, seed1_corpus,
+                                                           monkeypatch, capsys):
+        # every exact matrix built while the bundled models go through
+        # derive (three formalisms), check, unify and compile_problem, and
+        # the seed-1 corpus through derive, check and unify
+        built, fallback = [], []
+        build, from_matrix = ex._domain_matrix, DomainMatrix.from_Matrix
+        monkeypatch.setattr(ex, "_domain_matrix", lambda M: built.append(M) or build(M))
+        monkeypatch.setattr(DomainMatrix, "from_Matrix",
+                            staticmethod(lambda M: fallback.append(M) or from_matrix(M)))
+        _run_bundled_pipeline(models)
+        _run_spec_pipeline(seed1_corpus)
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert len(built) - len(fallback) > 400
+        assert [M for M in fallback if _fallback_class(M) is None] == []
 
 
 # ---------------------------------------------------------------------------

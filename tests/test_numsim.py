@@ -267,6 +267,31 @@ class TestRun:
         with pytest.raises(ValueError, match=message):
             numsim.run(_oscillator_problem(), dt=dt, t_end=t_end, cadence=cadence)
 
+    @pytest.mark.parametrize("name", ["damped_oscillator", "damped_wave"])
+    @pytest.mark.parametrize("monitors,asked", [
+        (("action_balance_fd",), 0), (("action_balance_fd", "energy"), 5), (("energy",), 5)])
+    def test_block_evaluates_the_energy_only_where_sampled(self, name, monitors, asked):
+        # 20 steps at cadence 4: five sampled block ends after the initial
+        # state, whether a block runs one step (action_balance_fd) or four
+        p, dt = _bundled_problem(name, N=16)
+        p.monitors = monitors
+        block, calls = p.rk4_block, []
+
+        def spy(t, dt, count, energy, *rows):
+            out = block(t, dt, count, energy, *rows)
+            calls.append((energy, out[-1] is not None))
+            return out
+
+        p.rk4_block = spy
+        rep = numsim.run(p, dt=dt, t_end=20 * dt, cadence=4)
+        assert rep.termination == "completed" and len(rep.times) == 6
+        assert len(calls) == (20 if "action_balance_fd" in monitors else 5)
+        assert sum(e for e, _ in calls) == asked
+        assert all(bool(e) == evaluated for e, evaluated in calls)
+        if "energy" in monitors:
+            assert rep.series["energy"].tolist() == [
+                numsim.monitor_energy(p, st) for st in rep.states]
+
     def test_zero_end_time_keeps_the_initial_state(self):
         rep = numsim.run(_oscillator_problem(), dt=1e-3, t_end=0.0)
         assert rep.termination == "completed" and rep.times == [0.0]
