@@ -298,7 +298,7 @@ _GRAMMAR_LEAVES = ["1", "2", "3", "x[0]", "y[0]", "y[1]", "dy[0,0]", "dy[1,0]", 
                    "p[0,0]", "k"]
 
 
-def _grammar_text(functions: bool = True, max_leaves: int = 10):
+def _grammar_text(functions: bool = True):
     """Model-grammar text: sums, products, quotients, integer powers
     (negative ones included) and, if ``functions``, the five function
     kernels.  Products with a rational coefficient and two more factors are
@@ -312,7 +312,7 @@ def _grammar_text(functions: bool = True, max_leaves: int = 10):
             st.tuples(sub, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
             *[st.tuples(st.sampled_from(sorted(ex._FUNCS)), sub).map(
                 lambda t: f"{t[0]}({t[1]})")] * functions)
-    return st.recursive(st.sampled_from(_GRAMMAR_LEAVES), grow, max_leaves=max_leaves)
+    return st.recursive(st.sampled_from(_GRAMMAR_LEAVES), grow, max_leaves=10)
 
 
 class TestPrinterRoundTrip:
