@@ -6,51 +6,50 @@ equations are reduced to first order by introducing ``v^A = dy^A/dx^0``;
 spatial derivatives are realized as second-order central differences on a
 periodic grid, and time stepping uses fixed-step classical RK4.
 
-One generated evaluator of the accelerations and L reads only the argument
-slots it uses, so each right-hand side computes only the stencils it needs.
-Results are bit-identical to the earlier per-expression, every-stencil
-integrator.
-
-Every problem steps through one function that ``compile_problem``
-generates per problem, ``rk4_block``: ``count`` RK4 steps in one loop over
-the state's rows.  Each evaluation binds the right-hand side's argument
-names, a stencil slot as a call on the row, and evaluates the very text
-``rhs_func`` returns; the stage sums run row by row in the textbook order.
-The block is first-same-as-last: it takes the start state's derivative
-(the accelerations and L) as stage 1, ends each step by evaluating the
-right-hand side on the end state, which is the next step's stage 1, and
-after its last step, when its caller asks, evaluates the energy density
-(``energy_func``'s text) once.  It returns the end state with that
+The accelerations and L, and the energy density, are each printed once as
+text that reads only the argument slots it uses, so an evaluation computes
+only the stencils it needs.  ``compile_problem`` generates two functions
+from that text, which bind the slots alike: ``rk4_block``, ``count`` RK4
+steps in one loop over the state's rows, and ``evaluate_state``, the
+derivative (the accelerations and L) and energy density of a lone state.
+The block evaluates the text inline, a stencil slot as a call on the row,
+and sums the stages row by row in the textbook order.  It is
+first-same-as-last: it takes the start state's derivative as stage 1, ends
+each step by evaluating the right-hand side on the end state, which is the
+next step's stage 1, and after its last step, when its caller asks,
+evaluates the energy density once.  It returns the end state with that
 derivative and density, so each step costs four evaluations and a sample
 costs none; ``run`` asks for the density only at a sampled block end of a
-run that monitors ``energy``.  ``run`` evaluates the derivative itself
-once, on the initial state, and carries it from block to block.  ``run`` calls the block once per cadence interval (the
-last one shorter), or once per step where ``action_balance_fd`` reads every
-step.  A grid (``m = 2``) calls it on ``numpy.float64(t)`` and its rows and
-stacks the returned rows into the new state.  A one-point problem
-(``m = 1``, hence ``N = 1``) calls it on Python floats, whose ``+ - * /``
-give the same bits as numpy float64 and cost less than half as much; every
-power and function is a numpy kernel and returns a numpy scalar, as on an
-array, so the results are bit for bit those of 1-element arrays.  A block that raises ``ArithmeticError``
+run that monitors ``energy``, evaluates the initial state alone (through
+``_evaluate``) and carries the derivative from block to block.  ``run``
+calls the block once per cadence interval (the last one shorter), or once
+per step where ``action_balance_fd`` reads every step.  A grid (``m = 2``)
+calls it on ``numpy.float64(t)`` and its rows and stacks the returned rows
+into the new state.  A one-point problem (``m = 1``, hence ``N = 1``) calls
+it on Python floats, whose ``+ - * /`` give the same bits as numpy float64
+and cost less than half as much; every power and function is a numpy
+kernel and returns a numpy scalar, as on an array, so the results are bit
+for bit those of 1-element arrays.  A block that raises ``ArithmeticError``
 (a Python float divided by zero) or ends non-finite is replayed from its
 start one step at a time, carrying the derivative as the block does; on
 one point a step that fails is recomputed in the same way on numpy float64
-scalars, whose array semantics give inf/nan with numpy's
-warning, and the run ends as ``"non-finite state"`` on the last good state.
-A step's closing evaluation may fail on a finite end state (a Python float
-divided by zero): that step is recomputed on numpy scalars too, and the
-next step then ends non-finite, as its first stage would have at an array.
-The one difference from 1-element arrays: an intermediate overflow whose
-step still ends finite no longer warns (and a failed block, which runs on
-past its failure, may warn before its replay, as may a step's closing
-evaluations on the non-finite state it ends on).  A one-point state keeps
-the returned scalars (``_PointState``) and builds its ``(n_vars, 1)``
-read-only array only when something reads it.
+scalars, whose array semantics give inf/nan with numpy's warning, and the
+run ends as ``"non-finite state"`` on the last good state.  A step's
+closing evaluation may fail on a finite end state (a Python float divided
+by zero): that step is recomputed on numpy scalars too, and the next step
+then ends non-finite, as its first stage would have at an array.  The one
+difference from 1-element arrays: an intermediate overflow whose step still
+ends finite no longer warns (and a failed block, which runs on past its
+failure, may warn before its replay, as may a step's closing evaluations
+on the non-finite state it ends on, and ``_evaluate`` on the last good
+state, for the density a replayed step did not evaluate).  A one-point
+state keeps the returned scalars (``_PointState``) and builds its
+``(n_vars, 1)`` read-only array only when something reads it.
 ``_PointwisePrinter`` exists for the bits: ``float64 ** e`` calls libm
 ``pow`` where ``ndarray ** e`` calls numpy's ``square``/``power`` kernels,
 which differ in the last bit, so every power is printed as an explicit
-numpy kernel.  Each expression list is printed once, and every evaluator is
-compiled from that text by ``_generate`` with ``numpy`` bound by name as its
+numpy kernel.  Each expression list is printed once, and every generated
+function is compiled by ``_generate`` with ``numpy`` bound by name as its
 one global (``from numpy import *`` would import ``numpy.f2py`` and more).
 
 Action variables: the balance law constrains only the divergence of the
@@ -74,7 +73,7 @@ with no evaluation of its own:
   semidiscretization.
 
 ``monitor_action_balance``, ``monitor_energy`` and ``step_rk4`` give the
-same values for a lone state, evaluating what they need themselves.
+same values for a lone state, through ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -130,14 +129,10 @@ class EvolutionProblem:
     # the fields' accelerations then L; the energy density (gauge, parameters applied)
     exprs: tuple[sp.Expr, ...]
     energy_expr: sp.Expr
-    # evaluators of ``exprs`` and of the energy density; each reads the
-    # argument slots listed beside it (see ``_slot_values``)
-    rhs_func: Callable
-    rhs_slots: tuple[tuple[str, int], ...]
-    energy_func: Callable
-    energy_slots: tuple[tuple[str, int], ...]
-    # ``count`` RK4 steps in one call (see ``_compile_block``)
+    # ``count`` RK4 steps in one call, and the derivative and energy
+    # density of a lone state (see ``_compile_block``)
     rk4_block: Callable
+    state_func: Callable
     # the initial data: one evaluator of every state row at the points x^1
     initial_func: Callable
     monitors: tuple[str, ...]
@@ -162,8 +157,10 @@ class GridState:
     t: float
     arrays: np.ndarray  # shape (n_vars, N)
 
-    def copy(self) -> "GridState":
-        return GridState(self.t, self.arrays.copy())
+    @property
+    def values(self) -> list:
+        """The state's values, row by row, as Python floats."""
+        return self.arrays.ravel().tolist()
 
     @property
     def finite(self) -> bool:
@@ -177,9 +174,11 @@ class _PointState(GridState):
     the first read and is read-only, because ``step_rk4`` steps from the
     scalars.  ``finite`` is tested once, when the state is made: it shadows
     ``GridState``'s property with a plain attribute, in Python rather than by
-    a ufunc, because ``step_rk4`` and ``run`` both read it."""
+    a ufunc, because ``step_rk4`` and ``run`` both read it.  ``values``
+    shadows ``GridState``'s property in the same way: it is the scalars."""
 
     finite = True
+    values: tuple = ()
 
     def __init__(self, t: float, values: tuple):
         self.t = t
@@ -238,13 +237,16 @@ def _generate(name: str, params: Sequence[str], body: Sequence[str]) -> Callable
     return namespace[name]
 
 
-def _evaluator(args: Sequence[sp.Symbol], exprs: Sequence[sp.Expr]) -> tuple[Callable, str]:
-    """The function of ``args`` that returns the list of ``exprs``, and the
-    text it returns: each expression printed once by ``_PointwisePrinter``,
-    with every symbol named as ``str`` names it."""
-    printer = _PointwisePrinter()
-    text = ", ".join(printer.doprint(e) for e in exprs)
-    return _generate("evaluate", [str(a) for a in args], [f"    return [{text}]"]), text
+def _printed(exprs: Sequence[sp.Expr]) -> str:
+    """``exprs`` as one comma-separated text, each expression printed once by
+    ``_PointwisePrinter``, with every symbol named as ``str`` names it."""
+    return ", ".join(map(_PointwisePrinter().doprint, exprs))
+
+
+def _evaluator(args: Sequence[sp.Symbol], exprs: Sequence[sp.Expr]) -> Callable:
+    """The function of ``args`` that returns the list of ``exprs``, as
+    ``_printed`` prints them."""
+    return _generate("evaluate", [str(a) for a in args], [f"    return [{_printed(exprs)}]"])
 
 
 def _deriv_central(u: np.ndarray, dx: float) -> np.ndarray:
@@ -359,13 +361,13 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
                     "parameters (simulate.parameters or --param) before running")
             exprs.append(e)
         used = [a for a in slot_of if any(a in e.free_symbols for e in exprs)]
-        # no cse: it reassociates products, (c*a)*b -> c*(a*b), changing last bits
-        func, text = _evaluator(used, exprs)
-        # what the block inlines: the slots, the argument names and the text
-        code = (tuple(slot_of[a] for a in used), [str(a) for a in used], text)
-        return tuple(exprs), func, code
+        # what the generated functions inline: the slots, the argument names
+        # and the text (no cse: it reassociates products, (c*a)*b -> c*(a*b),
+        # changing last bits)
+        return tuple(exprs), (tuple(slot_of[a] for a in used), [str(a) for a in used],
+                              _printed(exprs))
 
-    exprs, rhs_func, rhs_code = _compile(
+    exprs, rhs_code = _compile(
         [(f"acceleration of field {A}", sol[A]) for A in range(n)]
         + [("the Lagrangian", L_expr)], slots)
     # mechanical energy density: sum_A v dL/dv - L with action variables at
@@ -374,7 +376,7 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     e_density = ex.expand(e_density - L_expr).xreplace(
         {ex.action(mu): sp.Integer(0) for mu in range(m)})
     forward = {ex.velocity(A, 1): ("forward", A) for A in range(n)} if m == 2 else {}
-    (energy_expr,), energy_func, energy_code = _compile(
+    (energy_expr,), energy_code = _compile(
         [("the energy density", e_density)], {**slots, **forward})
 
     # initial data: functions of x^1 alone (m = 2) or constants (m = 1)
@@ -391,42 +393,45 @@ def compile_problem(eqs: EquationSet, config: SimulateConfig) -> EvolutionProble
     N = int(config.N) if m == 2 else 1
     dx = (float(config.length) if m == 2 else 1.0) / N
     x = np.arange(N) * dx
+    rk4_block, state_func = _compile_block(n, rhs_code, energy_code, x, dx)
     return EvolutionProblem(
         m=m, n=n, N=N, dx=dx, state_names=state_names, exprs=exprs,
-        energy_expr=energy_expr, rhs_func=rhs_func, rhs_slots=rhs_code[0],
-        energy_func=energy_func, energy_slots=energy_code[0],
-        rk4_block=_compile_block(n, rhs_code, energy_code, x, dx),
-        initial_func=_evaluator([ex.base(1)], initial)[0], monitors=tuple(config.monitors), x=x)
+        energy_expr=energy_expr, rk4_block=rk4_block, state_func=state_func,
+        initial_func=_evaluator([ex.base(1)], initial), monitors=tuple(config.monitors), x=x)
 
 
-def _compile_block(n: int, rhs: tuple, energy: tuple, x: np.ndarray, dx: float) -> Callable:
-    """``count`` classical RK4 steps in one loop, the first stage of each
-    step the same as the last evaluation of the one before (FSAL).
+def _compile_block(n: int, rhs: tuple, energy: tuple, x: np.ndarray,
+                   dx: float) -> tuple[Callable, Callable]:
+    """``rk4_block`` and ``evaluate_state``, generated from one printed text
+    with one slot binding: ``count`` classical RK4 steps in one loop, the
+    first stage of each step the same as the last evaluation of the one
+    before (FSAL), and the derivative and energy density of a lone state.
 
-    The function takes ``(t, dt, count, energy, a0, ..., a{2n}, d0, ...,
+    ``rk4_block`` takes ``(t, dt, count, energy, a0, ..., a{2n}, d0, ...,
     d{n})``: the time, the step, the number of steps (at least one), whether
     to evaluate the energy density, the state's rows and the state's
-    derivative, i.e. the accelerations and L that ``rhs_func`` returns
-    there.  It returns ``(t, a0, ..., a{2n}, d0, ..., d{n}, e)``: the end
-    state, its derivative and its energy density, or None for ``e`` when
-    ``energy`` is false.
+    derivative, i.e. the accelerations and L there.  It returns ``(t, a0,
+    ..., a{2n}, d0, ..., d{n}, e)``: the end state, its derivative and its
+    energy density, or None for ``e`` when ``energy`` is false.
+    ``evaluate_state`` takes ``(t, energy, a0, ..., a{2n})`` and returns
+    ``(d0, ..., d{n}, e)``: the block's closing evaluation and energy tail.
     ``rhs`` and ``energy`` are each the slots, the argument names and the
-    printed list of ``rhs_func`` and ``energy_func``; an evaluation binds the
-    values of the slots to the names and evaluates the text, without the
-    call.  A stencil slot is a call on the row, such as
+    printed list of the accelerations and L, or of the energy density; an
+    evaluation binds the values of the slots to the names and evaluates the
+    text, without a call.  A stencil slot is a call on the row, such as
     ``_central(_y2_0, _dx)``, and the ``x`` slot is ``_x``: the stencils,
-    ``x`` and ``dx`` are the generated function's leading arguments, bound
-    here once.  Stage 1 of a step takes the derivative it is given; stages 2
-    to 4 evaluate the right-hand side at ``t + dt/2``, ``t + dt/2`` and
-    ``t + dt``, of the type of ``t``; the step then evaluates it on its end
-    state, and that is the next step's stage 1.  So each step makes four
+    ``x`` and ``dx`` are both functions' leading arguments, bound here once.
+    Stage 1 of a step takes the derivative it is given; stages 2 to 4
+    evaluate the right-hand side at ``t + dt/2``, ``t + dt/2`` and ``t +
+    dt``, of the type of ``t``; the step then evaluates it on its end state,
+    and that is the next step's stage 1.  So each step makes four
     evaluations.  After the last step the stage locals are released, which
     keeps a grid's peak memory at that of the loop, and the energy text is
     evaluated once on the end state if ``energy`` asks for it.  The rows
     are arrays on a grid; on one point they are Python floats or numpy
-    float64 scalars (see ``step_rk4``).  The arithmetic runs row by row: stage states ``k*c +
-    a``, the sums ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6) + a`` and the time
-    ``t + dt`` after each step.
+    float64 scalars (see ``step_rk4``).  The arithmetic runs row by row:
+    stage states ``k*c + a``, the sums ``(((k1 + 2*k2) + 2*k3) + k4)*(dt/6)
+    + a`` and the time ``t + dt`` after each step.
     """
     a = [f"_a{i}" for i in range(2 * n + 1)]
     deriv = [f"_k1_{i}" for i in range(n, len(a))]
@@ -454,43 +459,29 @@ def _compile_block(n: int, rhs: tuple, energy: tuple, x: np.ndarray, dx: float) 
         f"(((({k1} + 2*{k2}) + 2*{k3}) + {k4})*_c + {ai})"
         for k1, k2, k3, k4, ai in zip(*ks, a)))
     lines.append("        _t = _t + _dt")
-    lines += evaluate(rhs, a, "_t", deriv, "        ")
-    lines.append(f"    del {', '.join(stage_locals)}")
-    lines += ["    _e = None", "    if _energy:"]
-    lines += evaluate(energy, a, "_t", ["_e"], "        ")
+    closing = evaluate(rhs, a, "_t", deriv, "        ")
+    energy_tail = ["    _e = None", "    if _energy:", *evaluate(energy, a, "_t", ["_e"], "        ")]
+    lines += closing + [f"    del {', '.join(stage_locals)}"] + energy_tail
     lines.append(f"    return _t, {', '.join(a + deriv)}, _e")
-    block = _generate("rk4_block", ["_x", "_dx", *(f"_{kind}" for kind in _STENCILS),
-                                    "_t", "_dt", "_count", "_energy", *a, *deriv], lines)
-    return functools.partial(block, x, dx, *_STENCILS.values())
+    bound = ["_x", "_dx", *(f"_{kind}" for kind in _STENCILS)]
+    block = _generate("rk4_block", [*bound, "_t", "_dt", "_count", "_energy", *a, *deriv], lines)
+    state = _generate("evaluate_state", [*bound, "_t", "_energy", *a],
+                      [line[4:] for line in closing] + energy_tail
+                      + [f"    return {', '.join(deriv)}, _e"])
+    return tuple(functools.partial(f, x, dx, *_STENCILS.values()) for f in (block, state))
 
 
-def _slot_values(p: EvolutionProblem, slots: Sequence[tuple[str, int]], t: float,
-                 arrays) -> list:
-    # a one-point problem's slots are only "t" and "row", and its rows are
-    # a list of numpy scalars (see ``_rows``); t is one too, so that a model
-    # dividing by t gives inf at t = 0 rather than ZeroDivisionError
-    return [np.float64(t) if kind == "t" else p.x if kind == "x"
-            else arrays[row] if kind == "row"
-            else _STENCILS[kind](arrays[row], p.dx) for kind, row in slots]
-
-
-def _rows(p: EvolutionProblem, st: "GridState"):
-    """The state's rows as the evaluators read them: numpy float64 scalars
-    for a one-point problem, the stacked arrays otherwise."""
-    return list(st.arrays[:, 0]) if p.m == 1 else st.arrays
-
-
-def _derivative(p: EvolutionProblem, st: GridState) -> list:
-    """The accelerations and L at ``st`` as ``rk4_block`` takes them: the
-    values of ``rhs_func``, on one point as Python floats where finite (a
-    non-finite one stays the numpy scalar that gave it)."""
-    values = p.rhs_func(*_slot_values(p, p.rhs_slots, st.t, _rows(p, st)))
-    return [float(v) if math.isfinite(v) else v for v in values] if p.m == 1 else values
-
-
-def _density(p: EvolutionProblem, st: GridState):
-    """The energy density at ``st``, as ``energy_func`` returns it."""
-    return p.energy_func(*_slot_values(p, p.energy_slots, st.t, _rows(p, st)))[0]
+def _evaluate(p: EvolutionProblem, st: GridState, energy: bool) -> tuple[list, object]:
+    """The derivative of ``st`` (the accelerations and L, as ``rk4_block``
+    takes them) and, if ``energy``, its energy density, else None: one call
+    of ``p.state_func``.  A grid passes ``np.float64(t)`` and its rows.  One
+    point passes numpy float64 scalars, so that a model dividing by the
+    state or by t gives inf rather than ZeroDivisionError, and returns the
+    derivative as Python floats where finite (a non-finite one stays the
+    numpy scalar that gave it)."""
+    rows = st.arrays if p.m == 2 else map(np.float64, st.values)
+    *deriv, density = p.state_func(np.float64(st.t), energy, *rows)
+    return ([float(v) if math.isfinite(v) else v for v in deriv] if p.m == 1 else deriv), density
 
 
 def _balance(p: EvolutionProblem, lval) -> float:
@@ -514,11 +505,6 @@ def _check_step(p: EvolutionProblem, dt: float) -> None:
         raise ValueError(f"dt={dt} violates the CFL guard dt <= {_CFL}*dx = {_CFL * p.dx}")
 
 
-def _scalars(st: GridState) -> Sequence:
-    """A one-point state's scalars, as Python floats where it has no others."""
-    return st.values if isinstance(st, _PointState) else st.arrays[:, 0].tolist()
-
-
 def _ended(p: EvolutionProblem, out: tuple) -> tuple:
     """``rk4_block``'s return as (state, derivative, energy density)."""
     k = p.n_vars + 1
@@ -538,7 +524,7 @@ def _block(p: EvolutionProblem, start: tuple, dt: float, count: int,
     if p.m == 2:
         return _ended(p, p.rk4_block(np.float64(st.t), dt, count, energy, *st.arrays, *deriv))
     try:
-        return _ended(p, p.rk4_block(st.t, dt, count, energy, *_scalars(st), *deriv))
+        return _ended(p, p.rk4_block(st.t, dt, count, energy, *st.values, *deriv))
     except ArithmeticError:
         return None
 
@@ -550,7 +536,7 @@ def _step(p: EvolutionProblem, start: tuple, dt: float, energy: bool) -> tuple:
     if p.m == 1 and (new is None or not new[0].finite):
         st, deriv, _ = start
         new = _ended(p, p.rk4_block(np.float64(st.t), dt, 1, energy,
-                                    *map(np.float64, _scalars(st)), *map(np.float64, deriv)))
+                                    *map(np.float64, st.values), *map(np.float64, deriv)))
     return new
 
 
@@ -590,7 +576,7 @@ def step_rk4(p: EvolutionProblem, st: GridState, dt: float) -> GridState:
     pass ``_check_step``.
     """
     _check_step(p, dt)
-    return _step(p, (st, _derivative(p, st), None), dt, False)[0]
+    return _step(p, (st, _evaluate(p, st, False)[0], None), dt, False)[0]
 
 
 def monitor_action_balance(p: EvolutionProblem, st: GridState) -> float:
@@ -602,7 +588,7 @@ def monitor_action_balance(p: EvolutionProblem, st: GridState) -> float:
     integrator until it is redefined against the time stepping (ROADMAP
     item 3).  ``run`` takes the same value from the L its block returns.
     """
-    return _balance(p, _derivative(p, st)[-1])
+    return _balance(p, _evaluate(p, st, False)[0][-1])
 
 
 def monitor_energy(p: EvolutionProblem, st: GridState) -> float:
@@ -613,7 +599,7 @@ def monitor_energy(p: EvolutionProblem, st: GridState) -> float:
     semidiscretization; for ``m = 1`` it is the pointwise energy.  ``run``
     takes the same value from the density its block returns.
     """
-    return _energy(p, _density(p, st))
+    return _energy(p, _evaluate(p, st, True)[1])
 
 
 def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunReport:
@@ -622,9 +608,11 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     Monitors are sampled every ``cadence`` steps and at both ends, as are
     the states unless they would exceed 2e6 grid values (then ``states`` is
     None); ``states`` holds the states themselves, not copies, and a
-    one-point state is read-only.  A run advances a cadence interval per block (see ``_advance``),
-    and ``dt`` is checked once, before the first block.  It evaluates the
-    right-hand side once itself, on the initial state; every later state
+    one-point state is read-only.  A run advances a cadence interval per
+    block (see ``_advance``), and ``dt`` is checked once, before the first
+    block, as is a step count ``t_end/dt`` that overflows.  It evaluates the
+    initial state's derivative, and its energy density if ``energy`` is
+    monitored, in one call of ``_evaluate``; every later state
     comes with the derivative its block evaluated there, and a sampled one
     with the energy density too if ``energy`` is monitored.  So
     ``action_balance`` and the per-step L of ``action_balance_fd`` read the
@@ -633,14 +621,16 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     once per sample.  The centered-in-time balance residual
     ``action_balance_fd`` is computed from the per-step ``s^0`` and L
     histories after the run.  A non-finite state aborts the run, and the
-    last good state is sampled if it was not already; its density, and the
-    initial state's, is evaluated by ``energy_func`` at the sample.
+    last good state is sampled if it was not already, its density evaluated
+    there by ``_evaluate`` when its block did not.
     """
     _check_step(p, dt)
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be non-negative and finite, got t_end={t_end}")
     if cadence < 1:
         raise ValueError(f"cadence must be at least 1, got cadence={cadence}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"the step count t_end/dt is not finite: dt={dt}, t_end={t_end}")
     steps = int(round(t_end / dt))
     keep_states = p.N * (steps // cadence + 1) <= 2_000_000
     mon: dict[str, list] = {name: [] for name in p.monitors if name != "action_balance_fd"}
@@ -656,7 +646,8 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
             if name == "action_balance":
                 mon[name].append(_balance(p, deriv[-1]))
             elif name == "energy":
-                mon[name].append(_energy(p, _density(p, state) if density is None else density))
+                mon[name].append(_energy(p, _evaluate(p, state, True)[1] if density is None
+                                         else density))
             else:
                 raise ValueError(f"unknown monitor {name!r}")
         times.append(state.t)
@@ -671,9 +662,9 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     st = p.initial_state()
     if p.m == 1:
         # as every later one-point state: its scalars, shared by the report
-        st = _PointState(st.t, tuple(_scalars(st)))
+        st = _PointState(st.t, tuple(st.values))
     # the (state, derivative, energy density) triple the blocks carry on
-    cur = (st, _derivative(p, st), None)
+    cur = (st, *_evaluate(p, st, "energy" in mon))
     sample(cur)
     if want_fd:
         record_fd(cur)
@@ -727,8 +718,6 @@ def write_csv(report: RunReport, p: EvolutionProblem, path: str) -> None:
         columns = [report.times.tolist()] + [report.series[k].tolist() for k in mon_names]
         for idx, row in enumerate(zip(*columns)):
             if small:
-                st = report.states[idx]
                 # a one-point state's scalars format as its array's values
-                row += tuple(st.values if isinstance(st, _PointState)
-                             else st.arrays.ravel().tolist())
+                row += tuple(report.states[idx].values)
             w.writerow([f"{v:.12g}" for v in row])

@@ -165,6 +165,16 @@ class TestSimulate:
         assert f"{name}={float(value)}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_step_count_overflow_exits_one(self, tmp_path, capsys):
+        # t_end/dt overflows to inf: one error line, not an OverflowError
+        code = run_cli("simulate", model_path("damped_oscillator"), "--dt", "5e-324",
+                       "--t-end", "1e10", "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "t_end/dt is not finite: dt=5e-324, t_end=10000000000.0" in err
+        assert not list(tmp_path.iterdir())
+
     def test_rational_step_and_end_time(self, tmp_path):
         # --dt and --t-end read 1/200 as the model file and --param do: the
         # float of 0.005, so the same CSV bytes
