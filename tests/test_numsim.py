@@ -344,8 +344,8 @@ class TestRun:
     @pytest.mark.parametrize("case", ["damped_oscillator", "damped_wave"])
     def test_run_evaluates_only_the_initial_state(self, case, cadence, fd):
         # each block returns its end state's derivative and energy density,
-        # so the run itself evaluates a lone state once, the initial one,
-        # its derivative and energy density in one call, for any length
+        # so the run itself evaluates only the initial state: its derivative,
+        # then at its sample the derivative and energy density, for any length
         p, dt = _bundled_problem(case, N=16 if case == "damped_wave" else None)
         p.monitors = ("action_balance", "energy") + ("action_balance_fd",) * fd
         state_func, calls = p.state_func, []
@@ -360,7 +360,7 @@ class TestRun:
             rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence)
             assert rep.termination == "completed"
             assert len(rep.times) == -(-steps // cadence) + 1
-            assert calls == [True]
+            assert calls == [False, True]
 
     def test_point_states_are_read_only(self):
         # a report keeps the states themselves, not copies; one-point states
