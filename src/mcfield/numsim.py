@@ -20,13 +20,12 @@ next step's stage 1, and after its last step, when its caller asks,
 evaluates the energy density once.  It returns the end state with that
 derivative and density, so each step costs four evaluations and a sample
 costs none; ``run`` asks for the density only at a sampled block end of a
-run that monitors ``energy``, evaluates the initial state alone (through
-``_evaluate``, as it does a sample without a density) and carries the
-derivative from block to block.  ``run``
-calls the block once per cadence interval (the last one shorter), or once
-per step where ``action_balance_fd`` reads every step.  A grid (``m = 2``)
-calls it on ``numpy.float64(t)`` and its rows and stacks the returned rows
-into the new state.  A one-point problem (``m = 1``, hence ``N = 1``) calls
+run that monitors ``energy``, evaluates the initial state alone, in one
+call of ``_evaluate``, and carries the derivative from block to block.
+``run`` calls the block once per cadence interval (the last one shorter),
+or once per step where ``action_balance_fd`` reads every step.  A grid
+(``m = 2``) calls it on ``numpy.float64(t)`` and its rows and stacks the
+returned rows into the new state.  A one-point problem (``m = 1``, hence ``N = 1``) calls
 it on Python floats, whose ``+ - * /`` give the same bits as numpy float64
 and cost less than half as much; every power and function is a numpy
 kernel and returns a numpy scalar, as on an array, so the results are bit
@@ -612,7 +611,8 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     one-point state is read-only.  A run advances a cadence interval per
     block (see ``_advance``), and ``dt`` is checked once, before the first
     block, as is a step count ``t_end/dt`` that overflows.  It evaluates the
-    initial state's derivative itself (``_evaluate``); every later state
+    initial state's derivative, and its energy density if ``energy`` is
+    monitored, itself, in one call of ``_evaluate``; every later state
     comes with the derivative its block evaluated there, and a sampled one
     with the energy density too if ``energy`` is monitored.  So
     ``action_balance`` and the per-step L of ``action_balance_fd`` read the
@@ -621,9 +621,8 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     once per sample.  The centered-in-time balance residual
     ``action_balance_fd`` is computed from the per-step ``s^0`` and L
     histories after the run.  A non-finite state aborts the run, and the
-    last good state is sampled if it was not already.  A sample without a
-    density, the initial state's or a last good state's, evaluates it with
-    ``_evaluate`` there.
+    last good state is sampled if it was not already; its density, which
+    no block evaluated, comes from ``_evaluate`` there.
     """
     _check_step(p, dt)
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -664,13 +663,14 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     if p.m == 1:
         # as every later one-point state: its scalars, shared by the report
         st = _PointState(st.t, tuple(st.values))
-    # the (state, derivative, energy density) triple the blocks carry on.
-    # The initial density, if monitored, is evaluated at the sample: held
-    # from here into the first block, it changed glibc's heap layout, and a
-    # 16384-point damped_wave run took ~1,800 more page faults and ~7%
-    # longer (2-core x86-64 Linux)
-    cur = (st, _evaluate(p, st, False)[0], None)
-    sample(cur)
+    deriv, density = _evaluate(p, st, "energy" in mon)
+    sample((st, deriv, density))
+    # the (state, derivative, energy density) triple the blocks carry on,
+    # without the initial density: held into the first block, it changed
+    # glibc's heap layout, and a 16384-point damped_wave run took ~1,800
+    # more page faults and ~7% longer (2-core x86-64 Linux)
+    del density
+    cur = (st, deriv, None)
     if want_fd:
         record_fd(cur)
     termination = "completed"

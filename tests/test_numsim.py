@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import pathlib
@@ -344,10 +345,9 @@ class TestRun:
     @pytest.mark.parametrize("case", ["damped_oscillator", "damped_wave"])
     def test_run_evaluates_only_the_initial_state(self, case, cadence, fd):
         # each block returns its end state's derivative and energy density,
-        # so the run itself evaluates only the initial state: its derivative,
-        # then at its sample the derivative and energy density, for any length
+        # so the run itself evaluates only the initial state, in one call:
+        # its derivative and, if monitored, its energy density, for any length
         p, dt = _bundled_problem(case, N=16 if case == "damped_wave" else None)
-        p.monitors = ("action_balance", "energy") + ("action_balance_fd",) * fd
         state_func, calls = p.state_func, []
 
         def spy(t, energy, *rows):
@@ -355,12 +355,14 @@ class TestRun:
             return state_func(t, energy, *rows)
 
         p.state_func = spy
-        for steps in (0, 5, 17):
+        for energy, steps in itertools.product((False, True), (0, 5, 17)):
+            p.monitors = (("action_balance",) + ("energy",) * energy
+                          + ("action_balance_fd",) * fd)
             calls.clear()
             rep = numsim.run(p, dt=dt, t_end=steps * dt, cadence=cadence)
             assert rep.termination == "completed"
             assert len(rep.times) == -(-steps // cadence) + 1
-            assert calls == [False, True]
+            assert calls == [energy]
 
     def test_point_states_are_read_only(self):
         # a report keeps the states themselves, not copies; one-point states
