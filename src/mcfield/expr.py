@@ -1002,13 +1002,9 @@ def _negative_bases(e: sp.Expr) -> set:
     return set()
 
 
-def _over_field(M: sp.Matrix) -> DomainMatrix:
-    return _domain_matrix(M).to_field()
-
-
 def exact_rank(M: sp.Matrix) -> int:
     """Rank over the fraction field of the entries (parameters are generic)."""
-    return _over_field(M).rank()
+    return _domain_matrix(M).to_field().rank()
 
 
 def exact_nullspace(M: sp.Matrix) -> list[sp.Matrix]:
@@ -1017,7 +1013,7 @@ def exact_nullspace(M: sp.Matrix) -> list[sp.Matrix]:
     One column vector per free column of the reduced row echelon form: 1 in
     that column, minus the RREF column in the pivot slots, 0 elsewhere.
     """
-    R, pivots = _over_field(M).rref()
+    R, pivots = _domain_matrix(M).to_field().rref()
     R = R.to_Matrix()
     basis = []
     for free in (j for j in range(M.cols) if j not in pivots):
@@ -1030,20 +1026,23 @@ def exact_nullspace(M: sp.Matrix) -> list[sp.Matrix]:
 
 
 def exact_pinv(M: sp.Matrix) -> sp.Matrix:
-    """Moore-Penrose pseudo-inverse of a matrix with real entries.
+    """Moore-Penrose pseudo-inverse of a symmetric matrix with real entries.
 
-    Through the rank decomposition M = B C (B the pivot columns of M, C the
-    nonzero RREF rows): M^+ = C^T (C C^T)^-1 (B^T B)^-1 B^T.  Parameters are
-    taken real, so no conjugates appear.
+    C, the nonzero RREF rows, spans M's row and (M symmetric) column space,
+    so M^+ = C^T (C M C^T)^-1 C: one inverse, of a rank-sized matrix, and
+    M^-1 on a regular M (C = I).  The general rank decomposition also
+    inverts B^T B (B the pivot columns), M^T M on a regular M: twice the
+    degree, which stalls on a 3x3 parametric Hessian.  Parameters are taken
+    real; a matrix not symmetric over the fraction field raises ExprError.
     """
-    dM = _over_field(M)
+    dM = _domain_matrix(M).to_field()
+    if M.rows != M.cols or dM != dM.transpose():
+        raise ExprError("exact_pinv needs a symmetric matrix")
     R, pivots = dM.rref()
     if not pivots:
         return sp.zeros(M.cols, M.rows)
-    B = dM.extract(range(M.rows), pivots)
     C = R.extract(range(len(pivots)), range(M.cols))
-    Bt, Ct = B.transpose(), C.transpose()
-    return (Ct * (C * Ct).inv() * (Bt * B).inv() * Bt).to_Matrix()
+    return (C.transpose() * (C * dM * C.transpose()).inv() * C).to_Matrix()
 
 
 _EXACT_GROUNDS = (sp.ZZ, sp.QQ)

@@ -3,14 +3,11 @@
 The (restricted) Legendre map fixes (x, y, s) and sends p^mu_A to
 dL/dy^A_mu; the extended map additionally sends the extended momentum to
 L - y^A_mu dL/dy^A_mu = -E_L.  For velocity-quadratic Lagrangians the fiber
-map is affine, and it is inverted one way whether or not the Hessian is
-singular: the minimum-norm solution of the affine system gives a canonical
-velocity representative together with the constraints cutting out the image
-(the almost-regular picture).  When the Hessian is invertible the
-minimum-norm solution is the inverse and the image carries no constraints,
-so the (hyper)regular case is the special case with an empty constraint
-list.  The Hamiltonian is H = p^mu_A y^A_mu - L with the representative
-substituted.
+map p = W v + c is affine, W the symmetric Hessian, and it is inverted one
+way whether W is singular or not (:func:`eliminate_velocities`): the
+minimum-norm representative v = W^+ (p - c), the constraints from the kernel
+of W that cut out the image (none in the (hyper)regular case), and the
+Hamiltonian as the quadratic form H = 1/2 (p - c)^T W^+ (p - c) - L|_{v=0}.
 
 The Hamilton--de Donder--Weyl equations emitted here use formal gradient
 symbols: dy[A,mu] for the x^mu-gradient of y^A, dp[A,mu,nu] for the
@@ -37,12 +34,14 @@ class VelocityElimination:
 
     ``representative`` maps each velocity symbol to the minimum-norm
     solution in the momentum-chart coordinates, which is the exact inverse
-    when the Hessian is invertible.  ``image_constraints`` cut out the
-    Legendre image; the Lagrangian is regular exactly when there are none.
+    when the Hessian is invertible, and ``hamiltonian`` is p v - L there.
+    ``image_constraints`` cut out the Legendre image; the Lagrangian is
+    regular exactly when there are none.
     """
 
     representative: dict[sp.Symbol, sp.Expr]
     image_constraints: list[sp.Expr]
+    hamiltonian: sp.Expr
 
     @property
     def regular(self) -> bool:
@@ -53,14 +52,16 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
     """Invert the fiber Legendre map for velocity-quadratic Lagrangians.
 
     The assignments are affine in the velocities, p = W v + c, with W the
-    Hessian of the derivative table, so c is the momenta at rest (every
-    velocity set to 0) once W is checked to be free of velocities.  All
-    linear algebra is exact over the fraction field of the parameters
+    symmetric Hessian of the derivative table, so c is the momenta at rest
+    (every velocity set to 0) once W is checked to be free of velocities.
+    All linear algebra is exact over the fraction field of the parameters
     (``expr.exact_*``).  There is one inversion path: the minimum-norm
-    solution v = W^+ (p - c), with W^+ from a rank decomposition, and the
-    linear conditions k^T (p - c) = 0, k in the kernel of W^T, that
-    characterize the image.  On an invertible W the pseudo-inverse is W^-1
-    and the kernel is empty.
+    solution v+ = W^+ (p - c), and the linear conditions k^T (p - c) = 0, k
+    in the kernel of W, that characterize the image; on an invertible W
+    the pseudo-inverse is W^-1 and the kernel is empty.  As L = L|_{v=0} +
+    c^T v + v^T W v / 2, for every p H = p^T v+ - L(v+) is the quadratic
+    form (p - c)^T v+ / 2 - L|_{v=0}, by W^+ W W^+ = W^+ and the symmetry of
+    W^+, so the representative is never put into L.
     """
     pairs = [(A, mu) for A in range(lag.n) for mu in range(lag.m)]
     vel = [ex.velocity(A, mu) for A, mu in pairs]
@@ -68,15 +69,16 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
     if any(entry.free_symbols & set(vel) for entry in W):
         raise ex.ExprError("velocity elimination requires a Lagrangian "
                            "quadratic in the velocities")
-    c = sp.Matrix([p.xreplace({v: sp.S.Zero for v in vel}) for p in lag.momenta])
+    rest = {v: sp.S.Zero for v in vel}
+    c = sp.Matrix([p.xreplace(rest) for p in lag.momenta])
     rhs = sp.Matrix([ex.momentum(A, mu) for A, mu in pairs]) - c
 
     v_min = ex.exact_product(ex.exact_pinv(W), rhs)
-    rep = dict(zip(vel, v_min))
-    kernel = ex.exact_nullspace(W.T)
+    kernel = ex.exact_nullspace(W)
     resids = ex.exact_product(sp.Matrix(len(kernel), W.rows, lambda i, j: kernel[i][j]), rhs)
     constraints = [r for r in map(ex.expand, resids) if r != 0]
-    return VelocityElimination(rep, constraints)
+    H, = ex.exact_cancel(ex.exact_product(rhs.T, v_min) / 2 - sp.Matrix([lag.L.xreplace(rest)]))
+    return VelocityElimination(dict(zip(vel, v_min)), constraints, H)
 
 
 class HamiltonianSystem:
@@ -104,13 +106,9 @@ class HamiltonianSystem:
 
     @classmethod
     def from_legendre(cls, lag: LagrangianSystem) -> "HamiltonianSystem":
-        """Build H = p^mu_A y^A_mu - L through velocity elimination."""
+        """H = 1/2 (p - c)^T W^+ (p - c) - L|_{v=0}, from :func:`eliminate_velocities`."""
         elim = eliminate_velocities(lag)
-        pv = sum(ex.momentum(A, mu) * ex.velocity(A, mu)
-                 for A in range(lag.n) for mu in range(lag.m))
-        H, = ex.exact_cancel(
-            sp.Matrix([ex.expand((pv - lag.L).xreplace(elim.representative))]))
-        return cls(lag.m, lag.n, H, elim.image_constraints, elim.representative)
+        return cls(lag.m, lag.n, elim.hamiltonian, elim.image_constraints, elim.representative)
 
     # forms --------------------------------------------------------------
     def theta(self) -> Form:

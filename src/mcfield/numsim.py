@@ -608,21 +608,20 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     Monitors are sampled every ``cadence`` steps and at both ends, as are
     the states unless they would exceed 2e6 grid values (then ``states`` is
     None); ``states`` holds the states themselves, not copies, and a
-    one-point state is read-only.  A run advances a cadence interval per
-    block (see ``_advance``), and ``dt`` is checked once, before the first
-    block, as is a step count ``t_end/dt`` that overflows.  It evaluates the
-    initial state's derivative, and its energy density if ``energy`` is
-    monitored, itself, in one call of ``_evaluate``; every later state
-    comes with the derivative its block evaluated there, and a sampled one
-    with the energy density too if ``energy`` is monitored.  So
-    ``action_balance`` and the per-step L of ``action_balance_fd`` read the
-    L of that derivative, and ``energy`` sums that density: each step
-    evaluates the right-hand side four times, and the density is evaluated
-    once per sample.  The centered-in-time balance residual
-    ``action_balance_fd`` is computed from the per-step ``s^0`` and L
-    histories after the run.  A non-finite state aborts the run, and the
-    last good state is sampled if it was not already; its density, which
-    no block evaluated, comes from ``_evaluate`` there.
+    one-point state is read-only.  ``dt`` and the step count ``t_end/dt``
+    are checked once, before the first block: the count must be finite and
+    make at most 1e10 grid-point steps ``N * t_end/dt``.  A run advances a
+    cadence interval per block (see ``_advance``).  One ``_evaluate`` call
+    gives the initial state's derivative, and its energy density if
+    ``energy`` is monitored; every later state comes with the derivative
+    its block evaluated there, and a sampled one with the density too.  So
+    ``action_balance`` and the per-step L of ``action_balance_fd`` read
+    that derivative's L, and ``energy`` sums that density: a step evaluates
+    the right-hand side four times, the density is evaluated once per
+    sample, and ``action_balance_fd``'s centered-in-time residual comes
+    from the per-step ``s^0`` and L histories after the run.  A non-finite
+    state aborts the run, and the last good state is sampled if it was not
+    already, its density from ``_evaluate``.
     """
     _check_step(p, dt)
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -632,6 +631,9 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     if not math.isfinite(t_end / dt):
         raise ValueError(f"the step count t_end/dt is not finite: dt={dt}, t_end={t_end}")
     steps = int(round(t_end / dt))
+    if p.N * steps > 10 ** 10:
+        raise ValueError(f"the run's work N*t_end/dt exceeds 1e+10 grid-point steps: "
+                         f"dt={dt}, t_end={t_end}, N={p.N}")
     keep_states = p.N * (steps // cadence + 1) <= 2_000_000
     mon: dict[str, list] = {name: [] for name in p.monitors if name != "action_balance_fd"}
     times: list[float] = []

@@ -175,6 +175,17 @@ class TestSimulate:
         assert "t_end/dt is not finite: dt=5e-324, t_end=10000000000.0" in err
         assert not list(tmp_path.iterdir())
 
+    def test_step_count_beyond_the_work_cap_exits_one(self, tmp_path, capsys):
+        # 1e300 finite steps: one error line at once, not a run that never
+        # returns
+        code = run_cli("simulate", model_path("damped_oscillator"), "--dt", "1e-300",
+                       "--t-end", "1", "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "exceeds 1e+10 grid-point steps: dt=1e-300, t_end=1.0, N=1" in err
+        assert not list(tmp_path.iterdir())
+
     def test_rational_step_and_end_time(self, tmp_path):
         # --dt and --t-end read 1/200 as the model file and --param do: the
         # float of 0.005, so the same CSV bytes

@@ -261,7 +261,9 @@ def _agrees_with_sympy(M: sp.Matrix) -> None:
     ours, ref = ex.exact_nullspace(M), M.nullspace()
     assert len(ours) == len(ref)
     assert all(_same(u, v) for u, v in zip(ours, ref))
-    assert _same(ex.exact_pinv(M), M.pinv())
+    # exact_pinv takes symmetric matrices only
+    S = M + M.T if M.is_square else M.T * M
+    assert _same(ex.exact_pinv(S), S.pinv())
 
 
 class TestExactLinearAlgebra:
@@ -280,10 +282,20 @@ class TestExactLinearAlgebra:
         _agrees_with_sympy(M)
 
     def test_pinv_defining_identities(self):
-        M = sp.Matrix([[_PARAM, 1, 0], [2 * _PARAM, 2, 0]])
+        # symmetric, parametric and of rank 2 of 3
+        N = sp.Matrix([[_PARAM, 1, 0], [1, _PARAM, 1]])
+        M = N.T * N
+        assert M.is_symmetric() and ex.exact_rank(M) == 2
         P = ex.exact_pinv(M)
         assert _same(M * P * M, M) and _same(P * M * P, P)
         assert _same((M * P).T, M * P) and _same((P * M).T, P * M)
+
+    @pytest.mark.parametrize("M", [sp.Matrix([[1, 2], [3, 4]]), sp.Matrix([[1, -2, 3]]),
+                                   sp.Matrix([[_PARAM, 1], [_PARAM, 1]])],
+                             ids=["2x2", "1x3", "parametric"])
+    def test_pinv_rejects_a_non_symmetric_matrix(self, M):
+        with pytest.raises(ex.ExprError, match="symmetric"):
+            ex.exact_pinv(M)
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +675,9 @@ class TestDomainMatrix:
         if fallback:
             return
         # a matrix built natively gives the exact linear algebra the
-        # from_Matrix route gives; the pseudo-inverse is taken of the first
-        # row, since a 2x2 one over a fraction field in many generators can
-        # take minutes
-        exact = [(ex.exact_rank, M), (ex.exact_nullspace, M), (ex.exact_pinv, M[0, :])]
+        # from_Matrix route gives; the pseudo-inverse takes the symmetric
+        # M + M^T
+        exact = [(ex.exact_rank, M), (ex.exact_nullspace, M), (ex.exact_pinv, M + M.T)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ex, "_domain_matrix", from_matrix)
             ref = [_outcome(f, A) for f, A in exact]
@@ -861,9 +872,9 @@ def test_one_rank_rule_and_one_inversion():
     # the integrator's solve for the highest time derivatives
     assert {name for name, _ in _source_hits(r"\bRANK_TOL\b")} == {"expr.py"}
     assert _source_hits(r"\.det\(|\.inv\(|\bLUsolve\(|linalg\.(qr|inv|det)\b") == [
-        ("expr.py", "return (Ct * (C * Ct).inv() * (Bt * B).inv() * Bt).to_Matrix()"),
+        ("expr.py", "return (C.transpose() * (C * dM * C.transpose()).inv() * C).to_Matrix()"),
         ("numsim.py", "if M.det() == 0:"),
         ("numsim.py", "sol = M.LUsolve(b)")]
-    assert "(C * Ct).inv()" in inspect.getsource(ex.exact_pinv)
+    assert "(C * dM * C.transpose()).inv()" in inspect.getsource(ex.exact_pinv)
     source = inspect.getsource(numsim.compile_problem)
     assert "if M.det() == 0:" in source and "sol = M.LUsolve(b)" in source

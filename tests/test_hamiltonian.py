@@ -1,5 +1,7 @@
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcfield import expr as ex
 from mcfield.chart import ModelSpec
@@ -13,6 +15,43 @@ from conftest import total_derivative
 def _system(L, m=1, n=1, params=()):
     p = {str(s): s for s in params}
     return LagrangianSystem(ModelSpec("t", m, n, L, p))
+
+
+_A = sp.Symbol("a")
+
+
+def _coefficients(size):
+    """``size`` entries q + r a with small integers q, r."""
+    return st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda t: t[0] + t[1] * _A), min_size=size, max_size=size)
+
+
+def _kinetic_matrices(n):
+    """Symmetric n x n matrices of parametric entries, and singular ones:
+    a rank-one u u^T (rank 0 when u = 0)."""
+    def symmetric(xs):
+        upper, K = iter(xs), sp.zeros(n, n)
+        for i in range(n):
+            for j in range(i, n):
+                K[i, j] = K[j, i] = next(upper)
+        return K
+    full = _coefficients(n * (n + 1) // 2).map(symmetric)
+    rank_one = _coefficients(n).map(lambda u: sp.Matrix(u) * sp.Matrix(u).T)
+    return st.one_of(full, rank_one)
+
+
+def _quadratic_lagrangians():
+    """(n, L) with L = 1/2 v^T K v + b^T v - V over n = 1 or 2 fields,
+    m = 1: b has entries q s0 + r y1, and V = q a y0^2 + r s0."""
+    def build(n):
+        v = sp.Matrix([ex.velocity(A, 0) for A in range(n)])
+        linear = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+            lambda t: t[0] * ex.action(0) + t[1] * ex.field(n - 1)), min_size=n, max_size=n)
+        potential = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+            lambda t: t[0] * _A * ex.field(0) ** 2 + t[1] * ex.action(0))
+        return st.tuples(_kinetic_matrices(n), linear, potential).map(lambda t: (n, (
+            (v.T * t[0] * v)[0] / 2 + (sp.Matrix(t[1]).T * v)[0] - t[2])))
+    return st.integers(1, 2).flatmap(build)
 
 
 class TestLegendreMap:
@@ -52,6 +91,16 @@ class TestVelocityElimination:
         lag = _system(ex.velocity(0, 0) ** 3)
         with pytest.raises(ValueError):
             eliminate_velocities(lag)
+
+    @given(_quadratic_lagrangians())
+    @settings(max_examples=40, deadline=None)
+    def test_hamiltonian_is_p_v_minus_l_at_the_representative(self, case):
+        # the reference puts the representative into p v - L
+        n, L = case
+        elim = eliminate_velocities(_system(L, n=n, params=(_A,)))
+        pv = sum(ex.momentum(A, 0) * ex.velocity(A, 0) for A in range(n))
+        ref, = ex.exact_cancel(sp.Matrix([ex.expand((pv - L).xreplace(elim.representative))]))
+        assert ex.equal(elim.hamiltonian, ref).verdict is ex.Verdict.EXACT_EQUAL, L
 
     def test_maxwell_minimum_norm_and_constraints(self, maxwell):
         elim = eliminate_velocities(maxwell)
@@ -125,6 +174,20 @@ class TestHamiltonianSystem:
                 assert eqs[f"y[{A}]/x[{mu}]"].rhs == sp.cancel(dHdp)
                 p_dHdp += ex.momentum(A, mu) * dHdp
         assert eqs["action"].rhs == sp.expand(p_dHdp - ham.H)
+
+    def test_parametric_kinetic_matrix(self):
+        # a regular 3x3 Hessian whose entries mix four parameters, the
+        # fields and the action: a pseudo-inverse through W^T W stalls on it
+        text = ("1/2*(a+y[0]^2)*dy[0,0]^2 + 1/2*(b+y[1]*s[0])*dy[1,0]^2"
+                " + 1/2*(c+y[2]^2)*dy[2,0]^2 + y[0]*dy[0,0]*dy[1,0]"
+                " + k*y[2]*dy[1,0]*dy[2,0] + s[0]*dy[0,0]*dy[2,0] - k*s[0]")
+        params = sp.symbols("a b c k")
+        L = ex.parse_expr(text, 1, 3, {str(q): q for q in params})
+        lag = _system(L, n=3, params=params)
+        ham = HamiltonianSystem.from_legendre(lag)
+        assert ham.image_constraints == []
+        graph = UnifiedSystem(lag).legendre_graph()
+        assert ex.equal(ham.H.xreplace(graph), lag.energy).verdict is ex.Verdict.EXACT_EQUAL
 
     def test_singular_image_constraints_emitted(self, maxwell):
         eqs = HamiltonianSystem.from_legendre(maxwell).hhdw_equations()

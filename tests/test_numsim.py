@@ -263,10 +263,18 @@ class TestRun:
         (math.inf, 1.0, 1, "dt=inf"), (1e-3, -1.0, 1, "t_end=-1.0"),
         (1e-3, math.nan, 1, "t_end=nan"), (1e-3, math.inf, 1, "t_end=inf"),
         (5e-324, 1e10, 1, "dt=5e-324, t_end=10000000000.0"),
+        (1e-300, 1.0, 1, "dt=1e-300, t_end=1.0, N=1"),
         (1e-3, 1.0, 0, "cadence=0"), (1e-3, 1.0, -2, "cadence=-2")])
     def test_bad_step_end_time_or_cadence_rejected(self, dt, t_end, cadence, message):
         with pytest.raises(ValueError, match=message):
             numsim.run(_oscillator_problem(), dt=dt, t_end=t_end, cadence=cadence)
+
+    def test_work_cap_counts_grid_points(self):
+        # 1e9 steps are within the cap on one point, not on 16
+        p, _ = _bundled_problem("damped_wave", N=16)
+        with pytest.raises(ValueError, match=r"exceeds 1e\+10 grid-point steps: "
+                                             r"dt=1e-09, t_end=1.0, N=16"):
+            numsim.run(p, dt=1e-9, t_end=1.0)
 
     @pytest.mark.parametrize("name", ["damped_oscillator", "damped_wave"])
     @pytest.mark.parametrize("monitors,asked", [
