@@ -381,22 +381,21 @@ class _ContractionOp:
 
     ``keys`` are the form's monomials, in the order of the coefficient vector
     later passed to :meth:`at`.  Rows are indexed by the monomials of the
-    image; column j holds i(d/dz^j)form.
+    image, in order of first appearance (``row_index``); column j holds
+    i(d/dz^j)form.  A subset of rows is read by indexing the assembled
+    matrix: ``structure_diagnostics`` takes the Reeb operator as the
+    non-basal rows of the d(theta) contraction.
     """
 
-    def __init__(self, keys: Sequence[tuple[int, ...]], chart: Chart,
-                 skip_basal: bool = False):
+    def __init__(self, keys: Sequence[tuple[int, ...]], chart: Chart):
         rows: dict[tuple[int, ...], int] = {}
         self._entries: list[tuple[int, int, int, float]] = []  # row, col, key, sign
-        base_positions = set(range(chart.m))
         for j in range(chart.dim):
             for k, idx in enumerate(keys):
                 if j not in idx:
                     continue
                 t = idx.index(j)
                 rest = idx[:t] + idx[t + 1:]
-                if skip_basal and set(rest) <= base_positions:
-                    continue
                 if rest not in rows:
                     rows[rest] = len(rows)
                 self._entries.append((rows[rest], j, k, (-1.0) ** t))
@@ -443,10 +442,11 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     ``canonical_form`` builds; a form without it raises ``ExprError``) are
     evaluated by the shared seeded sampler (``expr.sampled``: their DAG is
     walked once and run on floats at ``samples`` points drawn from
-    ``seed``); the contraction matrices of theta, d(theta) and the Reeb
-    condition are assembled from their values at each point.  A kernel of
-    a stack of these matrices is an intersection of kernels.  omega = d^m x
-    kills exactly the non-base directions: its kernel is the constant
+    ``seed``); the contraction matrices of theta and d(theta) are assembled
+    from their values at each point, and the Reeb condition is the
+    non-basal rows of the d(theta) matrix.  A kernel of a stack of these
+    matrices is an intersection of kernels.  omega = d^m x kills exactly
+    the non-base directions: its kernel is the constant
     ``dim - m``, and restricting to it keeps the non-base columns.  Each
     point gives one ``_Ranks`` tuple of ranks (theta, d(theta), their stack,
     the stack on the non-base columns, the Reeb operator) and whether the
@@ -478,7 +478,8 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     # Reeb condition: R in ker(omega) with i(R)dtheta annihilating ker(omega).
     # A form annihilates ker(omega) iff all its monomials are purely basal, so
     # only the non-basal rows of the dtheta contraction constrain R.
-    op_reeb = _ContractionOp(dtheta_keys, chart, skip_basal=True)
+    reeb_rows = [r for key, r in op_dtheta.row_index.items()
+                 if not set(key) <= set(range(m))]
     # condition (4): { i(R)Theta } exhausts the semibasic (m-1)-forms
     # annihilating ker(omega), i.e. span{ d^{m-1}x_mu }
     semibasic_keys = [tuple(k for k in range(m) if k != mu) for mu in range(m)]
@@ -492,7 +493,7 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
         Mth, Mdth = op_theta.at(theta_vals), op_dtheta.at(dtheta_vals)
         stacked = np.vstack([Mth, Mdth])
         # the Reeb fields in ker(omega) coordinates, and their images under Theta
-        reeb = _nullspace(op_reeb.at(dtheta_vals)[:, m:])
+        reeb = _nullspace(Mdth[reeb_rows, m:])
         images = Mth[:, m:] @ reeb
         points.append(_Ranks(ex.numeric_rank(Mth), ex.numeric_rank(Mdth),
                              ex.numeric_rank(stacked), ex.numeric_rank(stacked[:, m:]),

@@ -47,7 +47,7 @@ EXIT_NOT_STABILIZED = 3
 
 
 def _color(text: str, code: str) -> str:
-    if os.environ.get("MCF_NO_COLOR") or not sys.stdout.isatty():
+    if os.environ.get("MCF_NO_COLOR") or not sys.stderr.isatty():
         return text
     return f"\x1b[{code}m{text}\x1b[0m"
 

@@ -745,7 +745,12 @@ def equal(a: sp.Expr, b: sp.Expr, seed: int = 42) -> EqualityResult:
     one cancellation path; 0 reports EXACT-EQUAL.  That is exact for
     expressions rational in their kernels (opaque function applications
     count as independent kernels, so identities like sin^2 + cos^2 = 1 are
-    *not* detected there).  Tier 2: evaluation at ``_EQUAL_SAMPLES`` random
+    *not* detected there).  A nonzero difference over a trusted domain
+    (ZZ, QQ, or a polynomial ring or fraction field over them in plain
+    symbols, the domains ``exact_cancel`` round-trips) is a nonzero
+    rational function: NOT-EQUAL, with no residual or witness, however
+    small its values.  Tier 2, only for what tier 1 cannot decide (a
+    function kernel, a Float): evaluation at ``_EQUAL_SAMPLES`` random
     rational points (:func:`admissible_points`) to 25 digits; max |residual|
     below ``_EQUAL_TOL`` reports NUMERICALLY-EQUAL, otherwise NOT-EQUAL
     with a witness point.
@@ -753,6 +758,8 @@ def equal(a: sp.Expr, b: sp.Expr, seed: int = 42) -> EqualityResult:
     delta = sp.sympify(a) - sp.sympify(b)
     if exact_cancel(sp.Matrix([delta]))[0] == 0:
         return EqualityResult(Verdict.EXACT_EQUAL)
+    if _trusted(_domain_matrix(sp.Matrix([delta])).domain):
+        return EqualityResult(Verdict.NOT_EQUAL)
     syms = sorted(delta.free_symbols, key=lambda s: s.name)
     points = admissible_points(syms, _EQUAL_SAMPLES, seed,
                                lambda p: complex(delta.xreplace(p).evalf(25)))
@@ -1007,45 +1014,61 @@ def exact_rank(M: sp.Matrix) -> int:
     return _domain_matrix(M).to_field().rank()
 
 
-def exact_nullspace(M: sp.Matrix) -> list[sp.Matrix]:
-    """Kernel basis in sympy's ``Matrix.nullspace`` convention.
-
-    One column vector per free column of the reduced row echelon form: 1 in
-    that column, minus the RREF column in the pivot slots, 0 elsewhere.
-    """
-    R, pivots = _domain_matrix(M).to_field().rref()
-    R = R.to_Matrix()
-    basis = []
-    for free in (j for j in range(M.cols) if j not in pivots):
-        v = sp.zeros(M.cols, 1)
-        v[free] = 1
+def _kernel_rows(R: DomainMatrix, pivots: tuple, cols: int) -> sp.Matrix:
+    """The kernel read from a reduced row echelon form ``R`` with ``pivots``:
+    one row per free column, 1 in that column, minus the RREF column in the
+    pivot slots, 0 elsewhere."""
+    free = [j for j in range(cols) if j not in pivots]
+    R, K = R.to_Matrix(), sp.zeros(len(free), cols)
+    for i, j in enumerate(free):
+        K[i, j] = 1
         for row, col in enumerate(pivots):
-            v[col] = -R[row, free]
-        basis.append(v)
-    return basis
+            K[i, col] = -R[row, j]
+    return K
 
 
-def exact_pinv(M: sp.Matrix) -> sp.Matrix:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix with real entries.
+def exact_nullspace(M: sp.Matrix) -> sp.Matrix:
+    """The kernel of ``M`` as the rows of one matrix: row i is the i-th
+    vector of sympy's ``Matrix.nullspace``, read from one RREF (0 rows when
+    ``M`` has full column rank)."""
+    R, pivots = _domain_matrix(M).to_field().rref()
+    return _kernel_rows(R, pivots, M.cols)
+
+
+def exact_pinv(M: sp.Matrix) -> tuple[sp.Matrix, sp.Matrix]:
+    """Moore-Penrose pseudo-inverse of a symmetric matrix with real entries,
+    and its kernel: ``(M^+, K)``, with K the rows :func:`exact_nullspace`
+    gives, both read from one RREF.
 
     C, the nonzero RREF rows, spans M's row and (M symmetric) column space,
     so M^+ = C^T (C M C^T)^-1 C: one inverse, of a rank-sized matrix, and
-    M^-1 on a regular M (C = I).  The general rank decomposition also
-    inverts B^T B (B the pivot columns), M^T M on a regular M: twice the
-    degree, which stalls on a 3x3 parametric Hessian.  Parameters are taken
-    real; a matrix not symmetric over the fraction field raises ExprError.
+    M^-1 on a regular M (C = I, K with 0 rows).  The general rank
+    decomposition also inverts B^T B (B the pivot columns), M^T M on a
+    regular M: twice the degree, which stalls on a 3x3 parametric Hessian.
+    Parameters are taken real; a matrix not symmetric over the fraction
+    field raises ExprError.
     """
     dM = _domain_matrix(M).to_field()
     if M.rows != M.cols or dM != dM.transpose():
         raise ExprError("exact_pinv needs a symmetric matrix")
     R, pivots = dM.rref()
+    K = _kernel_rows(R, pivots, M.cols)
     if not pivots:
-        return sp.zeros(M.cols, M.rows)
+        return sp.zeros(M.cols, M.rows), K
     C = R.extract(range(len(pivots)), range(M.cols))
-    return (C.transpose() * (C * dM * C.transpose()).inv() * C).to_Matrix()
+    return (C.transpose() * (C * dM * C.transpose()).inv() * C).to_Matrix(), K
 
 
 _EXACT_GROUNDS = (sp.ZZ, sp.QQ)
+
+
+def _trusted(dom) -> bool:
+    """Whether ``dom`` is ZZ, QQ, or a polynomial ring or fraction field over
+    them in plain symbols: a domain whose elements are in normal form, so
+    an element is zero exactly when it reads 0."""
+    return dom in _EXACT_GROUNDS or (
+        (dom.is_PolynomialRing or dom.is_FractionField)
+        and dom.domain in _EXACT_GROUNDS and all(g.is_Symbol for g in dom.symbols))
 
 
 def exact_cancel(M: sp.Matrix) -> sp.Matrix:
@@ -1057,21 +1080,17 @@ def exact_cancel(M: sp.Matrix) -> sp.Matrix:
     QQ, and otherwise (a function, a Float, no nonzero entry, a cancelled
     denominator) by ``DomainMatrix.from_Matrix``; both give the domain and
     elements sympy's ``construct_domain`` picks.  That domain is trusted
-    only when it is ZZ, QQ, or a polynomial ring or fraction field over ZZ
-    or QQ whose generators are all plain symbols.  There a round trip gives
-    each entry as numerator over denominator, cancelled and sign-normalised
-    over the integers: the very tree ``cancel`` builds, without its
-    ``factor_terms`` and ``signsimp`` passes.  Any other domain (EX, or a
-    generator such as ``sin(x)``, ``exp(x)``, ``sqrt(2)`` or ``zoo``) can
-    normalise differently, so those matrices go through ``sp.cancel``
-    entry by entry.
+    (:func:`_trusted`) only when it is ZZ, QQ, or a polynomial ring or
+    fraction field over ZZ or QQ whose generators are all plain symbols.
+    There a round trip gives each entry as numerator over denominator,
+    cancelled and sign-normalised over the integers: the very tree
+    ``cancel`` builds, without its ``factor_terms`` and ``signsimp``
+    passes.  Any other domain (EX, or a generator such as ``sin(x)``,
+    ``exp(x)``, ``sqrt(2)`` or ``zoo``) can normalise differently, so
+    those matrices go through ``sp.cancel`` entry by entry.
     """
     dM = _domain_matrix(M)
-    dom = dM.domain
-    if dom in _EXACT_GROUNDS or (
-            (dom.is_PolynomialRing or dom.is_FractionField)
-            and dom.domain in _EXACT_GROUNDS
-            and all(g.is_Symbol for g in dom.symbols)):
+    if _trusted(dM.domain):
         return dM.to_Matrix()
     return M.applyfunc(sp.cancel)
 

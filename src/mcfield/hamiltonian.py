@@ -55,13 +55,14 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
     symmetric Hessian of the derivative table, so c is the momenta at rest
     (every velocity set to 0) once W is checked to be free of velocities.
     All linear algebra is exact over the fraction field of the parameters
-    (``expr.exact_*``).  There is one inversion path: the minimum-norm
-    solution v+ = W^+ (p - c), and the linear conditions k^T (p - c) = 0, k
-    in the kernel of W, that characterize the image; on an invertible W
-    the pseudo-inverse is W^-1 and the kernel is empty.  As L = L|_{v=0} +
-    c^T v + v^T W v / 2, for every p H = p^T v+ - L(v+) is the quadratic
-    form (p - c)^T v+ / 2 - L|_{v=0}, by W^+ W W^+ = W^+ and the symmetry of
-    W^+, so the representative is never put into L.
+    (``expr.exact_*``).  There is one inversion path, one reduction of W
+    (``expr.exact_pinv``): the minimum-norm solution v+ = W^+ (p - c), and
+    the linear conditions K (p - c) = 0, K's rows the kernel of W, that
+    characterize the image; on an invertible W the pseudo-inverse is W^-1
+    and K has no rows.  As L = L|_{v=0} + c^T v + v^T W v / 2, for every p
+    H = p^T v+ - L(v+) is the quadratic form (p - c)^T v+ / 2 - L|_{v=0},
+    by W^+ W W^+ = W^+ and the symmetry of W^+, so the representative is
+    never put into L; H is cancelled once, as one sum.
     """
     pairs = [(A, mu) for A in range(lag.n) for mu in range(lag.m)]
     vel = [ex.velocity(A, mu) for A, mu in pairs]
@@ -73,11 +74,11 @@ def eliminate_velocities(lag: LagrangianSystem) -> VelocityElimination:
     c = sp.Matrix([p.xreplace(rest) for p in lag.momenta])
     rhs = sp.Matrix([ex.momentum(A, mu) for A, mu in pairs]) - c
 
-    v_min = ex.exact_product(ex.exact_pinv(W), rhs)
-    kernel = ex.exact_nullspace(W)
-    resids = ex.exact_product(sp.Matrix(len(kernel), W.rows, lambda i, j: kernel[i][j]), rhs)
-    constraints = [r for r in map(ex.expand, resids) if r != 0]
-    H, = ex.exact_cancel(ex.exact_product(rhs.T, v_min) / 2 - sp.Matrix([lag.L.xreplace(rest)]))
+    W_pinv, K = ex.exact_pinv(W)
+    v_min = ex.exact_product(W_pinv, rhs)
+    constraints = [r for r in map(ex.expand, ex.exact_product(K, rhs)) if r != 0]
+    H, = ex.exact_cancel(sp.Matrix([sp.Add(*[r * v for r, v in zip(rhs, v_min)]) / 2
+                                    - lag.L.xreplace(rest)]))
     return VelocityElimination(dict(zip(vel, v_min)), constraints, H)
 
 

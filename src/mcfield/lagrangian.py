@@ -284,14 +284,16 @@ class LagrangianSystem:
 
     def reeb_fields(self) -> list[VectorField]:
         """The local Reeb basis (R_L)_mu, regular Lagrangians only."""
-        H = self.hessian()
-        if ex.exact_rank(H) < H.rows:
+        # one reduction of H: its pseudo-inverse, which is H^-1 when its
+        # kernel is empty
+        H_pinv, K = ex.exact_pinv(self.hessian())
+        if K.rows:
             raise ex.ExprError("Reeb fields need a regular Lagrangian")
-        # the velocity components: -d^2L/ds^mu dy^A_nu times H^-1 (the
-        # pseudo-inverse of a regular H), all cancelled at once
+        # the velocity components: -d^2L/ds^mu dy^A_nu times H^-1, all
+        # cancelled at once
         mixed = sp.Matrix([[row.get(ex.action(mu), 0) for row in self.momentum_jet]
                            for mu in range(self.m)])
-        coeffs = ex.exact_product(-mixed, ex.exact_pinv(H))
+        coeffs = ex.exact_product(-mixed, H_pinv)
         chart = self.chart
         fields = []
         for mu in range(self.m):

@@ -264,13 +264,11 @@ class UnifiedSystem:
             # restrict the coefficient matrix to the constraint submanifold
             A_on = ex.exact_cancel(A.xreplace(graph))
             left_kernel = ex.exact_nullspace(A_on.T)
-            self._check_kernel_dim(A_on, len(left_kernel), seed, notes)
+            self._check_kernel_dim(A_on, left_kernel.rows, seed, notes)
 
             new_gen: list[sp.Expr] = []
             new_rows = []
-            cands = ex.exact_product(sp.Matrix(len(left_kernel), A_on.rows,
-                                               lambda i, j: left_kernel[i][j]), b)
-            for cand in map(ex.expand, cands):
+            for cand in map(ex.expand, ex.exact_product(left_kernel, b)):
                 if cand == 0:
                     continue
                 if not (cand.free_symbols & coords):

@@ -2,8 +2,10 @@ import argparse
 import dataclasses
 import functools
 import inspect
+import io
 import pathlib
 import re
+import sys
 import textwrap
 
 import pytest
@@ -329,6 +331,24 @@ class TestExitCodesAndErrors:
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli("derive", model_path("damped_oscillator"),
                        "--frobnicate") == 1
+
+    @pytest.mark.parametrize("stdout_tty,stderr_tty", [(True, False), (False, True)],
+                             ids=["stdout-terminal", "stderr-terminal"])
+    def test_error_colored_only_on_a_terminal_stderr(self, monkeypatch, stdout_tty,
+                                                     stderr_tty):
+        # the error line is written to stderr, so stderr alone decides its color
+        class Stream(io.StringIO):
+            def __init__(self, tty):
+                super().__init__()
+                self.isatty = lambda: tty
+
+        out, err = Stream(stdout_tty), Stream(stderr_tty)
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.delenv("MCF_NO_COLOR", raising=False)
+        assert run_cli("derive", "no_such_model") == 1
+        assert "error: " in err.getvalue()
+        assert ("\x1b[" in err.getvalue()) is stderr_tty
 
 
 def _one_error_line(capsys) -> tuple[str, str]:

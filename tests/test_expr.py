@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from sympy.polys.matrices import DomainMatrix
@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from mcfield import cli, numsim
 from mcfield import expr as ex
 from mcfield.calculus import structure_diagnostics
-from mcfield.hamiltonian import HamiltonianSystem
+from mcfield.hamiltonian import HamiltonianSystem, eliminate_velocities
 from mcfield.lagrangian import LagrangianSystem
 from mcfield.modelfile import load_model
 from mcfield.unified import UnifiedSystem
@@ -161,8 +161,12 @@ class TestNormalFormAndEquality:
         assert r.verdict in (ex.Verdict.EXACT_EQUAL, ex.Verdict.NUMERICALLY_EQUAL)
 
     def test_not_equal(self):
-        r = ex.equal(ex.field(0), ex.field(0) + 1)
-        assert r.verdict is ex.Verdict.NOT_EQUAL and not bool(r)
+        # a nonzero rational difference is NOT-EQUAL from the exact tier
+        # however small its values: y/10^12 stays below the float tolerance
+        y = ex.field(0)
+        for a, b in [(y, y + 1), (y / 10 ** 12, 0)]:
+            r = ex.equal(a, b)
+            assert r.verdict is ex.Verdict.NOT_EQUAL and not bool(r), (a, b)
 
     def test_equal_is_seeded_deterministic(self):
         a, b = sp.sin(ex.base(0)) ** 2, 1 - sp.cos(ex.base(0)) ** 2
@@ -258,12 +262,19 @@ def _same(a: sp.Matrix, b: sp.Matrix) -> bool:
 
 def _agrees_with_sympy(M: sp.Matrix) -> None:
     assert ex.exact_rank(M) == M.rank()
-    ours, ref = ex.exact_nullspace(M), M.nullspace()
-    assert len(ours) == len(ref)
-    assert all(_same(u, v) for u, v in zip(ours, ref))
-    # exact_pinv takes symmetric matrices only
+    # row i of exact_nullspace is sympy's i-th nullspace vector
+    ref = M.nullspace()
+    assert _same(ex.exact_nullspace(M), sp.Matrix(len(ref), M.cols, [x for v in ref for x in v]))
+    # exact_pinv takes symmetric matrices only, and its kernel rows are
+    # exact_nullspace's, read from the same reduction
     S = M + M.T if M.is_square else M.T * M
-    assert _same(ex.exact_pinv(S), S.pinv())
+    P, K = ex.exact_pinv(S)
+    assert _same(P, S.pinv()) and K == ex.exact_nullspace(S)
+
+
+# hypothesis's explain phase re-runs a failing example under a line tracer,
+# through sympy's symbolic pinv: minutes per wrong pseudo-inverse
+_NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
 
 
 class TestExactLinearAlgebra:
@@ -272,12 +283,12 @@ class TestExactLinearAlgebra:
         _agrees_with_sympy(M)
 
     @given(_integer_matrices())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=_NO_EXPLAIN)
     def test_integer_matrices(self, M):
         _agrees_with_sympy(M)
 
     @given(_parametric_matrices())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, phases=_NO_EXPLAIN)
     def test_one_parameter_matrices(self, M):
         _agrees_with_sympy(M)
 
@@ -286,9 +297,22 @@ class TestExactLinearAlgebra:
         N = sp.Matrix([[_PARAM, 1, 0], [1, _PARAM, 1]])
         M = N.T * N
         assert M.is_symmetric() and ex.exact_rank(M) == 2
-        P = ex.exact_pinv(M)
-        assert _same(M * P * M, M) and _same(P * M * P, P)
+        P, K = ex.exact_pinv(M)
+        assert _same(M * P * M, M) and _same(P * M * P, P) and _same(K * M, sp.zeros(1, 3))
         assert _same((M * P).T, M * P) and _same((P * M).T, P * M)
+
+    def test_one_reduction_per_hessian(self, models, monkeypatch):
+        # the Legendre map and the Reeb fields each reduce their Hessian
+        # once: exact_pinv's RREF gives the pseudo-inverse and the kernel
+        maxwell = LagrangianSystem(models["maxwell"][0])
+        oscillator = LagrangianSystem(models["damped_oscillator"][0])
+        reductions, rref = [], DomainMatrix.rref
+        monkeypatch.setattr(DomainMatrix, "rref",
+                            lambda dM, *a, **k: reductions.append(dM.shape) or rref(dM, *a, **k))
+        elim = eliminate_velocities(maxwell)
+        assert not elim.regular and reductions == [(16, 16)]
+        reductions.clear()
+        assert len(oscillator.reeb_fields()) == 1 and reductions == [(1, 1)]
 
     @pytest.mark.parametrize("M", [sp.Matrix([[1, 2], [3, 4]]), sp.Matrix([[1, -2, 3]]),
                                    sp.Matrix([[_PARAM, 1], [_PARAM, 1]])],
@@ -638,8 +662,8 @@ def _fallback_class(M: sp.Matrix):
 
 
 def _same_outcome(a, b) -> bool:
-    if isinstance(a, list):
-        return isinstance(b, list) and len(a) == len(b) and all(map(_same_outcome, a, b))
+    if isinstance(a, (list, tuple)):
+        return type(b) is type(a) and len(a) == len(b) and all(map(_same_outcome, a, b))
     if isinstance(a, sp.MatrixBase):
         return isinstance(b, sp.MatrixBase) and a.shape == b.shape and all(map(_same_tree, a, b))
     return a == b
@@ -872,7 +896,7 @@ def test_one_rank_rule_and_one_inversion():
     # the integrator's solve for the highest time derivatives
     assert {name for name, _ in _source_hits(r"\bRANK_TOL\b")} == {"expr.py"}
     assert _source_hits(r"\.det\(|\.inv\(|\bLUsolve\(|linalg\.(qr|inv|det)\b") == [
-        ("expr.py", "return (C.transpose() * (C * dM * C.transpose()).inv() * C).to_Matrix()"),
+        ("expr.py", "return (C.transpose() * (C * dM * C.transpose()).inv() * C).to_Matrix(), K"),
         ("numsim.py", "if M.det() == 0:"),
         ("numsim.py", "sol = M.LUsolve(b)")]
     assert "(C * dM * C.transpose()).inv()" in inspect.getsource(ex.exact_pinv)
