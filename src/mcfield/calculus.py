@@ -10,10 +10,12 @@ degree < k gives zero.
 
 ``structure_diagnostics`` classifies a pair (theta, omega) numerically:
 the coefficients are evaluated at the package's seeded sample points
-(``expr.sampled``), and every kernel and every intersection of kernels is
-sized there by the rank of a stacked contraction matrix under the one rank
-rule of ``expr.numeric_rank`` (``expr.singular_rank``); the report holds
-the generic ranks (``expr.generic``), tagged probabilistic.  It reads
+(``expr.sampled``), one contraction matrix of theta and d(theta) is
+assembled at each, and every kernel, intersection of kernels and image
+condition is read from the rank of a selection of its rows and columns
+under the one rank rule of ``expr.numeric_rank``; no kernel basis is
+formed.  The report holds the generic ranks (``expr.generic``), tagged
+probabilistic.  It reads
 d(theta) from ``Form.exterior``, which only ``canonical_form`` sets: the builder
 assembles d(theta) from the partials its caller passes (the derivative
 table for Theta_L, unit jets and a gradient for the coordinate momenta of
@@ -379,12 +381,13 @@ class StructureReport:
 class _ContractionOp:
     """The linear map v -> i(v)form, assembled from numeric coefficients.
 
-    ``keys`` are the form's monomials, in the order of the coefficient vector
-    later passed to :meth:`at`.  Rows are indexed by the monomials of the
-    image, in order of first appearance (``row_index``); column j holds
-    i(d/dz^j)form.  A subset of rows is read by indexing the assembled
-    matrix: ``structure_diagnostics`` takes the Reeb operator as the
-    non-basal rows of the d(theta) contraction.
+    ``keys`` are the monomials of one form or of several, in the order of
+    the coefficient vector later passed to :meth:`at`.  Rows are indexed by
+    the monomials of the image, in order of first appearance
+    (``row_index``); column j holds i(d/dz^j) of each form.  Forms of
+    different degrees never share a row, so ``structure_diagnostics``
+    builds one operator over theta's and d(theta)'s monomials and reads
+    every rank it needs from a selection of its rows and columns.
     """
 
     def __init__(self, keys: Sequence[tuple[int, ...]], chart: Chart):
@@ -400,21 +403,13 @@ class _ContractionOp:
                     rows[rest] = len(rows)
                 self._entries.append((rows[rest], j, k, (-1.0) ** t))
         self.row_index = rows
-        self.shape = (max(len(rows), 1), chart.dim)
+        self.shape = (len(rows), chart.dim)
 
     def at(self, coeffs: Sequence[float]) -> np.ndarray:
         M = np.zeros(self.shape)
         for r, c, k, sign in self._entries:
             M[r, c] += sign * coeffs[k]
         return M
-
-
-def _nullspace(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the kernel (columns)."""
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1])
-    u, s, vt = np.linalg.svd(M)
-    return vt[ex.singular_rank(s):].T
 
 
 class _Ranks(NamedTuple):
@@ -442,15 +437,19 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     ``canonical_form`` builds; a form without it raises ``ExprError``) are
     evaluated by the shared seeded sampler (``expr.sampled``: their DAG is
     walked once and run on floats at ``samples`` points drawn from
-    ``seed``); the contraction matrices of theta and d(theta) are assembled
-    from their values at each point, and the Reeb condition is the
-    non-basal rows of the d(theta) matrix.  A kernel of a stack of these
-    matrices is an intersection of kernels.  omega = d^m x kills exactly
-    the non-base directions: its kernel is the constant
-    ``dim - m``, and restricting to it keeps the non-base columns.  Each
-    point gives one ``_Ranks`` tuple of ranks (theta, d(theta), their stack,
-    the stack on the non-base columns, the Reeb operator) and whether the
-    Reeb images span; the report is read from the generic tuple
+    ``seed``), and one contraction matrix of both forms is assembled from
+    their values at each point: theta's rows (images of degree m - 1) over
+    d(theta)'s (degree m).  Every verdict is the rank of a selection of its
+    rows and columns; a kernel of a stack of rows is an intersection of
+    kernels.  omega = d^m x kills exactly the non-base directions: its
+    kernel is the constant ``dim - m``, and restricting to it keeps the
+    non-base columns.  There the Reeb operator R is the non-basal rows of
+    d(theta), and theta's image on ker R spans the semibasic (m-1)-forms
+    exactly when rank [R; T] - rank R, the rank of a row selection T of
+    theta on ker R, is m on the semibasic rows and 0 on the others.  Each
+    point gives one ``_Ranks`` tuple of ranks (theta, d(theta), their
+    stack, the stack on the non-base columns, R) and whether the Reeb
+    images span; the report is read from the generic tuple
     (``expr.generic``), with a note, naming each rank, when the points
     disagree.
     """
@@ -471,35 +470,30 @@ def structure_diagnostics(theta: Form, chart: Chart, samples: int = 8,
     params -= set(chart.coords)
     args = list(chart.coords) + sorted(params, key=lambda s: s.name)
 
-    theta_keys = list(theta.terms)
-    dtheta_keys = list(dtheta.terms)
-    op_theta = _ContractionOp(theta_keys, chart)
-    op_dtheta = _ContractionOp(dtheta_keys, chart)
+    op = _ContractionOp(list(theta.terms) + list(dtheta.terms), chart)
+    monomials = list(op.row_index)  # row r holds the image monomial monomials[r]
+    basal = {r for r, key in enumerate(monomials) if set(key) <= set(range(m))}
+    theta_rows = [r for r, key in enumerate(monomials) if len(key) < m]
+    dtheta_rows = [r for r, key in enumerate(monomials) if len(key) == m]
     # Reeb condition: R in ker(omega) with i(R)dtheta annihilating ker(omega).
     # A form annihilates ker(omega) iff all its monomials are purely basal, so
     # only the non-basal rows of the dtheta contraction constrain R.
-    reeb_rows = [r for key, r in op_dtheta.row_index.items()
-                 if not set(key) <= set(range(m))]
+    reeb_rows = [r for r in dtheta_rows if r not in basal]
     # condition (4): { i(R)Theta } exhausts the semibasic (m-1)-forms
-    # annihilating ker(omega), i.e. span{ d^{m-1}x_mu }
-    semibasic_keys = [tuple(k for k in range(m) if k != mu) for mu in range(m)]
-    sb_rows = [r for key, r in op_theta.row_index.items() if key in semibasic_keys]
-    other_rows = [r for key, r in op_theta.row_index.items()
-                  if key not in semibasic_keys]
+    # annihilating ker(omega), i.e. span{ d^{m-1}x_mu }, theta's basal rows
+    semibasic_rows = [r for r in theta_rows if r in basal]
+    other_rows = [r for r in theta_rows if r not in basal]
 
     points = []
     for vals in ex.sampled(coeffs, args, samples, seed):
-        theta_vals, dtheta_vals = vals[:len(theta_keys)], vals[len(theta_keys):]
-        Mth, Mdth = op_theta.at(theta_vals), op_dtheta.at(dtheta_vals)
-        stacked = np.vstack([Mth, Mdth])
-        # the Reeb fields in ker(omega) coordinates, and their images under Theta
-        reeb = _nullspace(Mdth[reeb_rows, m:])
-        images = Mth[:, m:] @ reeb
-        points.append(_Ranks(ex.numeric_rank(Mth), ex.numeric_rank(Mdth),
-                             ex.numeric_rank(stacked), ex.numeric_rank(stacked[:, m:]),
-                             dim - m - reeb.shape[1],
-                             ex.numeric_rank(images[other_rows]) == 0
-                             and ex.numeric_rank(images[sb_rows]) == m))
+        M = op.at(vals)
+        on_ker_omega = M[:, m:]
+        reeb = ex.numeric_rank(on_ker_omega[reeb_rows])
+        points.append(_Ranks(
+            ex.numeric_rank(M[theta_rows]), ex.numeric_rank(M[dtheta_rows]),
+            ex.numeric_rank(M), ex.numeric_rank(on_ker_omega), reeb,
+            ex.numeric_rank(on_ker_omega[reeb_rows + other_rows]) == reeb
+            and ex.numeric_rank(on_ker_omega[reeb_rows + semibasic_rows]) == reeb + m))
 
     notes: list[str] = []
     r_theta, r_dtheta, r_stack, r_core, r_reeb, span_ok = ex.generic(

@@ -84,7 +84,6 @@ __all__ = [
     "admissible_points",
     "sampled",
     "RANK_TOL",
-    "singular_rank",
     "numeric_rank",
     "generic",
     "exact_rank",
@@ -886,18 +885,15 @@ def _unflatten(shape, regs: list):
 RANK_TOL = 1e-9
 
 
-def singular_rank(s: np.ndarray) -> int:
-    """How many of the descending singular values ``s`` count as nonzero:
-    those above ``RANK_TOL * max(1, s_0)``, the package's one rank rule."""
-    return int(np.sum(s > RANK_TOL * max(1.0, s[0]))) if len(s) else 0
-
-
 def numeric_rank(M) -> int:
-    """Numeric rank of a float matrix by :func:`singular_rank`."""
+    """Numeric rank of a float matrix: how many of its singular values s
+    count as nonzero, those above ``RANK_TOL * max(1, s_0)``, the package's
+    one rank rule."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    return singular_rank(np.linalg.svd(M, compute_uv=False))
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > RANK_TOL * max(1.0, s[0])))
 
 
 def generic(values: Sequence, what: str, notes: list[str]):

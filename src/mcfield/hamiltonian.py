@@ -17,6 +17,7 @@ x^nu-gradient of p^mu_A, ds[nu,mu] for the x^mu-gradient of s^nu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import sympy as sp
 
@@ -119,10 +120,15 @@ class HamiltonianSystem:
         return canonical_form(self.chart, momenta, [{p: sp.S.One} for p in momenta],
                               self.H, ex.gradient(self.H, self.chart.coords))
 
+    @cached_property
+    def action_partials(self) -> list[sp.Expr]:
+        """dH/ds^mu for every action coordinate."""
+        return [ex.diff(self.H, ex.action(mu)) for mu in range(self.m)]
+
     def sigma(self) -> Form:
         """Dissipation 1-form sigma_H = (dH/ds^mu) dx^mu."""
-        return one_form(self.chart, {ex.base(mu): ex.diff(self.H, ex.action(mu))
-                                     for mu in range(self.m)})
+        return one_form(self.chart, {ex.base(mu): a
+                                     for mu, a in enumerate(self.action_partials)})
 
     # field equations ------------------------------------------------------
     def hhdw_equations(self) -> EquationSet:
@@ -146,8 +152,7 @@ class HamiltonianSystem:
         for A in range(self.n):
             lhs = sum(ex.momentum_grad(A, mu, mu) for mu in range(self.m))
             rhs = -(ex.diff(self.H, ex.field(A))
-                    + sum(ex.momentum(A, mu) * ex.diff(self.H, ex.action(mu))
-                          for mu in range(self.m)))
+                    + sum(ex.momentum(A, mu) * a for mu, a in enumerate(self.action_partials)))
             eqs.equations.append(Equation(f"p[{A}]", lhs, ex.expand(rhs),
                                           EquationRole.EVOLUTION))
         balance_lhs = sum(ex.action_grad(mu, mu) for mu in range(self.m))

@@ -41,8 +41,9 @@ then ends non-finite, as its first stage would have at an array.  The one
 difference from 1-element arrays: an intermediate overflow whose step still
 ends finite no longer warns (and a failed block, which runs on past its
 failure, may warn before its replay, as may a step's closing evaluations
-on the non-finite state it ends on, and ``_evaluate`` on the last good
-state, for the density a replayed step did not evaluate).  A one-point
+on the non-finite state it ends on, and, where ``action_balance_fd``
+makes every step a block, ``_evaluate`` on a last good state no sample
+asked a density of).  A one-point
 state keeps the returned scalars (``_PointState``) and builds its
 ``(n_vars, 1)`` read-only array only when something reads it.
 ``_PointwisePrinter`` exists for the bits: ``float64 ** e`` calls libm
@@ -546,14 +547,15 @@ def _advance(p: EvolutionProblem, start: tuple, dt: float, count: int,
     density) triple: the triple at the last finite state and the number of
     steps to it.  Several steps are one call of the block; where that
     fails, they are replayed by ``_step`` up to the first non-finite state
-    (see the module docstring).  Only the state after all ``count`` steps
-    carries a density, and only if ``energy``."""
+    (see the module docstring).  If ``energy``, the returned state carries
+    its density: a replayed step evaluates it on every state, so that a
+    last good state before the end needs no second evaluation."""
     if count > 1:
         new = _block(p, start, dt, count, energy)
         if new is not None and new[0].finite:
             return new, count
     for done in range(count):
-        new = _step(p, start, dt, energy and done == count - 1)
+        new = _step(p, start, dt, energy)
         if not new[0].finite:
             return start, done
         start = new
@@ -621,7 +623,8 @@ def run(p: EvolutionProblem, dt: float, t_end: float, cadence: int = 1) -> RunRe
     sample, and ``action_balance_fd``'s centered-in-time residual comes
     from the per-step ``s^0`` and L histories after the run.  A non-finite
     state aborts the run, and the last good state is sampled if it was not
-    already, its density from ``_evaluate``.
+    already, with the density its replayed step evaluated (from
+    ``_evaluate`` if its block did not ask for one).
     """
     _check_step(p, dt)
     if not (math.isfinite(t_end) and t_end >= 0):

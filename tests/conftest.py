@@ -4,6 +4,7 @@ import sys
 
 import pytest
 import sympy as sp
+from hypothesis import Phase, settings
 
 from mcfield import expr as ex
 from mcfield.chart import ModelSpec
@@ -15,6 +16,13 @@ ROOT = pathlib.Path(__file__).parent.parent
 MODELS = ROOT / "src" / "mcfield" / "models"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TEST_MODELS = pathlib.Path(__file__).parent / "models"   # test-only, non-polynomial
+
+# hypothesis's explain phase re-runs a failing example under a line tracer,
+# through sympy: a wrong pseudo-inverse or Hamiltonian took 30 s to minutes
+# to go red.  It only annotates a failure, so the examples and the verdict
+# stay; a test's own @settings inherits these phases
+settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 
 def model_path(name: str) -> str:

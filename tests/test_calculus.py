@@ -1,13 +1,11 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfield import calculus
 from mcfield import expr as ex
 from mcfield.calculus import (Form, MultiVector, VectorField, contract,
                               coframe_volume_contraction, d, pullback,
@@ -136,12 +134,22 @@ class TestStructureDiagnostics:
         rep = structure_diagnostics(vol, ch, samples=4)
         assert not rep.is_multicontact and not rep.is_special
 
-    @pytest.mark.parametrize("M", [np.zeros((2, 3)), [[1, 2], [3, 4]], np.eye(3),
-                                   np.diag([1e3, 5e-7]), [[1, 2, 3], [2, 4, 6 + 1e-12]]])
-    def test_kernel_dimension_follows_numeric_rank(self, M):
-        # the kernels and every sampled rank share expr's one rank rule
-        M = np.asarray(M, dtype=float)
-        assert calculus._nullspace(M).shape[1] == M.shape[1] - ex.numeric_rank(M)
+    @pytest.mark.parametrize("m,terms", [
+        # theta = y dx: the Reeb images miss the semibasic 0-form 1
+        (1, {(0,): ex.field(0)}),
+        # in chart positions (x0 x1 y0 dy00 dy01 s0 s1): the images on the
+        # semibasic rows have rank below m
+        (2, {(1, 4): ex.base(1), (1, 3): -ex.base(0) - ex.base(1)}),
+        # a Reeb field maps theta onto a non-semibasic row
+        (2, {(3, 4): -1, (1, 3): ex.base(1), (0, 4): -ex.base(1)}),
+    ], ids=["y-dx", "semibasic-rank", "non-semibasic-image"])
+    def test_reeb_images_that_do_not_span_are_not_special(self, m, terms):
+        # the Reeb rank is m + k, so only the span condition refuses them
+        ch = build_chart(ChartKind.P, m, 1)
+        theta = Form(ch, m, terms)
+        theta.exterior = d(theta)
+        rep = structure_diagnostics(theta, ch)
+        assert rep.rank_reeb == m + rep.k and not rep.is_special
 
 
 # -- structure diagnostics against exact ranks ---------------------------------
@@ -149,19 +157,23 @@ class TestStructureDiagnostics:
 VARIED = "structure ranks varied across samples: "
 
 
-def _exact_contraction(columns, point) -> sp.Matrix:
+def _exact_contraction(columns, point, rows=lambda key: True) -> sp.Matrix:
     """Column j holds i(d/dz^j) of a form, evaluated exactly at ``point``;
-    one row per monomial of the images."""
-    keys = sorted(set().union(*(c.terms for c in columns)))
+    one row per monomial of the images that ``rows`` accepts."""
+    keys = sorted(k for k in set().union(*(c.terms for c in columns)) if rows(k))
     return sp.Matrix(len(keys), len(columns),
                      lambda r, j: sp.sympify(columns[j].terms.get(keys[r], 0)).xreplace(point))
 
 
 def _exact_ranks(theta, chart, samples, seed) -> list[dict]:
-    """ker theta, ker dtheta, their intersection (premult) and the core
-    (with ker omega too) at each seeded point: the kernels of the stacked
-    contraction matrices of omega = d^m x, theta and calculus.d(theta), in
-    exact Rationals at the points structure_diagnostics draws."""
+    """ker theta, ker dtheta, their intersection (premult), the core (with
+    ker omega too), the Reeb fields and whether their images span, at each
+    seeded point, in exact Rationals at the points structure_diagnostics
+    draws.  The kernels are those of the stacked contraction matrices of
+    omega = d^m x, theta and calculus.d(theta).  The Reeb fields are the
+    kernel, within ker omega, of d(theta)'s non-basal rows; their images
+    under theta span when they are 0 on theta's non-basal rows and of rank
+    m on its basal (semibasic) rows."""
     forms = [volume_form(chart), theta, d(theta)]
     columns = [[contract(VectorField.basis(chart, z), f) for z in chart.coords]
                for f in forms]
@@ -169,34 +181,47 @@ def _exact_ranks(theta, chart, samples, seed) -> list[dict]:
                            for c in f.terms.values())) - set(chart.coords)
     args = list(chart.coords) + sorted(params, key=lambda s: s.name)
     rng = random.Random(seed)
-    dim = chart.dim
+    dim, m = chart.dim, chart.m
+
+    def basal(key):
+        return set(key) <= set(range(m))
+
     out = []
     for _ in range(samples):
         point = ex.random_rational_point(args, rng)
         omega, th, dth = (_exact_contraction(cols, point) for cols in columns)
+        reeb = ex.exact_nullspace(
+            _exact_contraction(columns[2], point, lambda key: not basal(key))[:, m:]).T
+        semibasic, other = (_exact_contraction(columns[1], point, keep)[:, m:] * reeb
+                            for keep in (basal, lambda key: not basal(key)))
         out.append(dict(ker_theta=dim - ex.exact_rank(th),
                         ker_dtheta=dim - ex.exact_rank(dth),
                         premult=dim - ex.exact_rank(th.col_join(dth)),
-                        core=dim - ex.exact_rank(omega.col_join(th).col_join(dth))))
+                        core=dim - ex.exact_rank(omega.col_join(th).col_join(dth)),
+                        reeb=reeb.cols,
+                        span=ex.exact_rank(other) == 0 and ex.exact_rank(semibasic) == m))
     return out
 
 
 def _agrees_with_exact_ranks(lag, samples=8, seed=42):
     """The report of Theta_L at the check defaults against the exact ranks:
     the generic point's ranks are reported (the largest ranks of theta,
-    dtheta, their stack and the core's stack, compared in that order; the
+    dtheta, their stack, the core's stack and the Reeb operator, then a
+    spanning point over one that does not, compared in that order; the
     first such point), and a note says when any point's exact ranks differ
     from them."""
     rep = structure_diagnostics(lag.theta(), lag.chart, samples=samples, seed=seed)
     exact = _exact_ranks(lag.theta(), lag.chart, samples, seed)
     generic = min(exact, key=lambda r: (r["ker_theta"], r["ker_dtheta"], r["premult"],
-                                        r["core"]))
-    name = lag.spec.name
-    assert (rep.rank_ker_theta, rep.rank_ker_dtheta, rep.k) == (
-        generic["ker_theta"], generic["ker_dtheta"], generic["core"]), name
+                                        r["core"], r["reeb"], not r["span"]))
+    name, m = lag.spec.name, lag.m
+    assert (rep.rank_ker_theta, rep.rank_ker_dtheta, rep.k, rep.rank_reeb) == (
+        generic["ker_theta"], generic["ker_dtheta"], generic["core"], generic["reeb"]), name
     assert rep.is_premulticontact == (generic["premult"] > 0), name
     assert rep.is_multicontact == (generic["premult"] == 0
                                    and generic["ker_dtheta"] > 0), name
+    assert rep.is_special == (generic["reeb"] == m + generic["core"]
+                              and generic["span"]), name
     if any(r != generic for r in exact):
         assert any(note.startswith(VARIED) for note in rep.notes), name
     return rep, exact

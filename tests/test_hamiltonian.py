@@ -136,6 +136,22 @@ class TestHamiltonianSystem:
         ham = HamiltonianSystem.from_legendre(oscillator)
         assert ham.sigma().terms == oscillator.sigma().terms == {(0,): gam}
 
+    def test_h_differentiated_once_by_each_action(self, maxwell, monkeypatch):
+        # the p rows of every field and sigma_H read one table of dH/ds^mu
+        ham = HamiltonianSystem.from_legendre(maxwell)
+        actions = {ex.action(mu) for mu in range(ham.m)}
+        diff, calls = ex.diff, []
+
+        def counted(e, z):
+            if e is ham.H and z in actions:
+                calls.append(z)
+            return diff(e, z)
+
+        monkeypatch.setattr(ex, "diff", counted)
+        ham.hhdw_equations()
+        ham.sigma()
+        assert sorted(calls, key=str) == sorted(actions, key=str)
+
     def test_hhdw_oscillator(self, oscillator):
         gam, om = sp.symbols("gamma omega")
         eqs = HamiltonianSystem.from_legendre(oscillator).hhdw_equations()
